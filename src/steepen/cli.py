@@ -6,8 +6,10 @@ assumptions.txt, summary.txt (and SVG plots when enabled) into the
 configured output directory.  Runs are deterministic: identical configs
 produce byte-identical CSV outputs.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure (vacuum or CFL
-collapse before t_end without a blowup certificate), 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numeric failure (vacuum, CFL
+collapse or a non-finite state before t_end without a blowup
+certificate; the outputs up to that point are still written), 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -63,20 +65,30 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"initial block: bad expression {text!r}: {exc}") from None
 
 
+FIELDS_COLUMNS = ("t", "x", "z", "u", "m", "p", "c", "alpha", "beta", "y", "q")
+
+
 def _write_fields_csv(path: Path, traj: solver.Trajectory) -> None:
+    """One row per (snapshot, node), every value as ``%.16g``.
+
+    Each snapshot is formatted with one ``%`` over its flattened rows,
+    so memory stays O(n) per snapshot.
+    """
     gc = traj.gc
+    n = traj.grid.n
+    row = ",".join(["%.16g"] * len(FIELDS_COLUMNS)) + "\n"
+    snapshot_format = row * n
     with open(path, "w") as fh:
-        fh.write("t,x,z,u,m,p,c,alpha,beta,y,q\n")
+        fh.write(",".join(FIELDS_COLUMNS) + "\n")
         for snap in traj.snapshots:
             m = snap.m_arrays()[0]
             p, c = eos.thermo(snap.z, m, gc, snap.z_floor)
             d = riccati.diagnostics(snap)
-            for j in range(snap.grid.n):
-                fh.write(
-                    f"{snap.t:.16g},{snap.grid.x[j]:.16g},{snap.z[j]:.16g},{snap.u[j]:.16g},"
-                    f"{m[j]:.16g},{p[j]:.16g},{c[j]:.16g},"
-                    f"{d.alpha[j]:.16g},{d.beta[j]:.16g},{d.y[j]:.16g},{d.q[j]:.16g}\n"
-                )
+            table = np.column_stack((
+                np.full(n, snap.t), snap.grid.x, snap.z, snap.u, m, p, c,
+                d.alpha, d.beta, d.y, d.q,
+            ))
+            fh.write(snapshot_format % tuple(table.ravel().tolist()))
 
 
 def _diagnose(cfg: RunConfig, traj: solver.Trajectory):
@@ -255,7 +267,8 @@ def run_pipeline(cfg: RunConfig) -> int:
             xlabel="t", ylabel="x (unwrapped)",
         )
 
-    if traj.termination.kind in ("cfl_collapse", "vacuum_guard") and _primary_kind(cert14, cert15) == "none":
+    numeric_failure = traj.termination.kind in ("cfl_collapse", "vacuum_guard", "non_finite")
+    if numeric_failure and _primary_kind(cert14, cert15) == "none":
         print(f"numeric failure: {traj.termination.kind} at t={traj.termination.t_stop:g}",
               file=sys.stderr)
         return 3

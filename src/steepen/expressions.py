@@ -164,7 +164,8 @@ class Bin(Expr):
             if self.rhs.value < 0:  # type: ignore[union-attr]
                 rhs = f"({rhs})"
             lhs = _wrap(self.lhs, p + 1)
-            if isinstance(self.lhs, Num) and self.lhs.value < 0:
+            # the sign bit, not `< 0`: -0.0 prints with a leading minus too
+            if isinstance(self.lhs, Num) and math.copysign(1.0, self.lhs.value) < 0:
                 lhs = f"({lhs})"
             return lhs + "^" + rhs
         # right child always parenthesized at equal precedence so the

@@ -248,16 +248,19 @@ def derivative(values, grid: Grid, order: int = 1) -> np.ndarray:
 
     order=1 and order=2 are supported; the stencils are exact for
     polynomials of degree <= 4 (away from the periodic wrap) up to rounding.
+    The shifted neighbours are slices of one copy of ``values`` padded
+    with two periodic ghost cells on each side.
     """
     if grid.boundary != "periodic":
         raise ValueError("derivative requires a periodic grid")
     f = np.asarray(values, dtype=float)
     if f.shape != (grid.n,):
         raise ValueError("values must match the grid size")
-    fp1 = np.roll(f, -1)
-    fp2 = np.roll(f, -2)
-    fm1 = np.roll(f, 1)
-    fm2 = np.roll(f, 2)
+    padded = np.concatenate((f[-2:], f, f[:2]))
+    fm2 = padded[:-4]
+    fm1 = padded[1:-3]
+    fp1 = padded[3:-1]
+    fp2 = padded[4:]
     if order == 1:
         return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * grid.h)
     if order == 2:

@@ -46,7 +46,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Termination:
-    kind: str  # reached_t_end | gradient_blowup | cfl_collapse | vacuum_guard
+    kind: str  # reached_t_end | gradient_blowup | cfl_collapse | vacuum_guard | non_finite
     t_stop: float
     x_loc: float | None = None
 
@@ -85,7 +85,7 @@ class Trajectory:
 
 
 class _Workspace:
-    """Profile-derived constants reused across RK stages."""
+    """Profile-derived constants reused across RK stages and steps."""
 
     def __init__(self, state: StateField):
         gc = state.gc
@@ -99,16 +99,17 @@ class _Workspace:
         self.K_c = gc.K_c
         self.mc_coeff = gc.K_c * m * m  # m*c = coeff * z**e_c
         self.forcing = 2.0 * gc.K_p * m * m_x  # 2(p/m)m_x = forcing * z**(e_c+1)
+        self.p_coeff = gc.K_p * m**2  # p = p_coeff * z**(2g/(g-1))
 
     def rhs(self, z, u):
-        if np.any(z <= self.z_floor):
+        if (z <= self.z_floor).any():
             raise VacuumError("z fell to the vacuum floor during a step")
         u_x = derivative(u, self.grid, 1)
         z_x = derivative(z, self.grid, 1)
         zc = z**self.e_c
         z_t = -self.K_c * zc * u_x
         u_t = -(self.mc_coeff * zc * z_x + self.forcing * zc * z)
-        return z_t, u_t, u_x, z_x
+        return z_t, u_t
 
 
 def max_wavespeed(state: StateField) -> float:
@@ -126,32 +127,35 @@ def cfl_dt(state: StateField, cfl: float) -> float:
     return cfl * state.grid.h / max_wavespeed(state)
 
 
+def _abs_forward_diff(a):
+    """|a[i+1] - a[i]| with the periodic wrap at the last node."""
+    d = np.empty_like(a)
+    np.subtract(a[1:], a[:-1], out=d[:-1])
+    d[-1] = a[0] - a[-1]
+    return np.abs(d, out=d)
+
+
 def _steepness(z, u, m, grid: Grid):
     # one-sided differences: unlike the centered stencil they cannot alias
     # away a two-cell sawtooth, so the cap also catches lost resolution
-    du = np.abs(np.diff(u, append=u[:1]))
-    dz = np.abs(np.diff(z, append=z[:1]))
-    mags = np.maximum(du, m * dz) / grid.h
-    i = int(np.argmax(mags))
+    dz = _abs_forward_diff(z)
+    np.multiply(m, dz, out=dz)
+    mags = np.maximum(_abs_forward_diff(u), dz, out=dz)
+    mags /= grid.h
+    i = int(mags.argmax())
     return float(mags[i] * grid.length), float(grid.x[i])
 
 
-def gradient_scale(state: StateField) -> tuple[float, float]:
-    """Dimensionless steepness max(|u_x|, |m z_x|)*(x1-x0) and its location."""
-    m = state.m_arrays()[0]
-    return _steepness(state.z, state.u, m, state.grid)
-
-
 def _rk4(ws: _Workspace, z, u, dt):
-    k1z, k1u, u_x, z_x = ws.rhs(z, u)
-    k2z, k2u, _, _ = ws.rhs(z + 0.5 * dt * k1z, u + 0.5 * dt * k1u)
-    k3z, k3u, _, _ = ws.rhs(z + 0.5 * dt * k2z, u + 0.5 * dt * k2u)
-    k4z, k4u, _, _ = ws.rhs(z + dt * k3z, u + dt * k3u)
+    k1z, k1u = ws.rhs(z, u)
+    k2z, k2u = ws.rhs(z + 0.5 * dt * k1z, u + 0.5 * dt * k1u)
+    k3z, k3u = ws.rhs(z + 0.5 * dt * k2z, u + 0.5 * dt * k2u)
+    k4z, k4u = ws.rhs(z + dt * k3z, u + dt * k3u)
     z_new = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
     u_new = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    if np.any(z_new <= ws.z_floor):
+    if (z_new <= ws.z_floor).any():
         raise VacuumError("z fell to the vacuum floor during a step")
-    return z_new, u_new, u_x, z_x
+    return z_new, u_new
 
 
 def step(state: StateField, dt: float) -> StateField:
@@ -159,7 +163,7 @@ def step(state: StateField, dt: float) -> StateField:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     ws = _Workspace(state)
-    z_new, u_new, _, _ = _rk4(ws, state.z, state.u, dt)
+    z_new, u_new = _rk4(ws, state.z, state.u, dt)
     return StateField(
         grid=state.grid,
         t=state.t + dt,
@@ -176,13 +180,16 @@ def _conserved(ws: _Workspace, z, u):
     g = gc.gamma
     h = ws.grid.h
     tau = gc.K_tau * z ** (-2.0 / (g - 1.0))
-    p = gc.K_p * ws.m**2 * z ** (2.0 * g / (g - 1.0))
+    p = ws.p_coeff * z ** (2.0 * g / (g - 1.0))
     e = p * tau / (g - 1.0)
     return h * float(np.sum(u)), h * float(np.sum(tau)), h * float(np.sum(0.5 * u * u + e))
 
 
 def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
-    """Advance state0 until t_end, blowup, CFL collapse, or vacuum.
+    """Advance state0 until t_end, blowup, CFL collapse, vacuum, or a non-finite state.
+
+    A step whose new state is not finite is rejected: the run stops with
+    ``non_finite`` at the last finite state.
 
     Conserved quantities are logged every step; full fields are stored every
     ``snapshot_stride`` steps plus the initial and final instants.
@@ -234,10 +241,14 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
             break
 
         try:
-            z, u, _, _ = _rk4(ws, z, u, dt)
+            z_new, u_new = _rk4(ws, z, u, dt)
         except VacuumError:
             termination = Termination("vacuum_guard", t)
             break
+        if not (np.isfinite(z_new).all() and np.isfinite(u_new).all()):
+            termination = Termination("non_finite", t)
+            break
+        z, u = z_new, u_new
         t += dt
         steps += 1
         log(t, z, u)

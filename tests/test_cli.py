@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from steepen import cli
+from steepen import cli, eos, fields, riccati, solver
 
 
 RUN_CFG = """\
@@ -110,6 +110,65 @@ def test_cfl_collapse_without_certificate_exit_3(tmp_path):
     path = tmp_path / "collapse.cfg"
     path.write_text(text)
     assert cli.main(["run", str(path)]) == 3
+
+
+def test_non_finite_without_certificate_writes_outputs_exit_3(tmp_path, monkeypatch):
+    text = "".join(line + "\n" for line in RUN_CFG.splitlines() if not line.startswith("certify."))
+    path = tmp_path / "nan.cfg"
+    path.write_text(text)
+    real = solver.derivative
+    calls = 0
+
+    def derivative_then_nan(values, grid, order=1):
+        nonlocal calls
+        calls += 1
+        return real(values, grid, order) if calls <= 8 * 10 else np.full(grid.n, np.nan)
+
+    monkeypatch.setattr(solver, "derivative", derivative_then_nan)
+    assert cli.main(["run", str(path)]) == 3
+    out = tmp_path / "out"
+    summary = dict(
+        line.split(" = ") for line in (out / "summary.txt").read_text().splitlines() if " = " in line
+    )
+    assert summary["termination"] == "non_finite"
+    assert summary["steps"] == "10"
+    rows = (out / "fields.csv").read_text().splitlines()[1:]
+    assert float(rows[-1].split(",")[0]) == float(summary["t_stop"])
+    assert all(np.isfinite(float(v)) for row in rows for v in row.split(","))
+    assert len((out / "curves.csv").read_text().splitlines()) > 1
+
+
+def _fields_csv_reference(traj):
+    """The per-row f-string writer that the batched one replaced."""
+    lines = ["t,x,z,u,m,p,c,alpha,beta,y,q\n"]
+    for snap in traj.snapshots:
+        m = snap.m_arrays()[0]
+        p, c = eos.thermo(snap.z, m, traj.gc, snap.z_floor)
+        d = riccati.diagnostics(snap)
+        for j in range(snap.grid.n):
+            row = (snap.t, snap.grid.x[j], snap.z[j], snap.u[j], m[j], p[j], c[j],
+                   d.alpha[j], d.beta[j], d.y[j], d.q[j])
+            lines.append(",".join(f"{v:.16g}" for v in row) + "\n")
+    return "".join(lines)
+
+
+def test_fields_csv_matches_per_row_reference(tmp_path):
+    gc = eos.make_constants(3.0, 1.0 / 3.0, 1.0)
+    grid = fields.Grid(0.0, 1.0, 16)
+    state, profile = fields.build_initial(
+        "-0.2*sin(2*pi*x)", grid, gc, m0="1 + 0.1*cos(2*pi*x)", z0=1.0
+    )
+    traj = solver.evolve(state, solver.SolverConfig(t_end=0.05, snapshot_stride=2))
+    # signed zeros, a subnormal and magnitudes near both ends of the range
+    u = np.array([-0.0, 0.0, 5e-324, -1e-300, 1e290, -2.5e289, 1.0 / 3.0, -123456789.01234567] * 2)
+    z = np.array([1e-9, 1e3, 2.0, 0.7] * 4)
+    traj.snapshots.append(fields.StateField(grid=grid, t=1.0 / 3.0, z=z, u=u, profile=profile, gc=gc))
+    path = tmp_path / "fields.csv"
+    cli._write_fields_csv(path, traj)
+    text = path.read_text()
+    assert text == _fields_csv_reference(traj)
+    assert "\n0.3333333333333333,0,1e-09,-0," in text
+    assert ",1e+290," in text and ",4.940656458412465e-324," in text
 
 
 def test_io_error_exit_4(tmp_path):

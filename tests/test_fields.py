@@ -178,6 +178,21 @@ def test_derivative_linearity():
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-11 * np.max(np.abs(lhs)) + 1e-13)
 
 
+@pytest.mark.parametrize("n", [16, 2048])
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_bitwise_equals_roll_reference(n, order):
+    # the ghost-padded stencil must give the np.roll formula bit for bit
+    grid = fields.Grid(0.0, 1.0, n)
+    rng = np.random.default_rng(n + order)
+    f = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    fp1, fp2, fm1, fm2 = np.roll(f, -1), np.roll(f, -2), np.roll(f, 1), np.roll(f, 2)
+    if order == 1:
+        ref = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * grid.h)
+    else:
+        ref = (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * grid.h**2)
+    assert np.array_equal(fields.derivative(f, grid, order), ref)
+
+
 def test_derivative_rejects_bad_order(gas3):
     grid = fields.Grid(0.0, 1.0, 32)
     with pytest.raises(ValueError):

@@ -142,6 +142,37 @@ def test_evolve_cfl_collapse_tag(gas3):
     assert traj.termination.t_stop == 0.0
 
 
+@pytest.mark.parametrize("poisoned_call, poisoned_field", [(7, "z"), (8, "u")])
+def test_evolve_non_finite_stops_at_last_finite_state(gas3, monkeypatch, poisoned_call, poisoned_field):
+    # 8 derivative calls per step, (u_x, z_x) per stage: call 7 of a step is
+    # the last stage's u_x and spoils only z, call 8 its z_x and spoils only u
+    grid = fields.Grid(0.0, 1.0, 64)
+    state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
+    cfg = solver.SolverConfig(cfl=0.4, t_end=0.3, snapshot_stride=3)
+    clean = solver.evolve(state, cfg)
+    good_steps = 5
+    real = solver.derivative
+    calls = 0
+
+    def derivative_then_nan(values, grid, order=1):
+        nonlocal calls
+        calls += 1
+        if calls >= 8 * good_steps + poisoned_call:
+            return np.full(grid.n, np.nan)
+        return real(values, grid, order)
+
+    monkeypatch.setattr(solver, "derivative", derivative_then_nan)
+    traj = solver.evolve(state, cfg)
+    assert traj.termination.kind == "non_finite"
+    assert traj.steps_taken == good_steps
+    assert traj.termination.t_stop == clean.conserved.t[good_steps]
+    last = traj.snapshots[-1]
+    assert last.t == traj.termination.t_stop
+    assert np.all(np.isfinite(last.z)) and np.all(np.isfinite(last.u))
+    assert np.array_equal(traj.conserved.int_u, clean.conserved.int_u[: good_steps + 1])
+    assert np.array_equal(traj.conserved.int_tau, clean.conserved.int_tau[: good_steps + 1])
+
+
 def test_evolve_entropy_arrays_bit_identical(varying_traj):
     first = varying_traj.snapshots[0].m_arrays()[0]
     last = varying_traj.snapshots[-1].m_arrays()[0]
