@@ -142,8 +142,8 @@ def test_evolve_cfl_collapse_tag(gas3):
     assert traj.termination.t_stop == 0.0
 
 
-@pytest.mark.parametrize("poisoned_call, poisoned_field", [(7, "z"), (8, "u")])
-def test_evolve_non_finite_stops_at_last_finite_state(gas3, monkeypatch, poisoned_call, poisoned_field):
+@pytest.mark.parametrize("poisoned_call", [7, 8], ids=["nan_in_z", "nan_in_u"])
+def test_evolve_non_finite_stops_at_last_finite_state(gas3, monkeypatch, poisoned_call):
     # 8 derivative calls per step, (u_x, z_x) per stage: call 7 of a step is
     # the last stage's u_x and spoils only z, call 8 its z_x and spoils only u
     grid = fields.Grid(0.0, 1.0, 64)
