@@ -224,15 +224,3 @@ def directional_derivative(curve: CharacteristicCurve, quantity: str) -> np.ndar
             out[i] = float(np.dot(_fd_weights(tw, t[i]), f[j0:j0 + 5]))
     return out
 
-
-def write_curves_csv(path, curves: list[tuple[str, CharacteristicCurve]]) -> None:
-    """Curve export: curve_id,direction,t,x,<sampled quantity columns>."""
-    names = sorted({name for _, c in curves for name in c.samples})
-    with open(path, "w") as fh:
-        fh.write("curve_id,direction,t,x" + "".join("," + n for n in names) + "\n")
-        for cid, c in curves:
-            for i in range(len(c.t)):
-                row = [cid, c.direction, f"{c.t[i]:.16g}", f"{c.x[i]:.16g}"]
-                for n in names:
-                    row.append(f"{c.samples[n][i]:.16g}" if n in c.samples else "")
-                fh.write(",".join(row) + "\n")

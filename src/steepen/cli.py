@@ -20,14 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from steepen import charpath, detector, eos, fields, riccati, solver, svg
+from steepen import charpath, detector, fields, riccati, solver, svg
 from steepen.config import (
     ConfigError,
     RunConfig,
     build_config,
+    is_config_leaf,
     load_config,
     make_initial,
-    parse_kv,
 )
 from steepen.eos import VacuumError
 from steepen.expressions import parse_expression
@@ -74,7 +74,6 @@ def _write_fields_csv(path: Path, traj: solver.Trajectory) -> None:
     Each snapshot is formatted with one ``%`` over its flattened rows,
     so memory stays O(n) per snapshot.
     """
-    gc = traj.gc
     n = traj.grid.n
     row = ",".join(["%.16g"] * len(FIELDS_COLUMNS)) + "\n"
     snapshot_format = row * n
@@ -82,7 +81,7 @@ def _write_fields_csv(path: Path, traj: solver.Trajectory) -> None:
         fh.write(",".join(FIELDS_COLUMNS) + "\n")
         for snap in traj.snapshots:
             m = snap.m_arrays()[0]
-            p, c = eos.thermo(snap.z, m, gc, snap.z_floor)
+            p, c = snap.thermo()
             d = riccati.diagnostics(snap)
             table = np.column_stack((
                 np.full(n, snap.t), snap.grid.x, snap.z, snap.u, m, p, c,
@@ -137,10 +136,16 @@ def _certificates(cfg: RunConfig, state0):
     return ths, cert14, cert15
 
 
+def _primary_certificate(cert14, cert15):
+    """The certificate a run reports first: thm15 when it certifies, else
+    thm14 when it was checked, else thm15 (None when neither was)."""
+    if cert15 is not None and cert15.kind != "none":
+        return cert15
+    return cert14 if cert14 is not None else cert15
+
+
 def _certificate_pairs(cfg: RunConfig, state0, ths, cert14, cert15):
-    primary = cert15 if (cert15 is not None and cert15.kind != "none") else cert14
-    if primary is None:
-        primary = cert15
+    primary = _primary_certificate(cert14, cert15)
     pairs = []
     if primary is not None:
         pairs += [
@@ -197,6 +202,16 @@ def _assumption_pairs(report: fields.AssumptionReport):
 
 
 def run_pipeline(cfg: RunConfig) -> int:
+    """Run ``cfg`` end to end, write its outputs and return the exit code."""
+    return _run(cfg)[0]
+
+
+def _run(cfg: RunConfig):
+    """The pipeline behind :func:`run_pipeline`: ``(exit code, summary pairs)``.
+
+    The pairs are those written to summary.txt, and empty when the run
+    stops before writing it.
+    """
     validate_config(cfg)
     out = cfg.output.directory
     out.mkdir(parents=True, exist_ok=True)
@@ -205,7 +220,7 @@ def run_pipeline(cfg: RunConfig) -> int:
         state0, profile = make_initial(cfg)
     except (VacuumError, ValueError) as exc:
         print(f"stage build: {exc}", file=sys.stderr)
-        return 3
+        return 3, []
 
     traj = solver.evolve(state0, cfg.solver)
 
@@ -213,7 +228,7 @@ def run_pipeline(cfg: RunConfig) -> int:
         curves, curve_rows, residual_max = _diagnose(cfg, traj)
     except ValueError as exc:
         print(f"stage diagnostics: {exc}", file=sys.stderr)
-        return 3
+        return 3, []
 
     ths, cert14, cert15 = _certificates(cfg, state0)
     estimate = detector.detect_blowup(traj)
@@ -231,6 +246,8 @@ def run_pipeline(cfg: RunConfig) -> int:
     if report is not None:
         _write_kv(out / "assumptions.txt", "assumption report", _assumption_pairs(report))
 
+    primary = _primary_certificate(cert14, cert15)
+    primary_kind = "none" if primary is None else primary.kind
     d0 = riccati.diagnostics(traj.snapshots[0])
     drift = solver.conserved_drift(traj, t_max=0.8 * traj.termination.t_stop)
     summary = [
@@ -242,7 +259,7 @@ def run_pipeline(cfg: RunConfig) -> int:
         ("min_q0", float(np.min(d0.q))),
         ("t_blow", None if estimate is None else estimate.t_blow),
         ("t_blow_uncertainty", None if estimate is None else estimate.uncertainty),
-        ("certificate", _primary_kind(cert14, cert15)),
+        ("certificate", primary_kind),
         ("t_star_bound", None if cert15 is None else cert15.t_star_bound),
         ("int_u_drift", drift["int_u"]),
         ("int_tau_drift", drift["int_tau"]),
@@ -268,18 +285,11 @@ def run_pipeline(cfg: RunConfig) -> int:
         )
 
     numeric_failure = traj.termination.kind in ("cfl_collapse", "vacuum_guard", "non_finite")
-    if numeric_failure and _primary_kind(cert14, cert15) == "none":
+    if numeric_failure and primary_kind == "none":
         print(f"numeric failure: {traj.termination.kind} at t={traj.termination.t_stop:g}",
               file=sys.stderr)
-        return 3
-    return 0
-
-
-def _primary_kind(cert14, cert15) -> str:
-    for cert in (cert15, cert14):
-        if cert is not None and cert.kind != "none":
-            return cert.kind
-    return "none"
+        return 3, summary
+    return 0, summary
 
 
 def certify_only(cfg: RunConfig) -> int:
@@ -310,27 +320,10 @@ SWEEP_COLUMNS = (
 )
 
 
-def _is_config_leaf(axis: str, base_kv: dict) -> bool:
-    """A sweep axis may be any present key, a params leaf, or a schema key."""
-    if axis in base_kv or axis.startswith("params."):
-        return True
-    from steepen.config import _KNOWN
-
-    if "." not in axis:
-        return False
-    block, leaf = axis.split(".", 1)
-    known = _KNOWN.get(block)
-    return known is not None and leaf in known
-
-
 def sweep(cfg_path: Path, axis: str, values: list[str]) -> int:
-    try:
-        base_kv = parse_kv(Path(cfg_path).read_text())
-        base_cfg = load_config(cfg_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if not _is_config_leaf(axis, base_kv):
+    base_cfg = load_config(cfg_path)
+    base_kv = base_cfg.raw
+    if not is_config_leaf(axis, base_kv):
         print(f"sweep: axis {axis!r} is not a config leaf", file=sys.stderr)
         return 2
 
@@ -346,10 +339,10 @@ def sweep(cfg_path: Path, axis: str, values: list[str]) -> int:
                "residual_max": ""}
         try:
             cfg = build_config(kv, base_cfg.base_dir)
-            code = run_pipeline(cfg)
+            code, pairs = _run(cfg)
             if code != 0:
                 row["status"] = f"exit{code}"
-            summary = _read_kv(cfg.output.directory / "summary.txt")
+            summary = {key: _fmt(v) for key, v in pairs}
             for col in ("termination", "t_stop", "min_y0", "certificate", "t_star_bound", "t_blow"):
                 row[col] = summary.get(col, "")
             res = [f"{k.split('.', 1)[1]}:{v}" for k, v in summary.items() if k.startswith("residual_max.")]
@@ -366,16 +359,6 @@ def sweep(cfg_path: Path, axis: str, values: list[str]) -> int:
             fh.write(",".join([axis] + [str(row[c]).replace(",", ";") for c in SWEEP_COLUMNS]) + "\n")
     print(table_path.read_text(), end="")
     return 0
-
-
-def _read_kv(path: Path) -> dict:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body and "=" in body:
-            k, v = body.split("=", 1)
-            out[k.strip()] = v.strip()
-    return out
 
 
 def main(argv=None) -> int:

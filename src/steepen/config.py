@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 from scipy.interpolate import CubicSpline
 
 from steepen import eos
 from steepen.eos import GasConstants
-from steepen.fields import AssumptionBounds, EntropyProfile, Grid, StateField, build_initial
+from steepen.fields import AssumptionBounds, EntropyProfile, Grid, StateField, build_initial, read_samples
 from steepen.riccati import RESIDUAL_KINDS
 from steepen.solver import SolverConfig
 
@@ -127,6 +126,17 @@ _KNOWN = {
     "output": {"directory", "emit_svg"},
     "params": None,  # free-form numeric leaves
 }
+
+
+def is_config_leaf(key: str, kv: dict) -> bool:
+    """A key present in ``kv``, a params leaf, or a key of the schema."""
+    if key in kv or key.startswith("params."):
+        return True
+    if "." not in key:
+        return False
+    block, leaf = key.split(".", 1)
+    known = _KNOWN.get(block)
+    return known is not None and leaf in known
 
 
 def build_config(kv: dict, base_dir: Path) -> RunConfig:
@@ -270,11 +280,6 @@ def load_config(path) -> RunConfig:
     return build_config(parse_kv(path.read_text()), path.parent.resolve())
 
 
-def _file_callable(path: Path):
-    profile = EntropyProfile.from_file(path)  # same two-column format
-    return profile.m
-
-
 def make_initial(cfg: RunConfig) -> tuple[StateField, EntropyProfile]:
     """Build the t=0 state from a loaded configuration."""
 
@@ -282,8 +287,7 @@ def make_initial(cfg: RunConfig) -> tuple[StateField, EntropyProfile]:
         if raw is None:
             return None
         if raw.startswith("file:"):
-            spline = CubicSpline(*_load_samples(cfg.base_dir / raw[len("file:"):]))
-            return spline
+            return CubicSpline(*read_samples(cfg.base_dir / raw[len("file:"):]))
         return raw
 
     m0 = cfg.initial.m0
@@ -302,17 +306,3 @@ def make_initial(cfg: RunConfig) -> tuple[StateField, EntropyProfile]:
         constants=cfg.params,
     )
 
-
-def _load_samples(path: Path):
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].strip().startswith("# profile"):
-        raise ConfigError(f"{path}: missing '# profile' header line")
-    xs, vs = [], []
-    for line in lines[1:]:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        a, b = line.split(",")
-        xs.append(float(a))
-        vs.append(float(b))
-    return np.array(xs), np.array(vs)

@@ -47,7 +47,8 @@ def classify_rc(state: StateField, delta_rc: float | None = None) -> RCMap:
     floored at 1e-12, so that machine-noise-level diagnostics classify as
     neutral.
     """
-    alpha, beta = riccati.alpha_beta(state)
+    d = riccati.diagnostics(state)
+    alpha, beta = d.alpha, d.beta
     if delta_rc is None:
         peak = max(float(np.max(np.abs(alpha))), float(np.max(np.abs(beta))))
         delta_rc = max(1e-8 * peak, 1e-12)
@@ -126,7 +127,6 @@ class Certificate:
     t_star_bound: float | None = None
     bounds: AssumptionBounds | None = None
     conditional: bool = True
-    notes: str = ""
 
 
 def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float = 0.01) -> Certificate:
@@ -138,13 +138,13 @@ def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float =
     """
     gamma = state0.gc.gamma
     th = thresholds(bounds, gamma, epsilon)
-    y, q, y_t, q_t = riccati.yq_fields(state0)
+    d = riccati.diagnostics(state0)
     x = state0.grid.x
     for arr, kind, limit in (
-        (y, "thm14_y", th.N),
-        (q, "thm14_q", th.N),
-        (y_t, "thm14_ytilde", th.N_tilde),
-        (q_t, "thm14_qtilde", th.N_tilde),
+        (d.y, "thm14_y", th.N),
+        (d.q, "thm14_q", th.N),
+        (d.y_tilde, "thm14_ytilde", th.N_tilde),
+        (d.q_tilde, "thm14_qtilde", th.N_tilde),
     ):
         i = int(np.argmin(arr))
         if arr[i] < -limit:
@@ -213,8 +213,7 @@ def certify_thm15(
     if float(np.min(w_xx[region])) < -delta_cond:
         return none_cert
 
-    y, q, _, _ = riccati.yq_fields(state0)
-    arr = y if variable == "y" else q
+    arr = getattr(riccati.diagnostics(state0), variable)
     masked = np.where(region, arr, np.inf)
     i = int(np.argmin(masked))
     v0 = float(masked[i])

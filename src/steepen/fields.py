@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 
 from steepen import eos
 from steepen.eos import GasConstants, VacuumError, Z_FLOOR
-from steepen.expressions import Expr, parse_expression
+from steepen.expressions import parse_expression
 
 
 @dataclass
@@ -48,9 +48,27 @@ class Grid:
         return self.x0 + np.mod(np.asarray(x, dtype=float) - self.x0, self.length)
 
 
-def parse_profile(expr: str, constants=None) -> Expr:
-    """Parse an analytic profile of x; the result is an evaluable function."""
-    return parse_expression(expr, constants)
+def read_samples(path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(x, value)`` columns of a ``# profile`` file.
+
+    The format: a first line starting ``# profile``, then one ``x,value``
+    row per sample; blank lines and ``#`` comment lines are skipped.
+    """
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    if not lines or not lines[0].strip().startswith("# profile"):
+        raise ValueError(f"{path}: missing '# profile' header line")
+    xs, vs = [], []
+    for line in lines[1:]:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}: expected 'x,value' rows, got {line!r}")
+        xs.append(float(parts[0]))
+        vs.append(float(parts[1]))
+    return np.array(xs), np.array(vs)
 
 
 class EntropyProfile:
@@ -71,14 +89,10 @@ class EntropyProfile:
 
     @classmethod
     def from_expression(cls, text: str, constants=None) -> "EntropyProfile":
-        ast = parse_profile(text, constants)
+        ast = parse_expression(text, constants)
         d1 = ast.diff()
         d2 = d1.diff()
         return cls(ast, d1, d2, source="analytic-expression")
-
-    @classmethod
-    def from_callable(cls, fn: Callable, d1: Callable, d2: Callable) -> "EntropyProfile":
-        return cls(fn, d1, d2, source="analytic-expression")
 
     @classmethod
     def from_samples(cls, x: np.ndarray, values: np.ndarray) -> "EntropyProfile":
@@ -95,22 +109,8 @@ class EntropyProfile:
 
     @classmethod
     def from_file(cls, path) -> "EntropyProfile":
-        """Load a two-column `x,value` file with a `# profile` header line."""
-        path = Path(path)
-        lines = path.read_text().splitlines()
-        if not lines or not lines[0].strip().startswith("# profile"):
-            raise ValueError(f"{path}: missing '# profile' header line")
-        xs, vs = [], []
-        for line in lines[1:]:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: expected 'x,value' rows, got {line!r}")
-            xs.append(float(parts[0]))
-            vs.append(float(parts[1]))
-        return cls.from_samples(np.array(xs), np.array(vs))
+        """Load a ``# profile`` file (see :func:`read_samples`)."""
+        return cls.from_samples(*read_samples(path))
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "EntropyProfile":
@@ -150,6 +150,9 @@ class StateField:
     profile: EntropyProfile
     gc: GasConstants
     z_floor: float = Z_FLOOR
+    #: the state's ``riccati.DiagnosticFields``, filled on first use by
+    #: ``riccati.diagnostics``
+    cached_diagnostics: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.z = np.array(self.z, dtype=float)
@@ -196,9 +199,10 @@ def build_initial(
     """Sample initial data onto a grid.
 
     Exactly one of ``z0``/``tau0`` must be given; ``tau0`` is converted with
-    the z transform.  ``u0``, ``m0`` and the chosen density function may be
-    expression strings, plain numbers, callables, or (for ``m0``) an
-    :class:`EntropyProfile`.  Returns ``(state, profile)`` at t = 0.
+    the z transform.  ``u0`` and the chosen density function may be
+    expression strings, plain numbers or callables; ``m0`` may be an
+    expression string, a number or an :class:`EntropyProfile`.  Returns
+    ``(state, profile)`` at t = 0.
     """
     if (z0 is None) == (tau0 is None):
         raise ValueError("exactly one of z0 or tau0 is required")
@@ -211,12 +215,8 @@ def build_initial(
         profile = EntropyProfile.constant(1.0)
     elif isinstance(m0, (int, float)):
         profile = EntropyProfile.constant(float(m0))
-    elif callable(m0):
-        # bare callable: derivatives come from a dense spline fit
-        dense = np.linspace(grid.x0, grid.x1, max(8 * grid.n, 512) + 1)
-        profile = EntropyProfile.from_samples(dense, np.asarray(m0(dense), dtype=float))
     else:
-        raise TypeError("m0 must be an expression, number, callable, or EntropyProfile")
+        raise TypeError("m0 must be an expression, number, or EntropyProfile")
 
     x = grid.x
     u = np.broadcast_to(np.asarray(_as_function(u0, constants)(x), dtype=float), x.shape).copy()

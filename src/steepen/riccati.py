@@ -20,11 +20,15 @@ alpha' = k1(k2(3 alpha + beta) + alpha beta - alpha^2) together with its
 backward mirror, and the decoupled forms y' = a0 + a2 y^2,
 q` = a0 + a2 q^2; ``residual`` measures both numerically along traced
 characteristics.
+
+:func:`diagnostics` is the one way to reach these fields.  It computes
+them once per state and caches them on the state itself (the state's
+arrays are read-only, so the cache cannot go stale).
 """
 
 from __future__ import annotations
 
-import weakref
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +81,10 @@ class DiagnosticFields:
     mu_bar: np.ndarray
 
 
-_DIAG_CACHE: "weakref.WeakKeyDictionary[StateField, DiagnosticFields]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def diagnostics(state: StateField) -> DiagnosticFields:
-    """Every diagnostic field of the state, computed on the grid (cached)."""
-    cached = _DIAG_CACHE.get(state)
-    if cached is not None:
-        return cached
+    """Every diagnostic field of the state, computed on the grid (cached on the state)."""
+    if state.cached_diagnostics is not None:
+        return state.cached_diagnostics
 
     gc = state.gc
     g = gc.gamma
@@ -136,34 +134,12 @@ def diagnostics(state: StateField) -> DiagnosticFields:
         a0=a0, a2=a2, a0_t=a0_t, a1_t=a1_t, a2_t=a2_t,
         mu_bar=mu_bar,
     )
-    _DIAG_CACHE[state] = fields
+    state.cached_diagnostics = fields
     return fields
 
 
-def alpha_beta(state: StateField):
-    """Gradient diagnostics (alpha, beta); alpha + beta = 2 u_x pointwise."""
-    d = diagnostics(state)
-    return d.alpha, d.beta
-
-
-def yq_fields(state: StateField):
-    """Scaled diagnostics (y, q, y_tilde, q_tilde)."""
-    d = diagnostics(state)
-    return d.y, d.q, d.y_tilde, d.q_tilde
-
-
-def coefficients(state: StateField):
-    """Coefficient fields (k1, k2, a0, a2, a0_t, a1_t, a2_t, mu_bar)."""
-    d = diagnostics(state)
-    return d.k1, d.k2, d.a0, d.a2, d.a0_t, d.a1_t, d.a2_t, d.mu_bar
-
-
 #: names resolvable by :func:`grid_quantity` beyond the raw state arrays
-_DIAG_NAMES = (
-    "u_x", "z_x", "s_x", "r_x", "alpha", "beta", "y", "q",
-    "y_tilde", "q_tilde", "k1", "k2", "a0", "a2", "a0_t", "a1_t", "a2_t",
-    "mu_bar",
-)
+_DIAG_NAMES = tuple(f.name for f in dataclasses.fields(DiagnosticFields))
 
 
 def grid_quantity(state: StateField, name: str) -> np.ndarray:

@@ -14,11 +14,10 @@ diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from steepen import eos
 from steepen.eos import VacuumError
 from steepen.fields import Grid, StateField, derivative
 
@@ -65,7 +64,6 @@ class Trajectory:
     termination: Termination
     conserved: ConservedLog
     steps_taken: int = 0
-    notes: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> Grid:
@@ -287,17 +285,3 @@ def conserved_drift(traj: Trajectory, t_max: float | None = None) -> dict:
         out[name] = float(np.max(np.abs(vals - vals[0]))) / scale
     return out
 
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Delimited text export: one row per (snapshot, cell): t,x,z,u,m,p,c."""
-    gc = traj.gc
-    with open(path, "w") as fh:
-        fh.write("t,x,z,u,m,p,c\n")
-        for snap in traj.snapshots:
-            m = snap.m_arrays()[0]
-            p, c = eos.thermo(snap.z, m, gc, snap.z_floor)
-            for j in range(snap.grid.n):
-                fh.write(
-                    f"{snap.t:.16g},{snap.grid.x[j]:.16g},{snap.z[j]:.16g},"
-                    f"{snap.u[j]:.16g},{m[j]:.16g},{p[j]:.16g},{c[j]:.16g}\n"
-                )

@@ -94,7 +94,7 @@ def profile49_run():
 
 def test_criterion_1_lax_limit_blowup(lax_runs):
     state0 = lax_runs[1024][0]
-    y0 = riccati.yq_fields(state0)[0]
+    y0 = riccati.diagnostics(state0).y
     oracle = 1.0 / abs(float(np.min(y0)))  # a0 = 0, a2 = -K_c = -1
     errors = {}
     for n, (_, traj, estimate, wall) in lax_runs.items():
@@ -120,8 +120,8 @@ def test_criterion_2_stationary_fidelity(stationary_run):
     max_u = max(float(np.max(np.abs(s.u))) for s in traj.snapshots)
     max_ab = 0.0
     for snap in traj.snapshots:
-        alpha, beta = riccati.alpha_beta(snap)
-        max_ab = max(max_ab, float(np.max(np.abs(alpha))), float(np.max(np.abs(beta))))
+        d = riccati.diagnostics(snap)
+        max_ab = max(max_ab, float(np.max(np.abs(d.alpha))), float(np.max(np.abs(d.beta))))
     ok = max_u <= 1e-8 and max_ab <= 1e-7
     _report(
         "2 (stationary fidelity)",
@@ -285,15 +285,15 @@ def test_criterion_7_threshold_degeneration(lax_runs):
 
     # with N = 0 the certificate reduces to the pure sign test
     state_comp = lax_runs[256][0]
-    y, q, _, _ = riccati.yq_fields(state_comp)
+    d = riccati.diagnostics(state_comp)
     cert_comp = detector.certify_thm14(state_comp, bounds)
-    sign_test_comp = min(float(np.min(y)), float(np.min(q))) < 0.0
+    sign_test_comp = min(float(np.min(d.y)), float(np.min(d.q))) < 0.0
     gc = state_comp.gc
     grid = fields.Grid(0.0, 1.0, 64)
     state_flat, _ = fields.build_initial(0.0, grid, gc, m0=1.0, z0=1.0)
     cert_flat = detector.certify_thm14(state_flat, bounds)
-    yf, qf, _, _ = riccati.yq_fields(state_flat)
-    sign_test_flat = min(float(np.min(yf)), float(np.min(qf))) < 0.0
+    df = riccati.diagnostics(state_flat)
+    sign_test_flat = min(float(np.min(df.y)), float(np.min(df.q))) < 0.0
 
     agree = ((cert_comp.kind != "none") == sign_test_comp) and (
         (cert_flat.kind != "none") == sign_test_flat

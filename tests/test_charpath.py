@@ -194,15 +194,3 @@ def test_operator_identity_recovers_partial_derivatives():
     assert errs[256][1] <= errs[128][1] / 3.0
     assert errs[256][0] <= 2e-2
     assert errs[256][1] <= 5e-6
-
-
-def test_curve_csv_export(tmp_path, constant_traj):
-    fw = charpath.trace(constant_traj, 0.2, "forward")
-    charpath.sample_along(fw, constant_traj, "z")
-    charpath.sample_along(fw, constant_traj, "u")
-    path = tmp_path / "curves.csv"
-    charpath.write_curves_csv(path, [("c0", fw)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "curve_id,direction,t,x,u,z"
-    assert len(lines) == 1 + len(fw.t)
-    assert lines[1].startswith("c0,forward,0,")

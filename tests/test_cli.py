@@ -225,6 +225,26 @@ def test_sweep_unknown_axis(cfg_path):
     assert cli.main(["sweep", str(cfg_path), "--axis", "gas.R", "--values", "1"]) == 2
 
 
+def test_sweep_missing_config_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "nope.cfg"
+    assert cli.main(["sweep", str(missing), "--axis", "grid.n", "--values", "32"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_build_failure_row_ignores_stale_summary(cfg_path, tmp_path):
+    # a summary.txt left by an earlier sweep must not be reported for a
+    # sub-run that stops before it writes its own
+    stale = tmp_path / "out" / "initial_z0=-1"
+    stale.mkdir(parents=True)
+    (stale / "summary.txt").write_text(
+        "# run summary\ntermination = reached_t_end\nt_stop = 0.3\ncertificate = thm15_y\n"
+    )
+    assert cli.main(["sweep", str(cfg_path), "--axis", "initial.z0", "--values", "1,-1"]) == 0
+    rows = (tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()
+    assert rows[1].startswith("initial.z0,1,ok,")
+    assert rows[2] == "initial.z0,-1,exit3,,,,,,,"
+
+
 def test_sweep_amplitude_crosses_certificate_threshold(tmp_path):
     """The thm14 certificate appears exactly past the threshold amplitude."""
     text = RUN_CFG.replace("certify.M3 = 0", "certify.M3 = 1").replace("certify.M4 = 0", "certify.M4 = 1")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from steepen.cli import run_pipeline
 from steepen.config import ConfigError, build_config, load_config, make_initial, parse_kv
 
 
@@ -84,6 +86,32 @@ def test_referenced_file_must_exist(tmp_path):
     state, profile = make_initial(cfg)
     assert profile.source == "sampled-with-spline"
     assert np.allclose(profile.m(0.5), 1.0 + 0.1 * np.sin(0.5), atol=1e-5)
+
+
+def test_file_u0_with_negative_samples_is_splined_and_runs(tmp_path):
+    xs = np.linspace(0.0, 1.0, 33)
+    us = -0.2 * np.sin(2.0 * np.pi * xs) - 0.05
+    (tmp_path / "u.csv").write_text(
+        "# profile u0\n" + "".join(f"{x!r},{u!r}\n" for x, u in zip(xs.tolist(), us.tolist()))
+    )
+    text = BASE.replace("initial.u0 = -0.2*sin(2*pi*x)", "initial.u0 = file:u.csv")
+    cfg = load_config(_write(tmp_path, text))
+    state, _ = make_initial(cfg)
+    assert np.min(state.u) < 0.0
+    assert np.array_equal(state.u, CubicSpline(xs, us)(state.grid.x))
+    assert run_pipeline(cfg) == 0
+
+
+def test_file_row_errors_match_for_u0_and_m0(tmp_path):
+    (tmp_path / "bad.csv").write_text("# profile\n0.0,1.0\n0.5,1.0,2.0\n1.0,1.0\n")
+    messages = []
+    for key in ("initial.u0 = -0.2*sin(2*pi*x)", "initial.m0 = 1"):
+        name = key.split(" = ")[0]
+        cfg = load_config(_write(tmp_path, BASE.replace(key, f"{name} = file:bad.csv")))
+        with pytest.raises(ValueError, match="bad.csv") as err:
+            make_initial(cfg)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_params_feed_expressions_and_are_sweepable(tmp_path):

@@ -300,7 +300,7 @@ def test_detect_blowup_none_for_smooth_run(constant_traj):
 def test_detect_blowup_matches_riccati_oracle(gas3):
     grid = fields.Grid(0.0, 1.0, 256)
     state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
-    y0 = riccati.yq_fields(state)[0]
+    y0 = riccati.diagnostics(state).y
     oracle = 1.0 / abs(float(np.min(y0)))
     cfg = solver.SolverConfig(cfl=0.4, t_end=1.5, snapshot_stride=10, gradient_cap=30.0)
     est = detector.detect_blowup(solver.evolve(state, cfg))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from steepen import eos, fields, solver
-from steepen.expressions import ExpressionError
+from steepen.expressions import ExpressionError, parse_expression
 
 from conftest import make_gas
 
@@ -27,17 +27,17 @@ def test_grid_validation():
 # --- profiles ---------------------------------------------------------------
 
 
-def test_parse_profile_constant_and_one_sided_family():
-    one = fields.parse_profile("1")
+def test_parse_expression_constant_and_one_sided_family():
+    one = parse_expression("1")
     assert one(17.0) == 1.0
-    prof = fields.parse_profile("(exp(-x)+1)^(-4)")
+    prof = parse_expression("(exp(-x)+1)^(-4)")
     x = np.linspace(0.0, 5.0, 21)
     assert np.allclose(prof(x), (np.exp(-x) + 1.0) ** -4, rtol=1e-14)
 
 
-def test_parse_profile_syntax_error_offset():
+def test_parse_expression_syntax_error_offset():
     with pytest.raises(ExpressionError) as err:
-        fields.parse_profile("sin(+)")
+        parse_expression("sin(+)")
     assert err.value.position == 4
 
 

@@ -19,9 +19,9 @@ def _state(expr_u, expr_m, expr_z, gamma=5.0 / 3.0, K=1.0 / 15.0, n=256, L=1.0):
 def test_alpha_beta_zero_in_constant_state(gas3):
     grid = fields.Grid(0.0, 1.0, 64)
     state, _ = fields.build_initial(0.0, grid, gas3, m0=1.0, z0=1.5)
-    alpha, beta = riccati.alpha_beta(state)
-    assert np.max(np.abs(alpha)) <= 1e-13
-    assert np.max(np.abs(beta)) <= 1e-13
+    d = riccati.diagnostics(state)
+    assert np.max(np.abs(d.alpha)) <= 1e-13
+    assert np.max(np.abs(d.beta)) <= 1e-13
 
 
 def test_alpha_beta_sum_is_two_ux():
@@ -43,9 +43,9 @@ def test_alpha_beta_vanish_on_stationary_solution():
     m_expr = "1 + 0.3*tanh(sin(2*pi*(x - 10)/20))"
     z_expr = f"(1/(({m_expr})^2))^({(g - 1.0) / (2.0 * g)})"
     state, _ = fields.build_initial(0.0, grid, gc, m0=m_expr, z0=z_expr)
-    alpha, beta = riccati.alpha_beta(state)
-    assert np.max(np.abs(alpha)) <= 1e-9
-    assert np.max(np.abs(beta)) <= 1e-9
+    d = riccati.diagnostics(state)
+    assert np.max(np.abs(d.alpha)) <= 1e-9
+    assert np.max(np.abs(d.beta)) <= 1e-9
 
 
 def test_isentropic_alpha_is_sx_beta_is_rx(gas3):
@@ -121,13 +121,13 @@ def test_stationary_yq_pure_entropy_content():
     m_expr = "1 + 0.3*tanh(sin(2*pi*(x - 10)/20))"
     z_expr = f"(1/(({m_expr})^2))^({(g - 1.0) / (2.0 * g)})"
     state, _ = fields.build_initial(0.0, grid, gc, m0=m_expr, z0=z_expr)
-    y, q, _, _ = riccati.yq_fields(state)
+    d = riccati.diagnostics(state)
     ex = riccati.Exponents.of(g)
     m, m_x, _ = state.m_arrays()
     oracle = m ** (-ex.E2) * state.z ** (ex.E1 + 1.0) * m_x * (g - 1.0) / (g * (3.0 * g - 1.0))
     tol = 5e-9 * max(1.0, float(np.max(np.abs(oracle))))
-    assert np.max(np.abs(y - oracle)) <= tol
-    assert np.max(np.abs(y + q)) <= tol
+    assert np.max(np.abs(d.y - oracle)) <= tol
+    assert np.max(np.abs(d.y + d.q)) <= tol
 
 
 # --- coefficients ---------------------------------------------------------------
@@ -135,12 +135,12 @@ def test_stationary_yq_pure_entropy_content():
 
 def test_coefficients_constant_entropy_degeneration():
     state = _state("0.2*sin(2*pi*x)", "1", "1 + 0.1*sin(2*pi*x)", gamma=1.4, K=1.0)
-    k1, k2, a0, a2, a0_t, a1_t, a2_t, mu_bar = riccati.coefficients(state)
-    assert np.all(k2 == 0.0)
-    assert np.all(a0 == 0.0)
-    assert np.all(a1_t == 0.0)
-    assert np.ptp(mu_bar) == 0.0
-    assert np.all(a2 < 0.0)
+    d = riccati.diagnostics(state)
+    assert np.all(d.k2 == 0.0)
+    assert np.all(d.a0 == 0.0)
+    assert np.all(d.a1_t == 0.0)
+    assert np.ptp(d.mu_bar) == 0.0
+    assert np.all(d.a2 < 0.0)
 
 
 def test_a2_is_minus_one_for_gamma3(gas3):
@@ -148,7 +148,7 @@ def test_a2_is_minus_one_for_gamma3(gas3):
     state, _ = fields.build_initial(
         "0.1*sin(2*pi*x)", grid, gas3, m0="1 + 0.3*cos(2*pi*x)", z0="1 + 0.4*sin(2*pi*x)"
     )
-    a2 = riccati.coefficients(state)[3]
+    a2 = riccati.diagnostics(state).a2
     assert np.max(np.abs(a2 + 1.0)) <= 1e-13
 
 
@@ -162,7 +162,7 @@ def test_a2_always_negative_random_states():
             gamma=gamma,
             K=rng.uniform(0.2, 2.0),
         )
-        a2 = riccati.coefficients(state)[3]
+        a2 = riccati.diagnostics(state).a2
         assert np.all(a2 < 0.0)
 
 

@@ -107,7 +107,7 @@ def test_evolve_constant_state_conserves_everything(constant_traj):
 def test_evolve_compressive_blowup_matches_riccati_oracle(gas3):
     grid = fields.Grid(0.0, 1.0, 256)
     state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
-    y0 = riccati.yq_fields(state)[0]
+    y0 = riccati.diagnostics(state).y
     oracle = 1.0 / abs(float(np.min(y0)))  # a0 = 0, a2 = -K_c = -1
     cfg = solver.SolverConfig(cfl=0.4, t_end=1.5, snapshot_stride=10, gradient_cap=30.0)
     traj = solver.evolve(state, cfg)
@@ -205,15 +205,3 @@ def test_solution_convergence_order_at_least_3(gas3):
         errs.append(float(np.max(np.abs(coarse.z - fine.z[::4]))))
     order = np.log2(errs[0] / errs[1])
     assert order >= 3.0, (errs, order)
-
-
-def test_trajectory_csv_export(tmp_path, constant_traj):
-    path = tmp_path / "traj.csv"
-    solver.write_trajectory_csv(constant_traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x,z,u,m,p,c"
-    n = constant_traj.grid.n
-    assert len(lines) == 1 + n * len(constant_traj.snapshots)
-    first = lines[1].split(",")
-    assert len(first) == 7
-    assert float(first[2]) == pytest.approx(2.0)  # z of the constant state
