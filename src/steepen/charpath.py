@@ -1,9 +1,11 @@
 """Characteristic tracing through a trajectory and along-curve derivatives.
 
 Forward curves integrate dx/dt = +c, backward curves dx/dt = -c, with RK4
-in time (4 substeps per stored snapshot interval), cubic-spline
-interpolation in space and 4-point Lagrange interpolation in snapshot time.
-Derived quantities are always computed on the grid first (see
+in time (:data:`SUBSTEPS` steps per snapshot interval), moving a bundle of
+seeds as one array.  :meth:`FieldSampler.values` is the one space-time
+interpolator (cubic spline in space, 4-point Lagrange in snapshot time),
+for the wave speed while tracing and for samples along curves.  Derived
+quantities are always computed on the grid first (see
 :mod:`steepen.riccati`) and only then interpolated onto curves.
 """
 
@@ -18,12 +20,18 @@ from steepen import riccati
 from steepen.riccati import Exponents
 from steepen.solver import Trajectory
 
+SUBSTEPS = 4  # RK4 steps per snapshot interval when tracing
+
+# row j of _OTHERS[n]: the nodes i != j of an n-node window, the factors
+# of node j's Lagrange weight
+_OTHERS = {n: np.array([[i for i in range(n) if i != j] for j in range(n)]) for n in (2, 3, 4)}
+
 
 @dataclass
 class CharacteristicCurve:
     direction: str  # forward | backward
     t: np.ndarray
-    x: np.ndarray  # wrapped into [x0, x1)
+    x: np.ndarray  # wrapped into [x0, x1); a bundle has one column per seed
     x_path: np.ndarray  # unwrapped, for continuity across the seam
     samples: dict = field(default_factory=dict)
 
@@ -31,117 +39,104 @@ class CharacteristicCurve:
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("curve node times must be strictly increasing")
 
+    def column(self, i: int) -> CharacteristicCurve:
+        """The curve of seed ``i`` of a bundle."""
+        return CharacteristicCurve(self.direction, self.t, self.x[:, i], self.x_path[:, i])
+
 
 class FieldSampler:
-    """Space-time interpolator over a trajectory's snapshots."""
+    """Space-time interpolator over a trajectory's snapshots and their splines."""
 
     def __init__(self, traj: Trajectory):
         if len(traj.snapshots) < 2:
             raise ValueError("trajectory too sparse to interpolate (stride guard)")
         self.traj = traj
-        self.snaps = traj.snapshots
         self.times = traj.times
-        self.grid = traj.grid
-        self.profile = traj.profile
-        self.K_c = traj.gc.K_c
-        self.ex = Exponents.of(traj.gc.gamma)
         self._splines: dict = {}
+
+    @classmethod
+    def of(cls, traj: Trajectory) -> FieldSampler:
+        """The trajectory's sampler, kept in ``traj.cached_sampler``."""
+        if traj.cached_sampler is None:
+            traj.cached_sampler = cls(traj)
+        return traj.cached_sampler
 
     def spline(self, k: int, name: str) -> CubicSpline:
         key = (k, name)
         sp = self._splines.get(key)
         if sp is None:
-            arr = riccati.grid_quantity(self.snaps[k], name)
-            xs = np.append(self.grid.x, self.grid.x1)
+            grid = self.traj.grid
+            arr = riccati.grid_quantity(self.traj.snapshots[k], name)
+            xs = np.append(grid.x, grid.x1)
             ys = np.append(arr, arr[0])
             sp = CubicSpline(xs, ys, bc_type="periodic")
             self._splines[key] = sp
         return sp
 
-    def _window(self, tq: float) -> tuple[int, int]:
-        n_t = len(self.times)
-        k = int(np.searchsorted(self.times, tq, side="right")) - 1
-        k = min(max(k, 0), n_t - 2)
-        j0 = min(max(k - 1, 0), max(n_t - 4, 0))
-        return j0, min(j0 + 4, n_t)
-
-    def value(self, name: str, tq: float, xq: float) -> float:
-        """Scalar space-time interpolation of a named field."""
-        j0, j1 = self._window(tq)
-        tw = self.times[j0:j1]
-        xq = float(self.grid.wrap(xq))
-        total = 0.0
-        for jj in range(len(tw)):
-            w = 1.0
-            for ii in range(len(tw)):
-                if ii != jj:
-                    w *= (tq - tw[ii]) / (tw[jj] - tw[ii])
-            total += w * float(self.spline(j0 + jj, name)(xq))
-        return total
-
     def values(self, name: str, ts, xs) -> np.ndarray:
-        """Vectorized interpolation at matched (t, x) node arrays."""
+        """``name`` at matched (t, x) points: ``ts`` and ``xs`` have one shape.
+
+        Each point combines the splines of the 4 snapshots around its time
+        (all of them when there are fewer) with Lagrange weights in time.
+        """
         ts = np.asarray(ts, dtype=float)
-        xs = self.grid.wrap(xs)
-        out = np.empty_like(ts)
+        xs = self.traj.grid.wrap(xs)
         n_t = len(self.times)
-        ks = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, n_t - 2)
-        j0s = np.clip(ks - 1, 0, max(n_t - 4, 0))
-        for j0 in np.unique(j0s):
-            sel = j0s == j0
-            j1 = min(j0 + 4, n_t)
-            tw = self.times[j0:j1]
-            tq = ts[sel]
-            acc = np.zeros_like(tq)
-            for jj in range(len(tw)):
-                w = np.ones_like(tq)
-                for ii in range(len(tw)):
-                    if ii != jj:
-                        w *= (tq - tw[ii]) / (tw[jj] - tw[ii])
-                acc += w * self.spline(int(j0 + jj), name)(xs[sel])
-            out[sel] = acc
-        return out
+        n_w = min(4, n_t)
+        # window start: the snapshot two before t's interval, clamped to [0, n_t - n_w]
+        j0 = self.times[2:n_t - n_w + 2].searchsorted(ts, side="right")
+        ks = np.add.outer(np.arange(n_w), j0)  # window axis first
+        tw = self.times[ks]
+        t_other = tw[_OTHERS[n_w]]
+        w = np.multiply.reduce((ts - t_other) / (tw[:, None] - t_other), axis=1)
 
-    def speed(self, tq: float, xq: float) -> float:
-        """Lagrangian wave speed c(t, x) = K_c m(x) z(t, x)**((g+1)/(g-1))."""
-        zq = self.value("z", tq, xq)
-        mq = float(np.asarray(self.profile.m(self.grid.wrap(xq)), dtype=float))
-        return self.K_c * mq * zq**self.ex.E_c
+        s = np.empty(ks.shape)
+        x_at = xs[None].repeat(n_w, axis=0)
+        for k in set(ks.ravel().tolist()):  # each spline once, at all the points that need it
+            at = ks == k
+            s[at] = self.spline(k, name)(x_at[at])
+        acc = np.zeros_like(ts)  # starts at +0.0, so -0.0 terms sum to +0.0
+        for term in w * s:
+            acc += term
+        return acc
 
 
-def get_sampler(traj: Trajectory) -> FieldSampler:
-    sampler = getattr(traj, "_charpath_sampler", None)
-    if sampler is None:
-        sampler = FieldSampler(traj)
-        traj._charpath_sampler = sampler
-    return sampler
-
-
-def integrate_position(traj: Trajectory, x_start: float, t_nodes, sign: float) -> np.ndarray:
+def integrate_position(traj: Trajectory, x_start, t_nodes, sign: float) -> np.ndarray:
     """RK4 integration of dx/dt = sign*c through the trajectory's field.
 
+    ``x_start`` is one start position or an array of them, advanced
+    together; the result has shape ``(len(t_nodes),) + np.shape(x_start)``.
     ``t_nodes`` may be ascending or descending (the latter walks the same
     characteristic backwards in time).  Returns unwrapped positions.
     """
-    sampler = get_sampler(traj)
+    sampler = FieldSampler.of(traj)
+    grid, m = traj.grid, traj.profile.m
+    K_c, E_c = traj.gc.K_c, Exponents.of(traj.gc.gamma).E_c
+
+    def wave_speed(t, x):
+        return K_c * m(grid.wrap(x)) * sampler.values("z", np.full(x.shape, t), x) ** E_c
+
     t_nodes = np.asarray(t_nodes, dtype=float)
-    xs = np.empty_like(t_nodes)
-    x = float(x_start)
+    x = np.array(x_start, dtype=float)
+    xs = np.empty(t_nodes.shape + x.shape)
     xs[0] = x
     for i in range(len(t_nodes) - 1):
         ta, tb = t_nodes[i], t_nodes[i + 1]
         dt = tb - ta
-        k1 = sign * sampler.speed(ta, x)
-        k2 = sign * sampler.speed(ta + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = sign * sampler.speed(ta + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = sign * sampler.speed(tb, x + dt * k3)
+        k1 = sign * wave_speed(ta, x)
+        k2 = sign * wave_speed(ta + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = sign * wave_speed(ta + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = sign * wave_speed(tb, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         xs[i + 1] = x
     return xs
 
 
-def trace(traj: Trajectory, x_start: float, direction: str, substeps: int = 4) -> CharacteristicCurve:
-    """Trace a characteristic from (t=0, x_start) to the trajectory's end."""
+def trace(traj: Trajectory, x_start, direction: str) -> CharacteristicCurve:
+    """Trace characteristics from (t=0, x_start) to the trajectory's end.
+
+    ``x_start`` is one seed, or an array of seeds traced as one bundle.
+    """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     if len(traj.snapshots) < 2:
@@ -149,25 +144,16 @@ def trace(traj: Trajectory, x_start: float, direction: str, substeps: int = 4) -
     sign = 1.0 if direction == "forward" else -1.0
 
     times = traj.times
-    t_nodes = [times[0]]
-    for k in range(len(times) - 1):
-        seg = np.linspace(times[k], times[k + 1], substeps + 1)[1:]
-        t_nodes.extend(seg.tolist())
-    t_nodes = np.array(t_nodes)
+    steps = np.linspace(times[:-1], times[1:], SUBSTEPS + 1, axis=1)[:, 1:]
+    t_nodes = np.concatenate((times[:1], steps.ravel()))
 
     x_path = integrate_position(traj, x_start, t_nodes, sign)
-    return CharacteristicCurve(
-        direction=direction,
-        t=t_nodes,
-        x=traj.grid.wrap(x_path),
-        x_path=x_path,
-    )
+    return CharacteristicCurve(direction, t_nodes, traj.grid.wrap(x_path), x_path)
 
 
 def sample_along(curve: CharacteristicCurve, traj: Trajectory, quantity: str) -> np.ndarray:
-    """Interpolate a named derived field onto the curve nodes (and cache it)."""
-    sampler = get_sampler(traj)
-    values = sampler.values(quantity, curve.t, curve.x)
+    """Interpolate a named derived field onto a one-seed curve's nodes (and cache it)."""
+    values = FieldSampler.of(traj).values(quantity, curve.t, curve.x)
     curve.samples[quantity] = values
     return values
 

@@ -90,21 +90,22 @@ def _write_fields_csv(path: Path, traj: solver.Trajectory) -> None:
             fh.write(snapshot_format % tuple(table.ravel().tolist()))
 
 
-def _diagnose(cfg: RunConfig, traj: solver.Trajectory):
+def _diagnose(cfg: RunConfig, traj: solver.Trajectory, t_resolved: float):
     """Trace configured curves and evaluate the selected residuals.
 
-    The residual_max summary is taken on the resolved window
-    [0, 0.8*t_stop] for blowup runs; past it the fields leave the grid's
-    resolution and residuals are no longer meaningful.
+    The seeds of each direction are traced as one bundle.  The
+    residual_max summary is taken on the resolved window [0, t_resolved].
     """
-    t_stop = traj.termination.t_stop
-    t_resolved = 0.8 * t_stop if traj.termination.kind == "gradient_blowup" else t_stop
+    seeds = cfg.diagnostics.seeds
+    bundles = {}
+    if seeds:
+        bundles = {d: charpath.trace(traj, seeds, d) for d in cfg.diagnostics.directions}
     curve_rows = []  # (curve_id, direction, t, x, value, residual)
     residual_max: dict = {}
     curves = []
-    for si, seed in enumerate(cfg.diagnostics.seeds):
+    for si in range(len(seeds)):
         for direction in cfg.diagnostics.directions:
-            curve = charpath.trace(traj, seed, direction, cfg.diagnostics.substeps)
+            curve = bundles[direction].column(si)
             curves.append((f"seed{si}_{direction}", curve))
             window = curve.t <= t_resolved
             for kind in cfg.diagnostics.residuals:
@@ -223,9 +224,13 @@ def _run(cfg: RunConfig):
         return 3, []
 
     traj = solver.evolve(state0, cfg.solver)
+    # past 0.8 t_stop of a blowup run the fields leave the grid's
+    # resolution; residuals and drift are reported on the window before it
+    t_stop = traj.termination.t_stop
+    t_resolved = 0.8 * t_stop if traj.termination.kind == "gradient_blowup" else t_stop
 
     try:
-        curves, curve_rows, residual_max = _diagnose(cfg, traj)
+        curves, curve_rows, residual_max = _diagnose(cfg, traj, t_resolved)
     except ValueError as exc:
         print(f"stage diagnostics: {exc}", file=sys.stderr)
         return 3, []
@@ -249,7 +254,7 @@ def _run(cfg: RunConfig):
     primary = _primary_certificate(cert14, cert15)
     primary_kind = "none" if primary is None else primary.kind
     d0 = riccati.diagnostics(traj.snapshots[0])
-    drift = solver.conserved_drift(traj, t_max=0.8 * traj.termination.t_stop)
+    drift = solver.conserved_drift(traj, t_max=t_resolved)
     summary = [
         ("termination", traj.termination.kind),
         ("t_stop", traj.termination.t_stop),

@@ -39,7 +39,6 @@ class DiagnosticsSpec:
     seeds: list = field(default_factory=list)
     directions: list = field(default_factory=lambda: ["forward", "backward"])
     residuals: list = field(default_factory=lambda: list(RESIDUAL_KINDS))
-    substeps: int = 4
 
 
 @dataclass
@@ -121,7 +120,7 @@ _KNOWN = {
     "grid": {"x0", "x1", "n"},
     "initial": {"u0", "z0", "tau0", "m0"},
     "solver": {"cfl", "t_end", "gradient_cap", "snapshot_stride", "dt_min"},
-    "diagnostics": {"seeds", "directions", "residuals", "substeps"},
+    "diagnostics": {"seeds", "directions", "residuals"},
     "certify": {"Z_L", "Z_U", "M1", "M2", "M3", "M4", "epsilon", "A"},
     "output": {"directory", "emit_svg"},
     "params": None,  # free-form numeric leaves
@@ -225,10 +224,6 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
         for r in diagnostics.residuals:
             if r not in RESIDUAL_KINDS:
                 raise ConfigError(f"diagnostics block: unknown residual {r!r}")
-    if "substeps" in dia_kv:
-        diagnostics.substeps = _int("diagnostics", "substeps", dia_kv["substeps"])
-        if diagnostics.substeps < 1:
-            raise ConfigError("diagnostics block: substeps must be >= 1")
 
     cert_kv = _take(kv, "certify")
     certify = CertifySpec()

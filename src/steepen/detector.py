@@ -257,7 +257,9 @@ def detect_blowup(traj: Trajectory) -> BlowupEstimate | None:
     Fits 1/max(|y|, |q|) against time over the last resolved stretch of the
     run and extrapolates its zero crossing; the reciprocal is asymptotically
     linear near the pole.  Returns None for runs that did not terminate in
-    gradient blowup.
+    gradient blowup, and for blowup runs where the time cannot be
+    estimated: fewer than 5 snapshots with a nonzero peak, or a fitted
+    reciprocal that does not decay.
     """
     if traj.termination.kind != "gradient_blowup":
         return None
@@ -271,7 +273,7 @@ def detect_blowup(traj: Trajectory) -> BlowupEstimate | None:
     t = t[good]
     g_recip = 1.0 / peak[good]
     if len(t) < 5:
-        raise ValueError("too few snapshots to extrapolate a blowup time")
+        return None
 
     # late, still-resolved stretch: past the halfway decay of 1/peak but
     # clear of the saturated tail where the grid no longer tracks the peak
@@ -284,7 +286,7 @@ def detect_blowup(traj: Trajectory) -> BlowupEstimate | None:
 
     slope, intercept = np.polyfit(tw, gw, 1)
     if slope >= 0.0:
-        raise ValueError("reciprocal peak diagnostic is not decaying")
+        return None
     root_lin = -intercept / slope
 
     half = len(tw) // 2

@@ -14,7 +14,7 @@ diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,9 @@ class Trajectory:
     termination: Termination
     conserved: ConservedLog
     steps_taken: int = 0
+    #: the trajectory's ``charpath.FieldSampler``, filled on first use by
+    #: ``charpath.FieldSampler.of``
+    cached_sampler: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid:

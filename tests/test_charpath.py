@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from steepen import charpath, fields, solver
+from steepen import charpath, fields, riccati, solver
 
 from conftest import make_gas
 
@@ -37,14 +38,89 @@ def test_trace_rejects_bad_direction_and_sparse_trajectory(constant_traj, gas3):
 
 def test_node_spacing_matches_local_speed(varying_traj):
     curve = charpath.trace(varying_traj, 0.3, "forward")
-    sampler = charpath.get_sampler(varying_traj)
+    sampler = charpath.FieldSampler.of(varying_traj)
+    gc = varying_traj.gc
+    E_c = (gc.gamma + 1.0) / (gc.gamma - 1.0)
     dt = np.diff(curve.t)
     dx = np.diff(curve.x_path)
     worst = 0.0
     for i in range(0, len(dt), 7):
-        c_mid = sampler.speed(curve.t[i] + 0.5 * dt[i], 0.5 * (curve.x_path[i] + curve.x_path[i + 1]))
+        t_mid = curve.t[i] + 0.5 * dt[i]
+        x_mid = 0.5 * (curve.x_path[i] + curve.x_path[i + 1])
+        m_mid = varying_traj.profile.m(varying_traj.grid.wrap(x_mid))
+        c_mid = gc.K_c * m_mid * float(sampler.values("z", t_mid, x_mid)) ** E_c
         worst = max(worst, abs(dx[i] - c_mid * dt[i]) / dt[i] ** 3)
     assert worst <= 10.0  # |dx - c dt| = O(dt^3) with a modest constant
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_bundle_columns_equal_single_seed_traces(varying_traj, direction):
+    seeds = [0.05, 0.3, 0.97]
+    bundle = charpath.trace(varying_traj, seeds, direction)
+    assert bundle.x_path.shape == (len(bundle.t), len(seeds))
+    for i, seed in enumerate(seeds):
+        single = charpath.trace(varying_traj, seed, direction)
+        assert single.x_path.shape == single.t.shape
+        column = bundle.column(i)
+        assert np.array_equal(column.t, single.t)
+        assert np.array_equal(column.x_path, single.x_path)
+        assert np.array_equal(column.x, single.x)
+
+
+def _lagrange_spline_reference(traj, name, tq, xq):
+    """One point at a time: 4-point Lagrange in snapshot time over periodic
+    cubic splines in space, as the scalar sampler computed it."""
+    times = traj.times
+    n_t = len(times)
+    k = min(max(int(np.searchsorted(times, tq, side="right")) - 1, 0), n_t - 2)
+    j0 = min(max(k - 1, 0), max(n_t - 4, 0))
+    tw = times[j0:min(j0 + 4, n_t)]
+    grid = traj.grid
+    xq = float(grid.wrap(xq))
+    total = 0.0
+    for jj in range(len(tw)):
+        w = 1.0
+        for ii in range(len(tw)):
+            if ii != jj:
+                w *= (tq - tw[ii]) / (tw[jj] - tw[ii])
+        arr = riccati.grid_quantity(traj.snapshots[j0 + jj], name)
+        spline = CubicSpline(np.append(grid.x, grid.x1), np.append(arr, arr[0]), bc_type="periodic")
+        total += w * float(spline(xq))
+    return total
+
+
+@pytest.mark.parametrize("n_snapshots", [None, 3, 2])
+def test_values_equal_scalar_lagrange_spline_reference(varying_traj, n_snapshots):
+    traj = varying_traj
+    if n_snapshots is not None:
+        traj = solver.Trajectory(
+            snapshots=varying_traj.snapshots[:n_snapshots],
+            termination=varying_traj.termination,
+            conserved=varying_traj.conserved,
+        )
+    times = traj.times
+    ts = np.array([
+        0.0,
+        times[1],  # a node time
+        0.5 * (times[0] + times[1]),
+        times[-1],
+        0.3 * times[-2] + 0.7 * times[-1],  # inside the last window
+    ])
+    xs = np.array([0.0, 0.3, 1.7, -0.25, 0.999])  # 1.7 and -0.25 wrap
+    rng = np.random.default_rng(7)
+    ts = np.concatenate((ts, rng.uniform(0.0, times[-1], 40)))
+    xs = np.concatenate((xs, rng.uniform(-1.0, 2.0, 40)))
+    sampler = charpath.FieldSampler(traj)
+    for name in ("z", "y", "m_x"):
+        expect = [_lagrange_spline_reference(traj, name, t, x) for t, x in zip(ts, xs)]
+        assert np.array_equal(sampler.values(name, ts, xs), expect), name
+        assert np.array_equal(sampler.values(name, ts[::-1], xs[::-1]), expect[::-1]), name
+
+
+def test_sampler_is_cached_on_the_trajectory(varying_traj):
+    sampler = charpath.FieldSampler.of(varying_traj)
+    assert varying_traj.cached_sampler is sampler
+    assert charpath.FieldSampler.of(varying_traj) is sampler
 
 
 def test_sample_m_constant_entropy(constant_traj):

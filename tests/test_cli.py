@@ -138,6 +138,46 @@ def test_non_finite_without_certificate_writes_outputs_exit_3(tmp_path, monkeypa
     assert len((out / "curves.csv").read_text().splitlines()) > 1
 
 
+@pytest.mark.parametrize("t_end, kind, fraction", [
+    ("0.3", "reached_t_end", 1.0),
+    ("1.5", "gradient_blowup", 0.8),
+])
+def test_drift_window_is_the_resolved_window(tmp_path, monkeypatch, t_end, kind, fraction):
+    text = RUN_CFG.replace("solver.t_end = 0.3", f"solver.t_end = {t_end}")
+    path = tmp_path / "run.cfg"
+    path.write_text(text.replace("solver.gradient_cap = 30", "solver.gradient_cap = 10"))
+    real = solver.conserved_drift
+    seen = []
+
+    def spy(traj, t_max=None):
+        seen.append((traj.termination, t_max))
+        return real(traj, t_max)
+
+    monkeypatch.setattr(solver, "conserved_drift", spy)
+    assert cli.main(["run", str(path)]) == 0
+    [(termination, t_max)] = seen
+    assert termination.kind == kind
+    assert t_max == fraction * termination.t_stop
+
+
+def test_blowup_without_a_time_estimate_writes_outputs_exit_0(tmp_path):
+    text = RUN_CFG.replace("solver.t_end = 0.3", "solver.t_end = 1.5")
+    text = text.replace("solver.gradient_cap = 30", "solver.gradient_cap = 10")
+    text = text.replace("solver.snapshot_stride = 5", "solver.snapshot_stride = 1000")
+    path = tmp_path / "sparse.cfg"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 0
+    out = tmp_path / "out"
+    text = (out / "summary.txt").read_text()
+    summary = dict(line.split(" = ") for line in text.splitlines() if " = " in line)
+    assert summary["termination"] == "gradient_blowup"
+    assert summary["t_blow"] == "none"
+    assert summary["t_blow_uncertainty"] == "none"
+    for name in ("fields.csv", "curves.csv", "certificate.txt", "assumptions.txt",
+                 "yq_extrema.svg", "characteristics.svg"):
+        assert (out / name).exists(), name
+
+
 def _fields_csv_reference(traj):
     """The per-row f-string writer that the batched one replaced."""
     lines = ["t,x,z,u,m,p,c,alpha,beta,y,q\n"]

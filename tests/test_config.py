@@ -59,6 +59,8 @@ def test_unknown_block_and_key(tmp_path):
         load_config(_write(tmp_path, BASE + "physics.c = 1\n"))
     with pytest.raises(ConfigError, match="gas block"):
         load_config(_write(tmp_path, BASE + "gas.R = 8.31\n"))
+    with pytest.raises(ConfigError, match="unknown key 'diagnostics.substeps'"):
+        load_config(_write(tmp_path, BASE + "diagnostics.substeps = 4\n"))
 
 
 def test_gas_block_validation_names_block(tmp_path):

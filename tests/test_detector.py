@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -307,3 +309,28 @@ def test_detect_blowup_matches_riccati_oracle(gas3):
     assert est is not None
     assert abs(est.t_blow - oracle) / oracle <= 0.05
     assert est.uncertainty < 0.1 * oracle
+
+
+def test_detect_blowup_none_when_too_few_snapshots(gas3):
+    grid = fields.Grid(0.0, 1.0, 64)
+    state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
+    cfg = solver.SolverConfig(cfl=0.4, t_end=1.5, snapshot_stride=1000, gradient_cap=10.0)
+    traj = solver.evolve(state, cfg)
+    assert traj.termination.kind == "gradient_blowup"
+    assert len(traj.snapshots) < 5
+    assert detector.detect_blowup(traj) is None
+
+
+def test_detect_blowup_none_when_reciprocal_grows(gas3):
+    grid = fields.Grid(0.0, 1.0, 64)
+    snapshots = []
+    for k, amp in enumerate((0.2, 0.18, 0.16, 0.14, 0.12, 0.1)):
+        state, _ = fields.build_initial(f"-{amp}*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
+        snapshots.append(dataclasses.replace(state, t=0.1 * k))
+    n = len(snapshots)
+    traj = solver.Trajectory(
+        snapshots=snapshots,
+        termination=solver.Termination("gradient_blowup", snapshots[-1].t, 0.25),
+        conserved=solver.ConservedLog(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)),
+    )
+    assert detector.detect_blowup(traj) is None
