@@ -4,7 +4,10 @@ Forward curves integrate dx/dt = +c, backward curves dx/dt = -c, with RK4
 in time (:data:`SUBSTEPS` steps per snapshot interval), moving a bundle of
 seeds as one array.  :meth:`FieldSampler.values` is the one space-time
 interpolator (cubic spline in space, 4-point Lagrange in snapshot time),
-for the wave speed while tracing and for samples along curves.  Derived
+for the wave speed while tracing and for samples along curves.  Each
+quantity has one periodic spline table across all snapshots, built by one
+``CubicSpline`` call, and a call to ``values`` gathers the coefficients
+each point needs from it in one indexing operation.  Derived
 quantities are always computed on the grid first (see
 :mod:`steepen.riccati`) and only then interpolated onto curves.
 """
@@ -45,14 +48,20 @@ class CharacteristicCurve:
 
 
 class FieldSampler:
-    """Space-time interpolator over a trajectory's snapshots and their splines."""
+    """Space-time interpolator over a trajectory's snapshots.
+
+    Each quantity has one table: the coefficients of the periodic cubic
+    splines in x of all snapshots, built by one ``CubicSpline`` call.
+    """
 
     def __init__(self, traj: Trajectory):
         if len(traj.snapshots) < 2:
             raise ValueError("trajectory too sparse to interpolate (stride guard)")
         self.traj = traj
         self.times = traj.times
-        self._splines: dict = {}
+        grid = traj.grid
+        self.knots = np.append(grid.x, grid.x1)
+        self._tables: dict = {}
 
     @classmethod
     def of(cls, traj: Trajectory) -> FieldSampler:
@@ -61,17 +70,22 @@ class FieldSampler:
             traj.cached_sampler = cls(traj)
         return traj.cached_sampler
 
-    def spline(self, k: int, name: str) -> CubicSpline:
-        key = (k, name)
-        sp = self._splines.get(key)
-        if sp is None:
-            grid = self.traj.grid
-            arr = riccati.grid_quantity(self.traj.snapshots[k], name)
-            xs = np.append(grid.x, grid.x1)
-            ys = np.append(arr, arr[0])
-            sp = CubicSpline(xs, ys, bc_type="periodic")
-            self._splines[key] = sp
-        return sp
+    def table(self, name: str) -> np.ndarray:
+        """``name``'s spline coefficients, shape ``(4, n, n_snapshots)``.
+
+        ``table(name)[:, i, k]`` is snapshot ``k``'s cubic on grid interval
+        ``i``, highest power first (``PPoly.c``).
+        """
+        c = self._tables.get(name)
+        if c is None:
+            snapshots = self.traj.snapshots
+            ys = np.empty((len(self.knots), len(snapshots)))
+            for k, snap in enumerate(snapshots):
+                ys[:-1, k] = riccati.grid_quantity(snap, name)
+            ys[-1] = ys[0]  # the periodic closing row
+            c = CubicSpline(self.knots, ys, axis=0, bc_type="periodic").c
+            self._tables[name] = c
+        return c
 
     def values(self, name: str, ts, xs) -> np.ndarray:
         """``name`` at matched (t, x) points: ``ts`` and ``xs`` have one shape.
@@ -90,11 +104,22 @@ class FieldSampler:
         t_other = tw[_OTHERS[n_w]]
         w = np.multiply.reduce((ts - t_other) / (tw[:, None] - t_other), axis=1)
 
-        s = np.empty(ks.shape)
-        x_at = xs[None].repeat(n_w, axis=0)
-        for k in set(ks.ravel().tolist()):  # each spline once, at all the points that need it
-            at = ks == k
-            s[at] = self.spline(k, name)(x_at[at])
+        # PPoly's periodic evaluation, with its arithmetic: re-wrap x, find
+        # the interval (the last one is closed), then sum the terms constant
+        # first (evaluate_poly1)
+        xk = self.knots
+        xs = xk[0] + (xs - xk[0]) % (xk[-1] - xk[0])
+        i = xk[1:-1].searchsorted(xs, side="right")  # in [0, n - 1]
+        d = xs - xk[i]
+        c = self.table(name)[:, i, ks]  # one gather: (4, n_w) + ts.shape
+        s = 0.0 + c[3]
+        z = d
+        s = s + c[2] * z
+        z = z * d
+        s = s + c[1] * z
+        z = z * d
+        s = s + c[0] * z
+
         acc = np.zeros_like(ts)  # starts at +0.0, so -0.0 terms sum to +0.0
         for term in w * s:
             acc += term
@@ -139,8 +164,6 @@ def trace(traj: Trajectory, x_start, direction: str) -> CharacteristicCurve:
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    if len(traj.snapshots) < 2:
-        raise ValueError("trajectory too sparse to trace (stride guard)")
     sign = 1.0 if direction == "forward" else -1.0
 
     times = traj.times
@@ -161,13 +184,19 @@ def sample_along(curve: CharacteristicCurve, traj: Trajectory, quantity: str) ->
 # --- along-curve differentiation -------------------------------------------
 
 
-def _fd_weights(nodes: np.ndarray, x0: float) -> np.ndarray:
-    """First-derivative weights at x0 over arbitrary nodes (Fornberg)."""
+def _fd_weights(nodes: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """First-derivative weights at ``x0`` over arbitrary nodes (Fornberg).
+
+    Batched: ``nodes`` has shape ``(m, n)``, one window of ``n`` nodes per
+    row, and ``x0`` shape ``(m,)``; the result has the shape of ``nodes``.
+    """
+    nodes = nodes.T  # node axis first
     n = len(nodes)
-    w = np.zeros((2, n))
+    w0 = np.zeros(nodes.shape)
+    w1 = np.zeros(nodes.shape)
     c1 = 1.0
     c4 = nodes[0] - x0
-    w[0, 0] = 1.0
+    w0[0] = 1.0
     for i in range(1, n):
         c2 = 1.0
         c5 = c4
@@ -176,12 +205,12 @@ def _fd_weights(nodes: np.ndarray, x0: float) -> np.ndarray:
             c3 = nodes[i] - nodes[j]
             c2 *= c3
             if j == i - 1:
-                w[1, i] = c1 * (w[0, i - 1] - c5 * w[1, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            w[1, j] = (c4 * w[1, j] - w[0, j]) / c3
-            w[0, j] = c4 * w[0, j] / c3
+                w1[i] = c1 * (w0[i - 1] - c5 * w1[i - 1]) / c2
+                w0[i] = -c1 * c5 * w0[i - 1] / c2
+            w1[j] = (c4 * w1[j] - w0[j]) / c3
+            w0[j] = c4 * w0[j] / c3
         c1 = c2
-    return w[1]
+    return w1.T
 
 
 def directional_derivative(curve: CharacteristicCurve, quantity: str) -> np.ndarray:
@@ -198,15 +227,18 @@ def directional_derivative(curve: CharacteristicCurve, quantity: str) -> np.ndar
     if n < 5:
         raise ValueError("need at least 5 curve nodes to differentiate")
 
-    out = np.empty_like(f)
-    uniform_w = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    for i in range(n):
-        j0 = min(max(i - 2, 0), n - 5)
-        tw = t[j0:j0 + 5]
-        dts = np.diff(tw)
-        if i - j0 == 2 and np.all(np.abs(dts - dts[0]) <= 1e-12 * dts[0]):
-            out[i] = float(np.dot(uniform_w, f[j0:j0 + 5])) / dts[0]
-        else:
-            out[i] = float(np.dot(_fd_weights(tw, t[i]), f[j0:j0 + 5]))
+    # node i's window t[j0:j0 + 5], centred where the curve allows
+    j0 = np.clip(np.arange(n) - 2, 0, n - 5)
+    win = j0[:, None] + np.arange(5)
+    tw = t[win]
+    dts = np.diff(tw, axis=1)
+    h = dts[:, 0]
+    uniform = (j0 == np.arange(n) - 2) & np.all(np.abs(dts - h[:, None]) <= 1e-12 * h[:, None], axis=1)
+    w = np.empty((n, 5))
+    w[uniform] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+    w[~uniform] = _fd_weights(tw[~uniform], t[~uniform])
+    # a stack of 1x5 @ 5x1 products runs np.dot's routine per node, so each sum
+    # equals that of a per-node np.dot bit for bit
+    out = np.matmul(w[:, None, :], f[win][:, :, None])[:, 0, 0]
+    out[uniform] /= h[uniform]
     return out
-

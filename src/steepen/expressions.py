@@ -63,12 +63,15 @@ class Expr:
     _PREC = 9
 
     def __call__(self, x):
+        x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
-            out = self.eval(np.asarray(x, dtype=float))
-        x = np.asarray(x)
+            out = self.eval(x)
         if x.ndim == 0:
             return float(out)
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+        out = np.asarray(out, dtype=float)
+        if out.shape != x.shape or np.may_share_memory(out, x):  # a constant, or x itself
+            out = np.full(x.shape, out)
+        return out
 
 
 @dataclass(frozen=True)

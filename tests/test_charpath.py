@@ -117,6 +117,27 @@ def test_values_equal_scalar_lagrange_spline_reference(varying_traj, n_snapshots
         assert np.array_equal(sampler.values(name, ts[::-1], xs[::-1]), expect[::-1]), name
 
 
+def test_one_spline_table_per_quantity(varying_traj, monkeypatch):
+    traj = solver.Trajectory(
+        snapshots=varying_traj.snapshots,
+        termination=varying_traj.termination,
+        conserved=varying_traj.conserved,
+    )
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[1].shape)
+        return CubicSpline(*args, **kwargs)
+
+    monkeypatch.setattr(charpath, "CubicSpline", counting)
+    curve = charpath.trace(traj, 0.3, "forward")
+    riccati.residual(traj, curve, "ode_y")
+    assert len(built) == 4  # z while tracing; y, a0 and a2 for the residual
+    assert all(shape == (traj.grid.n + 1, len(traj.snapshots)) for shape in built)
+    charpath.FieldSampler.of(traj).values("y", curve.t, curve.x)
+    assert len(built) == 4
+
+
 def test_sampler_is_cached_on_the_trajectory(varying_traj):
     sampler = charpath.FieldSampler.of(varying_traj)
     assert varying_traj.cached_sampler is sampler
@@ -186,6 +207,53 @@ def test_directional_derivative_requires_samples_and_nodes(constant_traj):
     )
     with pytest.raises(ValueError):
         charpath.directional_derivative(short, "z")
+
+
+def _fornberg_reference(nodes, x0):
+    """First-derivative weights at x0 over one window of nodes, one scalar at a time."""
+    n = len(nodes)
+    w = np.zeros((2, n))
+    c1 = 1.0
+    c4 = nodes[0] - x0
+    w[0, 0] = 1.0
+    for i in range(1, n):
+        c2 = 1.0
+        c5 = c4
+        c4 = nodes[i] - x0
+        for j in range(i):
+            c3 = nodes[i] - nodes[j]
+            c2 *= c3
+            if j == i - 1:
+                w[1, i] = c1 * (w[0, i - 1] - c5 * w[1, i - 1]) / c2
+                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
+            w[1, j] = (c4 * w[1, j] - w[0, j]) / c3
+            w[0, j] = c4 * w[0, j] / c3
+        c1 = c2
+    return w[1]
+
+
+def test_directional_derivative_equals_per_node_reference():
+    rng = np.random.default_rng(3)
+    # uniform at the start (centred windows take the uniform stencil), then
+    # nonuniform, so both branches and both one-sided ends are covered
+    t = np.concatenate((0.01 * np.arange(8), 0.08 + np.cumsum(rng.uniform(0.005, 0.02, 25))))
+    f = np.sin(7.0 * t) + rng.standard_normal(t.size) * 1e-3
+    n = len(t)
+    j0 = np.clip(np.arange(n) - 2, 0, n - 5)
+    windows = t[j0[:, None] + np.arange(5)]
+    expect_w = np.array([_fornberg_reference(tw, ti) for tw, ti in zip(windows, t)])
+    assert np.array_equal(charpath._fd_weights(windows, t), expect_w)
+
+    expect = np.empty(n)
+    for i in range(n):
+        tw, fw = windows[i], f[j0[i]:j0[i] + 5]
+        dts = np.diff(tw)
+        if i - j0[i] == 2 and np.all(np.abs(dts - dts[0]) <= 1e-12 * dts[0]):
+            expect[i] = float(np.dot(np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, fw)) / dts[0]
+        else:
+            expect[i] = float(np.dot(expect_w[i], fw))
+    curve = charpath.CharacteristicCurve("forward", t, t, t, samples={"f": f})
+    assert np.array_equal(charpath.directional_derivative(curve, "f"), expect)
 
 
 def test_directional_derivative_zero_in_constant_state(constant_traj):

@@ -158,3 +158,21 @@ def test_evaluation_is_pure_and_vectorized():
     scal = np.array([expr(float(x)) for x in xs])
     assert np.array_equal(vec, scal)
     assert np.array_equal(vec, expr(xs))  # deterministic
+
+
+@pytest.mark.parametrize("text, f", [
+    ("x", lambda x: x),
+    ("2*x", lambda x: 2.0 * x),
+    ("1", lambda x: np.ones_like(x)),
+    ("sin(x)", np.sin),
+])
+@pytest.mark.parametrize("x", [np.array(0.3), np.array([0.3]), np.linspace(-1.0, 1.0, 7)])
+def test_call_returns_a_fresh_float_array_of_the_input_shape(text, f, x):
+    out = parse_expression(text)(x)
+    assert np.array_equal(out, f(x))
+    if x.ndim == 0:
+        assert type(out) is float
+    else:
+        assert out.shape == x.shape and out.dtype == np.float64
+        assert out.flags.writeable
+    assert not np.shares_memory(out, x)
