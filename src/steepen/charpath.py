@@ -5,10 +5,10 @@ in time (:data:`SUBSTEPS` steps per snapshot interval), moving a bundle of
 seeds as one array.  :meth:`FieldSampler.values` is the one space-time
 interpolator (cubic spline in space, 4-point Lagrange in snapshot time),
 for the wave speed while tracing and for samples along curves.  Each
-quantity has one periodic spline table across all snapshots, built by one
-``CubicSpline`` call, and a call to ``values`` gathers the coefficients
-each point needs from it in one indexing operation.  Derived
-quantities are always computed on the grid first (see
+quantity has one periodic spline table across all snapshots, built by
+:func:`periodic_spline_table` (numpy only), and a call to ``values``
+gathers the coefficients each point needs from it in one indexing
+operation.  Derived quantities are always computed on the grid first (see
 :mod:`steepen.riccati`) and only then interpolated onto curves.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from steepen import riccati
 from steepen.riccati import Exponents
@@ -47,11 +46,55 @@ class CharacteristicCurve:
         return CharacteristicCurve(self.direction, self.t, self.x[:, i], self.x_path[:, i])
 
 
+def periodic_spline_table(ys: np.ndarray, h: float) -> np.ndarray:
+    """Periodic cubic-spline coefficients of the columns of ``ys``.
+
+    ``ys`` has shape ``(n + 1, m)``: column ``k`` holds samples at the ``n + 1``
+    knots ``x0 + i*h`` of a uniform periodic grid, its last row repeating the
+    first.  Returns the ``(4, n, m)`` coefficients, highest power first, as
+    ``CubicSpline(knots, ys, axis=0, bc_type="periodic").c`` lays them out.
+
+    On a uniform periodic grid the knot slopes ``s`` solve the circulant
+    system ``s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / h``; the FFT
+    diagonalizes it, with eigenvalues ``4 + 2 cos(2 pi k / n)``.  Each interval
+    then gets ``CubicHermiteSpline``'s cubic through its end values and slopes.
+    The slope, right-hand side and Hermite terms are built in the table's
+    own rows, so the build peaks at about 1.5 tables.
+    """
+    n = len(ys) - 1
+    c = np.empty((4, n, ys.shape[1]))
+    t, slope, s, y = c  # views of the rows; t and slope become c[0] and c[1] in place
+    y[...] = ys[:-1]
+    np.subtract(ys[1:], ys[:-1], out=slope)
+    slope /= h
+    # the right-hand side 3 (slope[i-1] + slope[i]), then the slopes
+    np.add(slope[:-1], slope[1:], out=s[1:])
+    np.add(slope[-1], slope[0], out=s[0])
+    s *= 3.0
+    f = np.fft.rfft(s, axis=0)
+    f /= (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(len(f)) / n))[:, None]
+    s[...] = np.fft.irfft(f, n, axis=0)
+    # t = (s[i] + s[i+1] - 2 slope) / h; doubling and halving slope are exact
+    np.add(s[:-1], s[1:], out=t[:-1])
+    np.add(s[-1], s[0], out=t[-1])
+    slope *= 2.0
+    t -= slope
+    slope *= 0.5
+    t /= h
+    # c1 = (slope - s[i]) / h - t, c0 = t / h
+    slope -= s
+    slope /= h
+    slope -= t
+    t /= h
+    return c
+
+
 class FieldSampler:
     """Space-time interpolator over a trajectory's snapshots.
 
     Each quantity has one table: the coefficients of the periodic cubic
-    splines in x of all snapshots, built by one ``CubicSpline`` call.
+    splines in x of all snapshots, built by one :func:`periodic_spline_table`
+    call.
     """
 
     def __init__(self, traj: Trajectory):
@@ -74,7 +117,7 @@ class FieldSampler:
         """``name``'s spline coefficients, shape ``(4, n, n_snapshots)``.
 
         ``table(name)[:, i, k]`` is snapshot ``k``'s cubic on grid interval
-        ``i``, highest power first (``PPoly.c``).
+        ``i``, highest power first.
         """
         c = self._tables.get(name)
         if c is None:
@@ -83,7 +126,7 @@ class FieldSampler:
             for k, snap in enumerate(snapshots):
                 ys[:-1, k] = riccati.grid_quantity(snap, name)
             ys[-1] = ys[0]  # the periodic closing row
-            c = CubicSpline(self.knots, ys, axis=0, bc_type="periodic").c
+            c = periodic_spline_table(ys, self.traj.grid.h)
             self._tables[name] = c
         return c
 

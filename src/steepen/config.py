@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from scipy.interpolate import CubicSpline
-
 from steepen import eos
 from steepen.eos import GasConstants
 from steepen.fields import AssumptionBounds, EntropyProfile, Grid, StateField, build_initial, read_samples
@@ -282,6 +280,8 @@ def make_initial(cfg: RunConfig) -> tuple[StateField, EntropyProfile]:
         if raw is None:
             return None
         if raw.startswith("file:"):
+            from scipy.interpolate import CubicSpline  # only sampled inputs need scipy
+
             return CubicSpline(*read_samples(cfg.base_dir / raw[len("file:"):]))
         return raw
 

@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from steepen import eos
 from steepen.eos import GasConstants, VacuumError, Z_FLOOR
@@ -104,6 +103,8 @@ class EntropyProfile:
             raise ValueError("sampled profile abscissae must be strictly increasing")
         if np.any(values <= 0.0):
             raise ValueError("entropy profile must be positive everywhere")
+        from scipy.interpolate import CubicSpline  # only sampled inputs need scipy
+
         spline = CubicSpline(x, values)  # not-a-knot ends
         return cls(spline, spline.derivative(1), spline.derivative(2), source="sampled-with-spline")
 

@@ -32,8 +32,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from steepen.fields import StateField, derivative
 
@@ -212,6 +210,9 @@ def integrate_riccati(
     a0 = 0 the result is cross-checked against the closed form
     v(t) = v0 / (1 - a2 v0 t).
     """
+    from scipy.integrate import solve_ivp  # a test oracle: keep scipy off the run path
+    from scipy.interpolate import CubicSpline
+
     t = np.asarray(t, dtype=float)
     a0 = np.broadcast_to(np.asarray(a0, dtype=float), t.shape)
     a2 = np.broadcast_to(np.asarray(a2, dtype=float), t.shape)

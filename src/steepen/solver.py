@@ -8,8 +8,8 @@ Semi-discrete form (4th-order central differences, periodic)::
 
 advanced with the classical 4-stage Runge-Kutta scheme under a CFL time
 step.  The energy equation is not evolved; smooth solutions carry it via
-the stationarity of the entropy, and total energy is only logged as a
-diagnostic.
+the stationarity of the entropy.  The integrals of u and tau (momentum
+and volume) are logged at every step as a conservation check.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class ConservedLog:
     t: np.ndarray
     int_u: np.ndarray
     int_tau: np.ndarray
-    int_energy: np.ndarray
 
 
 @dataclass
@@ -100,7 +99,6 @@ class _Workspace:
         self.K_c = gc.K_c
         self.mc_coeff = gc.K_c * m * m  # m*c = coeff * z**e_c
         self.forcing = 2.0 * gc.K_p * m * m_x  # 2(p/m)m_x = forcing * z**(e_c+1)
-        self.p_coeff = gc.K_p * m**2  # p = p_coeff * z**(2g/(g-1))
 
     def rhs(self, z, u):
         if (z <= self.z_floor).any():
@@ -178,12 +176,9 @@ def step(state: StateField, dt: float) -> StateField:
 
 def _conserved(ws: _Workspace, z, u):
     gc = ws.gc
-    g = gc.gamma
     h = ws.grid.h
-    tau = gc.K_tau * z ** (-2.0 / (g - 1.0))
-    p = ws.p_coeff * z ** (2.0 * g / (g - 1.0))
-    e = p * tau / (g - 1.0)
-    return h * float(np.sum(u)), h * float(np.sum(tau)), h * float(np.sum(0.5 * u * u + e))
+    tau = gc.K_tau * z ** (-2.0 / (gc.gamma - 1.0))
+    return h * float(np.sum(u)), h * float(np.sum(tau))
 
 
 def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
@@ -208,14 +203,13 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
         )
 
     snapshots = [make_state(t, z, u)]
-    log_t, log_u, log_tau, log_e = [], [], [], []
+    log_t, log_u, log_tau = [], [], []
 
     def log(tv, zv, uv):
-        iu, itau, ie = _conserved(ws, zv, uv)
+        iu, itau = _conserved(ws, zv, uv)
         log_t.append(tv)
         log_u.append(iu)
         log_tau.append(itau)
-        log_e.append(ie)
 
     log(t, z, u)
 
@@ -266,7 +260,6 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
             t=np.array(log_t),
             int_u=np.array(log_u),
             int_tau=np.array(log_tau),
-            int_energy=np.array(log_e),
         ),
         steps_taken=steps,
     )

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from steepen import charpath, fields, riccati, solver
 
@@ -30,7 +32,7 @@ def test_trace_rejects_bad_direction_and_sparse_trajectory(constant_traj, gas3):
     sparse = solver.Trajectory(
         snapshots=[state],
         termination=solver.Termination("reached_t_end", 0.0),
-        conserved=solver.ConservedLog(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1)),
+        conserved=solver.ConservedLog(np.zeros(1), np.zeros(1), np.zeros(1)),
     )
     with pytest.raises(ValueError):
         charpath.trace(sparse, 0.1, "forward")
@@ -69,7 +71,8 @@ def test_bundle_columns_equal_single_seed_traces(varying_traj, direction):
 
 def _lagrange_spline_reference(traj, name, tq, xq):
     """One point at a time: 4-point Lagrange in snapshot time over periodic
-    cubic splines in space, as the scalar sampler computed it."""
+    cubic splines in space, as the scalar sampler computed it, each snapshot's
+    spline built on its own column and evaluated by scipy's ``PPoly``."""
     times = traj.times
     n_t = len(times)
     k = min(max(int(np.searchsorted(times, tq, side="right")) - 1, 0), n_t - 2)
@@ -84,7 +87,8 @@ def _lagrange_spline_reference(traj, name, tq, xq):
             if ii != jj:
                 w *= (tq - tw[ii]) / (tw[jj] - tw[ii])
         arr = riccati.grid_quantity(traj.snapshots[j0 + jj], name)
-        spline = CubicSpline(np.append(grid.x, grid.x1), np.append(arr, arr[0]), bc_type="periodic")
+        c = charpath.periodic_spline_table(np.append(arr, arr[0])[:, None], grid.h)[:, :, 0]
+        spline = PPoly(c, np.append(grid.x, grid.x1), extrapolate="periodic")
         total += w * float(spline(xq))
     return total
 
@@ -124,18 +128,60 @@ def test_one_spline_table_per_quantity(varying_traj, monkeypatch):
         conserved=varying_traj.conserved,
     )
     built = []
+    build = charpath.periodic_spline_table
 
-    def counting(*args, **kwargs):
-        built.append(args[1].shape)
-        return CubicSpline(*args, **kwargs)
+    def counting(ys, h):
+        built.append(ys.shape)
+        return build(ys, h)
 
-    monkeypatch.setattr(charpath, "CubicSpline", counting)
+    monkeypatch.setattr(charpath, "periodic_spline_table", counting)
     curve = charpath.trace(traj, 0.3, "forward")
     riccati.residual(traj, curve, "ode_y")
     assert len(built) == 4  # z while tracing; y, a0 and a2 for the residual
     assert all(shape == (traj.grid.n + 1, len(traj.snapshots)) for shape in built)
     charpath.FieldSampler.of(traj).values("y", curve.t, curve.x)
     assert len(built) == 4
+
+
+def _periodic_samples(n, m, seed=0):
+    """``(n + 1, m)`` samples with the closing row: a smooth column, a
+    constant one and random ones."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n) / n
+    ys = np.empty((n + 1, m))
+    ys[:-1] = rng.standard_normal((n, m))
+    ys[:-1, 0] = np.sin(2.0 * np.pi * x) + 0.3 * np.cos(6.0 * np.pi * x)
+    ys[:-1, 1] = 2.5
+    ys[-1] = ys[0]
+    return ys
+
+
+@pytest.mark.parametrize("n", [16, 512, 2048])
+def test_spline_table_matches_scipy_periodic_cubicspline(n):
+    grid = fields.Grid(0.0, 1.0, n)
+    ys = _periodic_samples(n, 5)
+    c = charpath.periodic_spline_table(ys, grid.h)
+    expect = CubicSpline(np.append(grid.x, grid.x1), ys, axis=0, bc_type="periodic").c
+    assert c.shape == expect.shape == (4, n, 5)
+    for power in range(3):  # each row on its own scale
+        assert np.max(np.abs(c[power] - expect[power])) <= 1e-13 * np.max(np.abs(expect[power]))
+    assert np.array_equal(c[3], ys[:-1])
+    assert not np.any(c[:3, :, 1])  # the constant column: a flat spline
+    for k in range(ys.shape[1]):  # the batched build equals one column's
+        assert np.array_equal(c[:, :, k], charpath.periodic_spline_table(ys[:, k:k + 1], grid.h)[:, :, 0])
+
+
+def test_spline_table_build_peaks_under_two_tables():
+    # lax_blowup's grid at snapshot stride 1: a 22 MB table
+    ys = _periodic_samples(512, 1346)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        c = charpath.periodic_spline_table(ys, 1.0 / 512)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * c.nbytes
 
 
 def test_sampler_is_cached_on_the_trajectory(varying_traj):

