@@ -2,9 +2,10 @@
 
 Forward curves integrate dx/dt = +c, backward curves dx/dt = -c, with RK4
 in time (:data:`SUBSTEPS` steps per snapshot interval), moving a bundle of
-seeds as one array.  :meth:`FieldSampler.values` is the one space-time
-interpolator (cubic spline in space, 4-point Lagrange in snapshot time),
-for the wave speed while tracing and for samples along curves.  Each
+seeds as one array; each seed of a bundle may have its own direction.
+:meth:`FieldSampler.values` is the one space-time interpolator (cubic
+spline in space, 4-point Lagrange in snapshot time), for the wave speed
+while tracing and for samples along curves.  Each
 quantity has one periodic spline table across all snapshots, built by
 :func:`periodic_spline_table` (numpy only), and a call to ``values``
 gathers the coefficients each point needs from it in one indexing
@@ -23,6 +24,7 @@ from steepen.riccati import Exponents
 from steepen.solver import Trajectory
 
 SUBSTEPS = 4  # RK4 steps per snapshot interval when tracing
+_SIGN = {"forward": 1.0, "backward": -1.0}  # dx/dt = sign * c
 
 # row j of _OTHERS[n]: the nodes i != j of an n-node window, the factors
 # of node j's Lagrange weight
@@ -31,7 +33,7 @@ _OTHERS = {n: np.array([[i for i in range(n) if i != j] for j in range(n)]) for 
 
 @dataclass
 class CharacteristicCurve:
-    direction: str  # forward | backward
+    direction: str | tuple  # forward | backward; a bundle may have one per seed
     t: np.ndarray
     x: np.ndarray  # wrapped into [x0, x1); a bundle has one column per seed
     x_path: np.ndarray  # unwrapped, for continuity across the seam
@@ -42,8 +44,9 @@ class CharacteristicCurve:
             raise ValueError("curve node times must be strictly increasing")
 
     def column(self, i: int) -> CharacteristicCurve:
-        """The curve of seed ``i`` of a bundle."""
-        return CharacteristicCurve(self.direction, self.t, self.x[:, i], self.x_path[:, i])
+        """The curve of seed ``i`` of a bundle, with that seed's direction."""
+        direction = self.direction if isinstance(self.direction, str) else self.direction[i]
+        return CharacteristicCurve(direction, self.t, self.x[:, i], self.x_path[:, i])
 
 
 def periodic_spline_table(ys: np.ndarray, h: float) -> np.ndarray:
@@ -169,11 +172,12 @@ class FieldSampler:
         return acc
 
 
-def integrate_position(traj: Trajectory, x_start, t_nodes, sign: float) -> np.ndarray:
+def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
     """RK4 integration of dx/dt = sign*c through the trajectory's field.
 
     ``x_start`` is one start position or an array of them, advanced
-    together; the result has shape ``(len(t_nodes),) + np.shape(x_start)``.
+    together, and ``sign`` is +1.0 or -1.0, or an array of them matching
+    ``x_start``; the result has shape ``(len(t_nodes),) + np.shape(x_start)``.
     ``t_nodes`` may be ascending or descending (the latter walks the same
     characteristic backwards in time).  Returns unwrapped positions.
     """
@@ -200,21 +204,28 @@ def integrate_position(traj: Trajectory, x_start, t_nodes, sign: float) -> np.nd
     return xs
 
 
-def trace(traj: Trajectory, x_start, direction: str) -> CharacteristicCurve:
+def trace(traj: Trajectory, x_start, direction) -> CharacteristicCurve:
     """Trace characteristics from (t=0, x_start) to the trajectory's end.
 
     ``x_start`` is one seed, or an array of seeds traced as one bundle.
+    ``direction`` is one direction for every seed, or a sequence with one
+    direction per seed of a bundle.
     """
-    if direction not in ("forward", "backward"):
+    per_seed = not isinstance(direction, str)
+    directions = tuple(direction) if per_seed else (direction,)
+    if not set(directions) <= _SIGN.keys():
         raise ValueError("direction must be 'forward' or 'backward'")
-    sign = 1.0 if direction == "forward" else -1.0
+    if per_seed and np.shape(x_start) != (len(directions),):
+        raise ValueError("a direction per seed needs one seed for each direction")
+    sign = np.array([_SIGN[d] for d in directions]) if per_seed else _SIGN[direction]
 
     times = traj.times
     steps = np.linspace(times[:-1], times[1:], SUBSTEPS + 1, axis=1)[:, 1:]
     t_nodes = np.concatenate((times[:1], steps.ravel()))
 
     x_path = integrate_position(traj, x_start, t_nodes, sign)
-    return CharacteristicCurve(direction, t_nodes, traj.grid.wrap(x_path), x_path)
+    return CharacteristicCurve(directions if per_seed else direction, t_nodes,
+                               traj.grid.wrap(x_path), x_path)
 
 
 def sample_along(curve: CharacteristicCurve, traj: Trajectory, quantity: str) -> np.ndarray:

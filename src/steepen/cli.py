@@ -71,58 +71,62 @@ FIELDS_COLUMNS = ("t", "x", "z", "u", "m", "p", "c", "alpha", "beta", "y", "q")
 def _write_fields_csv(path: Path, traj: solver.Trajectory) -> None:
     """One row per (snapshot, node), every value as ``%.16g``.
 
-    Each snapshot is formatted with one ``%`` over its flattened rows,
-    so memory stays O(n) per snapshot.
+    ``x`` and ``m`` (frozen by :func:`solver.evolve`) are formatted once
+    per run into a row template per node, and ``t`` once per snapshot; the
+    other 8 columns of a snapshot are formatted by one ``%`` over its
+    flattened rows, so memory stays O(n) per snapshot.
     """
-    n = traj.grid.n
-    row = ",".join(["%.16g"] * len(FIELDS_COLUMNS)) + "\n"
-    snapshot_format = row * n
+    first = traj.snapshots[0]
+    m = first.m_arrays()[0]
+    # node j's row after its t: ",x,%.16g,%.16g,m,%.16g,...\n"; joined with a
+    # snapshot's t as separator behind an empty piece, they give its format
+    pieces = [""] + [
+        ",%.16g,%%.16g,%%.16g,%.16g" % (x, mj) + ",%.16g" * 6 + "\n"
+        for x, mj in zip(first.grid.x.tolist(), m.tolist())
+    ]
     with open(path, "w") as fh:
         fh.write(",".join(FIELDS_COLUMNS) + "\n")
         for snap in traj.snapshots:
-            m = snap.m_arrays()[0]
             p, c = snap.thermo()
             d = riccati.diagnostics(snap)
-            table = np.column_stack((
-                np.full(n, snap.t), snap.grid.x, snap.z, snap.u, m, p, c,
-                d.alpha, d.beta, d.y, d.q,
-            ))
-            fh.write(snapshot_format % tuple(table.ravel().tolist()))
+            table = np.column_stack((snap.z, snap.u, p, c, d.alpha, d.beta, d.y, d.q))
+            fh.write(("%.16g" % snap.t).join(pieces) % tuple(table.ravel().tolist()))
 
 
 def _diagnose(cfg: RunConfig, traj: solver.Trajectory, t_resolved: float):
     """Trace configured curves and evaluate the selected residuals.
 
-    The seeds of each direction are traced as one bundle.  The
-    residual_max summary is taken on the resolved window [0, t_resolved].
+    Every (seed, direction) pair is one column of a single traced
+    bundle.  The residual_max summary is taken on the resolved window
+    [0, t_resolved].
     """
     seeds = cfg.diagnostics.seeds
-    bundles = {}
-    if seeds:
-        bundles = {d: charpath.trace(traj, seeds, d) for d in cfg.diagnostics.directions}
+    directions = cfg.diagnostics.directions
+    pairs = [(si, direction) for si in range(len(seeds)) for direction in directions]
+    if pairs:
+        bundle = charpath.trace(traj, [seeds[si] for si, _ in pairs], [d for _, d in pairs])
     curve_rows = []  # (curve_id, direction, t, x, value, residual)
     residual_max: dict = {}
     curves = []
-    for si in range(len(seeds)):
-        for direction in cfg.diagnostics.directions:
-            curve = bundles[direction].column(si)
-            curves.append((f"seed{si}_{direction}", curve))
-            window = curve.t <= t_resolved
-            for kind in cfg.diagnostics.residuals:
-                need_dir, measured, _ = RESIDUAL_KINDS[kind]
-                if need_dir != direction:
-                    continue
-                res = riccati.residual(traj, curve, kind)
-                values = curve.samples[measured]
-                cid = f"seed{si}_{kind}"
-                if np.any(window):
-                    residual_max[kind] = max(
-                        residual_max.get(kind, 0.0), float(np.max(np.abs(res[window])))
-                    )
-                for i in range(len(curve.t)):
-                    curve_rows.append(
-                        (cid, direction, curve.t[i], curve.x[i], values[i], res[i])
-                    )
+    for column, (si, direction) in enumerate(pairs):
+        curve = bundle.column(column)
+        curves.append((f"seed{si}_{direction}", curve))
+        window = curve.t <= t_resolved
+        for kind in cfg.diagnostics.residuals:
+            need_dir, measured, _ = RESIDUAL_KINDS[kind]
+            if need_dir != direction:
+                continue
+            res = riccati.residual(traj, curve, kind)
+            values = curve.samples[measured]
+            cid = f"seed{si}_{kind}"
+            if np.any(window):
+                residual_max[kind] = max(
+                    residual_max.get(kind, 0.0), float(np.max(np.abs(res[window])))
+                )
+            for i in range(len(curve.t)):
+                curve_rows.append(
+                    (cid, direction, curve.t[i], curve.x[i], values[i], res[i])
+                )
     return curves, curve_rows, residual_max
 
 

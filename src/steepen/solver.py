@@ -7,9 +7,13 @@ Semi-discrete form (4th-order central differences, periodic)::
     m_t = 0
 
 advanced with the classical 4-stage Runge-Kutta scheme under a CFL time
-step.  The energy equation is not evolved; smooth solutions carry it via
-the stationarity of the entropy.  The integrals of u and tau (momentum
-and volume) are logged at every step as a conservation check.
+step.  The state is held as one ``(2, n)`` array with rows ``(z, u)``:
+each stage takes one :func:`~steepen.fields.derivative` call for both
+gradients, and the stage sums, the RK4 combination and the finiteness
+check each run once on the stacked array, in preallocated buffers.  The
+energy equation is not evolved; smooth solutions carry it via the
+stationarity of the entropy.  The integrals of u and tau (momentum and
+volume) are logged at every step as a conservation check.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ class Trajectory:
 
 
 class _Workspace:
-    """Profile-derived constants reused across RK stages and steps."""
+    """Profile-derived constants and the RK stage buffers, reused across steps."""
 
     def __init__(self, state: StateField):
         gc = state.gc
@@ -99,30 +103,44 @@ class _Workspace:
         self.K_c = gc.K_c
         self.mc_coeff = gc.K_c * m * m  # m*c = coeff * z**e_c
         self.forcing = 2.0 * gc.K_p * m * m_x  # 2(p/m)m_x = forcing * z**(e_c+1)
+        # (2, n) buffers: the stage state, one stage's slope, the slope sum
+        self.stage, self.k, self.acc = np.empty((3, 2, len(m)))
 
-    def rhs(self, z, u):
+    def max_wavespeed(self, z) -> float:
+        """max_x c = K_c max(m z^e_c), the speed a step is bounded by
+        (not finite when z is not)."""
+        return self.K_c * float(np.max(self.m * z**self.e_c))
+
+    def rhs(self, w, out):
+        """Write (z_t, u_t) of the stacked state ``w = (z, u)`` into ``out``."""
+        z = w[0]
         if (z <= self.z_floor).any():
             raise VacuumError("z fell to the vacuum floor during a step")
-        u_x = derivative(u, self.grid, 1)
-        z_x = derivative(z, self.grid, 1)
+        z_x, u_x = derivative(w, self.grid, 1)
         zc = z**self.e_c
-        z_t = -self.K_c * zc * u_x
-        u_t = -(self.mc_coeff * zc * z_x + self.forcing * zc * z)
-        return z_t, u_t
+        z_t, u_t = out
+        # z_t = -K_c zc u_x and u_t = -(mc_coeff zc z_x + forcing zc z),
+        # each product in that order
+        np.multiply(zc, -self.K_c, out=z_t)
+        z_t *= u_x
+        np.multiply(self.mc_coeff, zc, out=u_t)
+        u_t *= z_x
+        zc *= self.forcing
+        zc *= z
+        u_t += zc
+        np.negative(u_t, out=u_t)
 
 
 def max_wavespeed(state: StateField) -> float:
-    m = state.m_arrays()[0]
-    g = state.gc.gamma
-    c = state.gc.K_c * m * state.z ** ((g + 1.0) / (g - 1.0))
-    c_max = float(np.max(c))
-    if not np.isfinite(c_max):
-        raise VacuumError("non-finite wave speed")
+    """The largest wave speed of ``state``, as :func:`evolve` bounds a step by."""
+    c_max = _Workspace(state).max_wavespeed(state.z)
+    if not np.isfinite(c_max) or c_max <= 0.0:
+        raise VacuumError("wave speed not finite and positive")
     return c_max
 
 
 def cfl_dt(state: StateField, cfl: float) -> float:
-    """CFL time step: cfl * h / max_x c(z, m)."""
+    """CFL time step: cfl * h / max_x c(z, m), the step :func:`evolve` takes."""
     return cfl * state.grid.h / max_wavespeed(state)
 
 
@@ -145,29 +163,42 @@ def _steepness(z, u, m, grid: Grid):
     return float(mags[i] * grid.length), float(grid.x[i])
 
 
-def _rk4(ws: _Workspace, z, u, dt):
-    k1z, k1u = ws.rhs(z, u)
-    k2z, k2u = ws.rhs(z + 0.5 * dt * k1z, u + 0.5 * dt * k1u)
-    k3z, k3u = ws.rhs(z + 0.5 * dt * k2z, u + 0.5 * dt * k2u)
-    k4z, k4u = ws.rhs(z + dt * k3z, u + dt * k3u)
-    z_new = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    u_new = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    if (z_new <= ws.z_floor).any():
+def _rk4(ws: _Workspace, w, dt, out):
+    """One RK4 step of the stacked state ``w``, written into ``out``.
+
+    Every element is computed as ``w + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)``
+    with stages ``w + (dt/2) k1``, ``w + (dt/2) k2`` and ``w + dt k3``.
+    """
+    stage, k, acc = ws.stage, ws.k, ws.acc
+    half = 0.5 * dt
+    ws.rhs(w, acc)  # k1
+    np.multiply(acc, half, out=stage)
+    stage += w
+    for stage_dt in (half, dt):  # k2, then k3
+        ws.rhs(stage, k)
+        np.multiply(k, stage_dt, out=stage)
+        stage += w
+        k *= 2.0
+        acc += k
+    ws.rhs(stage, k)  # k4
+    acc += k
+    acc *= dt / 6.0
+    np.add(w, acc, out=out)
+    if (out[0] <= ws.z_floor).any():
         raise VacuumError("z fell to the vacuum floor during a step")
-    return z_new, u_new
 
 
 def step(state: StateField, dt: float) -> StateField:
     """One classical RK4 step of duration dt; the entropy arrays are untouched."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    ws = _Workspace(state)
-    z_new, u_new = _rk4(ws, state.z, state.u, dt)
+    w = np.empty((2, state.grid.n))
+    _rk4(_Workspace(state), np.stack((state.z, state.u)), dt, w)
     return StateField(
         grid=state.grid,
         t=state.t + dt,
-        z=z_new,
-        u=u_new,
+        z=w[0],
+        u=w[1],
         profile=state.profile,
         gc=state.gc,
         z_floor=state.z_floor,
@@ -192,8 +223,8 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
     """
     ws = _Workspace(state0)
     grid = state0.grid
-    z = state0.z.copy()
-    u = state0.u.copy()
+    w = np.stack((state0.z, state0.u))  # rows (z, u)
+    w_new = np.empty_like(w)
     t = 0.0
 
     def make_state(tv, zv, uv):
@@ -202,7 +233,7 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
             profile=state0.profile, gc=state0.gc, z_floor=state0.z_floor,
         )
 
-    snapshots = [make_state(t, z, u)]
+    snapshots = [make_state(t, *w)]
     log_t, log_u, log_tau = [], [], []
 
     def log(tv, zv, uv):
@@ -211,12 +242,12 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
         log_u.append(iu)
         log_tau.append(itau)
 
-    log(t, z, u)
+    log(t, *w)
 
     termination = None
     steps = 0
     while True:
-        steep, x_peak = _steepness(z, u, ws.m, grid)
+        steep, x_peak = _steepness(w[0], w[1], ws.m, grid)
         if steep > cfg.gradient_cap:
             termination = Termination("gradient_blowup", t, x_peak)
             break
@@ -224,7 +255,7 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
             termination = Termination("reached_t_end", t)
             break
 
-        c_max = ws.K_c * float(np.max(ws.m * z**ws.e_c))
+        c_max = ws.max_wavespeed(w[0])
         if not np.isfinite(c_max) or c_max <= 0.0:
             termination = Termination("vacuum_guard", t)
             break
@@ -236,22 +267,22 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
             break
 
         try:
-            z_new, u_new = _rk4(ws, z, u, dt)
+            _rk4(ws, w, dt, w_new)
         except VacuumError:
             termination = Termination("vacuum_guard", t)
             break
-        if not (np.isfinite(z_new).all() and np.isfinite(u_new).all()):
+        if not np.isfinite(w_new).all():
             termination = Termination("non_finite", t)
             break
-        z, u = z_new, u_new
+        w, w_new = w_new, w
         t += dt
         steps += 1
-        log(t, z, u)
+        log(t, *w)
         if steps % cfg.snapshot_stride == 0:
-            snapshots.append(make_state(t, z, u))
+            snapshots.append(make_state(t, *w))
 
     if snapshots[-1].t < t - 1e-300:
-        snapshots.append(make_state(t, z, u))
+        snapshots.append(make_state(t, *w))
 
     return Trajectory(
         snapshots=snapshots,

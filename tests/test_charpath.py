@@ -27,6 +27,12 @@ def test_forward_backward_coincide_only_at_start(constant_traj):
 def test_trace_rejects_bad_direction_and_sparse_trajectory(constant_traj, gas3):
     with pytest.raises(ValueError):
         charpath.trace(constant_traj, 0.1, "sideways")
+    with pytest.raises(ValueError):
+        charpath.trace(constant_traj, [0.1, 0.2], ["forward", "sideways"])
+    with pytest.raises(ValueError):  # one direction short: it would broadcast
+        charpath.trace(constant_traj, [0.1, 0.2], ["backward"])
+    with pytest.raises(ValueError):
+        charpath.trace(constant_traj, 0.1, ["forward"])
     grid = fields.Grid(0.0, 1.0, 32)
     state, _ = fields.build_initial(0.0, grid, gas3, m0=1.0, z0=1.0)
     sparse = solver.Trajectory(
@@ -55,15 +61,19 @@ def test_node_spacing_matches_local_speed(varying_traj):
     assert worst <= 10.0  # |dx - c dt| = O(dt^3) with a modest constant
 
 
-@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("direction", [
+    "forward", "backward", ("forward", "backward", "backward", "forward"),
+], ids=["forward", "backward", "mixed"])
 def test_bundle_columns_equal_single_seed_traces(varying_traj, direction):
-    seeds = [0.05, 0.3, 0.97]
+    seeds = [0.05, 0.3, 0.97, 0.3]
     bundle = charpath.trace(varying_traj, seeds, direction)
     assert bundle.x_path.shape == (len(bundle.t), len(seeds))
     for i, seed in enumerate(seeds):
-        single = charpath.trace(varying_traj, seed, direction)
+        seed_direction = direction if isinstance(direction, str) else direction[i]
+        single = charpath.trace(varying_traj, seed, seed_direction)
         assert single.x_path.shape == single.t.shape
         column = bundle.column(i)
+        assert column.direction == seed_direction
         assert np.array_equal(column.t, single.t)
         assert np.array_equal(column.x_path, single.x_path)
         assert np.array_equal(column.x, single.x)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import steepen
-from steepen import cli, eos, fields, riccati, solver
+from steepen import charpath, cli, eos, fields, riccati, solver
 
 
 RUN_CFG = """\
@@ -163,7 +163,7 @@ def test_non_finite_without_certificate_writes_outputs_exit_3(tmp_path, monkeypa
     def derivative_then_nan(values, grid, order=1):
         nonlocal calls
         calls += 1
-        return real(values, grid, order) if calls <= 8 * 10 else np.full(grid.n, np.nan)
+        return real(values, grid, order) if calls <= 4 * 10 else np.full(np.shape(values), np.nan)
 
     monkeypatch.setattr(solver, "derivative", derivative_then_nan)
     assert cli.main(["run", str(path)]) == 3
@@ -235,21 +235,38 @@ def _fields_csv_reference(traj):
 
 def test_fields_csv_matches_per_row_reference(tmp_path):
     gc = eos.make_constants(3.0, 1.0 / 3.0, 1.0)
-    grid = fields.Grid(0.0, 1.0, 16)
-    state, profile = fields.build_initial(
-        "-0.2*sin(2*pi*x)", grid, gc, m0="1 + 0.1*cos(2*pi*x)", z0=1.0
-    )
-    traj = solver.evolve(state, solver.SolverConfig(t_end=0.05, snapshot_stride=2))
-    # signed zeros, a subnormal and magnitudes near both ends of the range
-    u = np.array([-0.0, 0.0, 5e-324, -1e-300, 1e290, -2.5e289, 1.0 / 3.0, -123456789.01234567] * 2)
-    z = np.array([1e-9, 1e3, 2.0, 0.7] * 4)
-    traj.snapshots.append(fields.StateField(grid=grid, t=1.0 / 3.0, z=z, u=u, profile=profile, gc=gc))
-    path = tmp_path / "fields.csv"
-    cli._write_fields_csv(path, traj)
-    text = path.read_text()
-    assert text == _fields_csv_reference(traj)
-    assert "\n0.3333333333333333,0,1e-09,-0," in text
-    assert ",1e+290," in text and ",4.940656458412465e-324," in text
+    # the unit grid, and one with x0 = -10 and a non-dyadic h
+    for x0, x1, n in ((0.0, 1.0, 16), (-10.0, 3.7, 24)):
+        grid = fields.Grid(x0, x1, n)
+        state, profile = fields.build_initial(
+            "-0.2*sin(2*pi*x)", grid, gc, m0="1 + 0.1*cos(2*pi*x)", z0=1.0
+        )
+        traj = solver.evolve(state, solver.SolverConfig(t_end=0.05, snapshot_stride=2))
+        # signed zeros, a subnormal and magnitudes near both ends of the range
+        u = np.resize([-0.0, 0.0, 5e-324, -1e-300, 1e290, -2.5e289, 1.0 / 3.0, -123456789.01234567], n)
+        z = np.resize([1e-9, 1e3, 2.0, 0.7], n)
+        traj.snapshots.append(fields.StateField(grid=grid, t=1.0 / 3.0, z=z, u=u, profile=profile, gc=gc))
+        path = tmp_path / "fields.csv"
+        cli._write_fields_csv(path, traj)
+        text = path.read_text()
+        assert text == _fields_csv_reference(traj)
+        assert f"\n0.3333333333333333,{x0:.16g},1e-09,-0," in text
+        assert ",1e+290," in text and ",4.940656458412465e-324," in text
+
+
+def test_diagnose_traces_every_seed_and_direction_in_one_call(cfg_path, monkeypatch):
+    real = charpath.trace
+    calls = []
+
+    def counting_trace(traj, x_start, direction):
+        calls.append((list(x_start), list(direction)))
+        return real(traj, x_start, direction)
+
+    monkeypatch.setattr(charpath, "trace", counting_trace)
+    assert cli.main(["run", str(cfg_path)]) == 0
+    assert calls == [([0.1, 0.1, 0.6, 0.6], ["forward", "backward"] * 2)]
+    rows = (cfg_path.parent / "out" / "curves.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"seed0_ode_y", "seed0_ode_q", "seed1_ode_y", "seed1_ode_q"}
 
 
 def test_io_error_exit_4(tmp_path):

@@ -191,6 +191,11 @@ def test_derivative_bitwise_equals_roll_reference(n, order):
     else:
         ref = (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * grid.h**2)
     assert np.array_equal(fields.derivative(f, grid, order), ref)
+    # a stack is differentiated along its last axis, each row as in 1-D
+    stacked = fields.derivative(np.stack((f, f[::-1])), grid, order)
+    assert stacked.shape == (2, n)
+    assert np.array_equal(stacked[0], ref)
+    assert np.array_equal(stacked[1], fields.derivative(f[::-1], grid, order))
 
 
 def test_derivative_rejects_bad_order(gas3):
