@@ -3,14 +3,17 @@
 Forward curves integrate dx/dt = +c, backward curves dx/dt = -c, with RK4
 in time (:data:`SUBSTEPS` steps per snapshot interval), moving a bundle of
 seeds as one array; each seed of a bundle may have its own direction.
-:meth:`FieldSampler.values` is the one space-time interpolator (cubic
-spline in space, 4-point Lagrange in snapshot time), for the wave speed
-while tracing and for samples along curves.  Each
-quantity has one periodic spline table across all snapshots, built by
-:func:`periodic_spline_table` (numpy only), and a call to ``values``
-gathers the coefficients each point needs from it in one indexing
-operation.  Derived quantities are always computed on the grid first (see
-:mod:`steepen.riccati`) and only then interpolated onto curves.
+:class:`FieldSampler` is the one space-time interpolator (cubic spline in
+space, 4-point Lagrange in snapshot time), for the wave speed while
+tracing and for samples along curves.  Each quantity has one periodic
+spline table across all snapshots, built by :func:`periodic_spline_table`
+(numpy only); a sampler gathers the coefficients each point needs from it
+in one indexing operation.  Tables are transient: :func:`trace` builds the
+``z`` table for its own trace, and :func:`sample_along` builds one
+quantity's table, samples every seed of a bundle from it and drops it, so
+one table is alive at a time.  Derived quantities are always computed on
+the grid first (see :mod:`steepen.riccati`) and only then interpolated
+onto curves.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ class CharacteristicCurve:
             raise ValueError("curve node times must be strictly increasing")
 
     def column(self, i: int) -> CharacteristicCurve:
-        """The curve of seed ``i`` of a bundle, with that seed's direction."""
+        """The curve of seed ``i`` of a bundle, with that seed's direction and samples."""
         direction = self.direction if isinstance(self.direction, str) else self.direction[i]
-        return CharacteristicCurve(direction, self.t, self.x[:, i], self.x_path[:, i])
+        samples = {name: values[:, i] for name, values in self.samples.items()}
+        return CharacteristicCurve(direction, self.t, self.x[:, i], self.x_path[:, i], samples)
 
 
 def periodic_spline_table(ys: np.ndarray, h: float) -> np.ndarray:
@@ -97,7 +101,9 @@ class FieldSampler:
 
     Each quantity has one table: the coefficients of the periodic cubic
     splines in x of all snapshots, built by one :func:`periodic_spline_table`
-    call.
+    call and kept for as long as the sampler lives.  Interpolation splits
+    into a time part, :meth:`time_window`, which depends only on the times,
+    and a space part, :meth:`interpolate`; :meth:`values` is the two in turn.
     """
 
     def __init__(self, traj: Trajectory):
@@ -108,13 +114,6 @@ class FieldSampler:
         grid = traj.grid
         self.knots = np.append(grid.x, grid.x1)
         self._tables: dict = {}
-
-    @classmethod
-    def of(cls, traj: Trajectory) -> FieldSampler:
-        """The trajectory's sampler, kept in ``traj.cached_sampler``."""
-        if traj.cached_sampler is None:
-            traj.cached_sampler = cls(traj)
-        return traj.cached_sampler
 
     def table(self, name: str) -> np.ndarray:
         """``name``'s spline coefficients, shape ``(4, n, n_snapshots)``.
@@ -133,14 +132,14 @@ class FieldSampler:
             self._tables[name] = c
         return c
 
-    def values(self, name: str, ts, xs) -> np.ndarray:
-        """``name`` at matched (t, x) points: ``ts`` and ``xs`` have one shape.
+    def time_window(self, ts) -> tuple:
+        """The snapshots around each time and their Lagrange weights.
 
-        Each point combines the splines of the 4 snapshots around its time
-        (all of them when there are fewer) with Lagrange weights in time.
+        Returns ``(ks, w)``, both of shape ``(n_w,) + ts.shape``: the indices
+        of the 4 snapshots around each time (all of them when there are
+        fewer) and each one's weight.
         """
         ts = np.asarray(ts, dtype=float)
-        xs = self.traj.grid.wrap(xs)
         n_t = len(self.times)
         n_w = min(4, n_t)
         # window start: the snapshot two before t's interval, clamped to [0, n_t - n_w]
@@ -149,7 +148,16 @@ class FieldSampler:
         tw = self.times[ks]
         t_other = tw[_OTHERS[n_w]]
         w = np.multiply.reduce((ts - t_other) / (tw[:, None] - t_other), axis=1)
+        return ks, w
 
+    def interpolate(self, name: str, window: tuple, xs) -> np.ndarray:
+        """``name`` at positions ``xs`` in a :meth:`time_window`.
+
+        The window's time shape broadcasts against ``xs``; the result has
+        the broadcast shape.
+        """
+        ks, w = window
+        xs = self.traj.grid.wrap(xs)
         # PPoly's periodic evaluation, with its arithmetic: re-wrap x, find
         # the interval (the last one is closed), then sum the terms constant
         # first (evaluate_poly1)
@@ -157,7 +165,7 @@ class FieldSampler:
         xs = xk[0] + (xs - xk[0]) % (xk[-1] - xk[0])
         i = xk[1:-1].searchsorted(xs, side="right")  # in [0, n - 1]
         d = xs - xk[i]
-        c = self.table(name)[:, i, ks]  # one gather: (4, n_w) + ts.shape
+        c = self.table(name)[:, i, ks]  # one gather: (4, n_w) + the broadcast shape
         s = 0.0 + c[3]
         z = d
         s = s + c[2] * z
@@ -166,10 +174,18 @@ class FieldSampler:
         z = z * d
         s = s + c[0] * z
 
-        acc = np.zeros_like(ts)  # starts at +0.0, so -0.0 terms sum to +0.0
+        acc = np.zeros(s.shape[1:])  # starts at +0.0, so -0.0 terms sum to +0.0
         for term in w * s:
             acc += term
         return acc
+
+    def values(self, name: str, ts, xs) -> np.ndarray:
+        """``name`` at the (t, x) points of ``ts`` and ``xs``, which broadcast together.
+
+        Each point combines the splines of the 4 snapshots around its time
+        (all of them when there are fewer) with Lagrange weights in time.
+        """
+        return self.interpolate(name, self.time_window(ts), xs)
 
 
 def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
@@ -180,25 +196,35 @@ def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
     ``x_start``; the result has shape ``(len(t_nodes),) + np.shape(x_start)``.
     ``t_nodes`` may be ascending or descending (the latter walks the same
     characteristic backwards in time).  Returns unwrapped positions.
+
+    The ``z`` table is built for this call only, and the time windows of
+    all RK4 stages are found up front, so each stage does only the space
+    part of the interpolation.
     """
-    sampler = FieldSampler.of(traj)
+    sampler = FieldSampler(traj)
     grid, m = traj.grid, traj.profile.m
     K_c, E_c = traj.gc.K_c, Exponents.of(traj.gc.gamma).E_c
 
-    def wave_speed(t, x):
-        return K_c * m(grid.wrap(x)) * sampler.values("z", np.full(x.shape, t), x) ** E_c
-
     t_nodes = np.asarray(t_nodes, dtype=float)
     x = np.array(x_start, dtype=float)
+    ta, tb = t_nodes[:-1], t_nodes[1:]
+    # stage times (ta, ta + dt/2, tb) of every step, with trailing axes that
+    # broadcast against x
+    stage_t = np.stack((ta, ta + 0.5 * (tb - ta), tb), axis=1)
+    ks, w = sampler.time_window(stage_t.reshape(stage_t.shape + (1,) * x.ndim))
+
+    def wave_speed(i, stage, x):
+        window = ks[:, i, stage], w[:, i, stage]
+        return K_c * m(grid.wrap(x)) * sampler.interpolate("z", window, x) ** E_c
+
     xs = np.empty(t_nodes.shape + x.shape)
     xs[0] = x
     for i in range(len(t_nodes) - 1):
-        ta, tb = t_nodes[i], t_nodes[i + 1]
-        dt = tb - ta
-        k1 = sign * wave_speed(ta, x)
-        k2 = sign * wave_speed(ta + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = sign * wave_speed(ta + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = sign * wave_speed(tb, x + dt * k3)
+        dt = tb[i] - ta[i]
+        k1 = sign * wave_speed(i, 0, x)
+        k2 = sign * wave_speed(i, 1, x + 0.5 * dt * k1)
+        k3 = sign * wave_speed(i, 1, x + 0.5 * dt * k2)
+        k4 = sign * wave_speed(i, 2, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         xs[i + 1] = x
     return xs
@@ -229,8 +255,13 @@ def trace(traj: Trajectory, x_start, direction) -> CharacteristicCurve:
 
 
 def sample_along(curve: CharacteristicCurve, traj: Trajectory, quantity: str) -> np.ndarray:
-    """Interpolate a named derived field onto a one-seed curve's nodes (and cache it)."""
-    values = FieldSampler.of(traj).values(quantity, curve.t, curve.x)
+    """Interpolate a named derived field onto a curve's nodes (and keep it in ``curve.samples``).
+
+    Every seed of a bundle is sampled in one call; the quantity's spline
+    table is built for this call only.
+    """
+    t = curve.t.reshape(curve.t.shape + (1,) * (curve.x.ndim - 1))
+    values = FieldSampler(traj).values(quantity, t, curve.x)
     curve.samples[quantity] = values
     return values
 

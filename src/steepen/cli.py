@@ -97,14 +97,26 @@ def _diagnose(cfg: RunConfig, traj: solver.Trajectory, t_resolved: float):
     """Trace configured curves and evaluate the selected residuals.
 
     Every (seed, direction) pair is one column of a single traced
-    bundle.  The residual_max summary is taken on the resolved window
-    [0, t_resolved].
+    bundle.  Each quantity the configured residuals need is sampled once
+    on the whole bundle, so one spline table is alive at a time.  A run
+    that stopped at its first state has no curves.  The residual_max
+    summary is taken on the resolved window [0, t_resolved].
     """
     seeds = cfg.diagnostics.seeds
     directions = cfg.diagnostics.directions
     pairs = [(si, direction) for si in range(len(seeds)) for direction in directions]
+    if len(traj.snapshots) < 2:  # nothing to interpolate between
+        pairs = []
     if pairs:
         bundle = charpath.trace(traj, [seeds[si] for si, _ in pairs], [d for _, d in pairs])
+        needed = dict.fromkeys(
+            name
+            for kind in cfg.diagnostics.residuals
+            if RESIDUAL_KINDS[kind][0] in directions
+            for name in RESIDUAL_KINDS[kind][2]
+        )
+        for name in needed:
+            charpath.sample_along(bundle, traj, name)
     curve_rows = []  # (curve_id, direction, t, x, value, residual)
     residual_max: dict = {}
     curves = []

@@ -18,7 +18,7 @@ volume) are logged at every step as a conservation check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +63,17 @@ class ConservedLog:
 
 @dataclass
 class Trajectory:
+    """The stored snapshots of a run, why it stopped and its conservation log.
+
+    It holds no derived data beyond what each snapshot caches on itself
+    (its diagnostics); the spline tables that characteristic tracing and
+    sampling need are built and dropped by :mod:`steepen.charpath`.
+    """
+
     snapshots: list[StateField]
     termination: Termination
     conserved: ConservedLog
     steps_taken: int = 0
-    #: the trajectory's ``charpath.FieldSampler``, filled on first use by
-    #: ``charpath.FieldSampler.of``
-    cached_sampler: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid:

@@ -46,7 +46,7 @@ def test_trace_rejects_bad_direction_and_sparse_trajectory(constant_traj, gas3):
 
 def test_node_spacing_matches_local_speed(varying_traj):
     curve = charpath.trace(varying_traj, 0.3, "forward")
-    sampler = charpath.FieldSampler.of(varying_traj)
+    sampler = charpath.FieldSampler(varying_traj)
     gc = varying_traj.gc
     E_c = (gc.gamma + 1.0) / (gc.gamma - 1.0)
     dt = np.diff(curve.t)
@@ -66,8 +66,11 @@ def test_node_spacing_matches_local_speed(varying_traj):
 ], ids=["forward", "backward", "mixed"])
 def test_bundle_columns_equal_single_seed_traces(varying_traj, direction):
     seeds = [0.05, 0.3, 0.97, 0.3]
+    names = ("z", "y", "q", "a0", "m_x")
     bundle = charpath.trace(varying_traj, seeds, direction)
     assert bundle.x_path.shape == (len(bundle.t), len(seeds))
+    for name in names:  # one call samples every seed
+        assert charpath.sample_along(bundle, varying_traj, name).shape == bundle.x.shape
     for i, seed in enumerate(seeds):
         seed_direction = direction if isinstance(direction, str) else direction[i]
         single = charpath.trace(varying_traj, seed, seed_direction)
@@ -77,6 +80,8 @@ def test_bundle_columns_equal_single_seed_traces(varying_traj, direction):
         assert np.array_equal(column.t, single.t)
         assert np.array_equal(column.x_path, single.x_path)
         assert np.array_equal(column.x, single.x)
+        for name in names:
+            assert np.array_equal(column.samples[name], charpath.sample_along(single, varying_traj, name)), name
 
 
 def _lagrange_spline_reference(traj, name, tq, xq):
@@ -149,7 +154,7 @@ def test_one_spline_table_per_quantity(varying_traj, monkeypatch):
     riccati.residual(traj, curve, "ode_y")
     assert len(built) == 4  # z while tracing; y, a0 and a2 for the residual
     assert all(shape == (traj.grid.n + 1, len(traj.snapshots)) for shape in built)
-    charpath.FieldSampler.of(traj).values("y", curve.t, curve.x)
+    riccati.residual(traj, curve, "ode_y")  # every sample is on the curve already
     assert len(built) == 4
 
 
@@ -192,12 +197,6 @@ def test_spline_table_build_peaks_under_two_tables():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * c.nbytes
-
-
-def test_sampler_is_cached_on_the_trajectory(varying_traj):
-    sampler = charpath.FieldSampler.of(varying_traj)
-    assert varying_traj.cached_sampler is sampler
-    assert charpath.FieldSampler.of(varying_traj) is sampler
 
 
 def test_sample_m_constant_entropy(constant_traj):
@@ -353,6 +352,34 @@ def test_z_prime_identity_and_m_prime_chain_rule():
     # m' = c m_x (entropy is stationary)
     assert e256[1] <= e128[1] / 4.0
     assert e256[1] <= 3e-6
+
+
+@pytest.mark.parametrize("x_start, sign", [
+    (0.3, 1.0), ([0.05, 0.3, 0.97], np.array([1.0, -1.0, 1.0])),
+], ids=["one_seed", "mixed_bundle"])
+def test_integrate_position_equals_per_stage_sampling(varying_traj, x_start, sign):
+    """Stage time windows found up front give the positions of sampling
+    each RK4 stage at its own time."""
+    traj = varying_traj
+    sampler = charpath.FieldSampler(traj)
+    gc, m = traj.gc, traj.profile.m
+    E_c = (gc.gamma + 1.0) / (gc.gamma - 1.0)
+
+    def wave_speed(t, x):
+        return gc.K_c * m(traj.grid.wrap(x)) * sampler.values("z", np.full(x.shape, t), x) ** E_c
+
+    t_nodes = charpath.trace(traj, 0.3, "forward").t
+    x = np.array(x_start, dtype=float)
+    expect = [x]
+    for ta, tb in zip(t_nodes[:-1], t_nodes[1:]):
+        dt = tb - ta
+        k1 = sign * wave_speed(ta, x)
+        k2 = sign * wave_speed(ta + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = sign * wave_speed(ta + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = sign * wave_speed(tb, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expect.append(x)
+    assert np.array_equal(charpath.integrate_position(traj, x_start, t_nodes, sign), expect)
 
 
 def test_reversibility(varying_traj):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -146,11 +147,16 @@ def test_numeric_failure_exit_3(tmp_path):
 
 
 def test_cfl_collapse_without_certificate_exit_3(tmp_path):
-    text = RUN_CFG.replace("params.amp = 0.2", "params.amp = 0.0001")
+    text = "".join(line + "\n" for line in RUN_CFG.splitlines() if not line.startswith("certify."))
+    text = text.replace("params.amp = 0.2", "params.amp = 0.0001")
     text = text.replace("solver.t_end = 0.3", "solver.t_end = 0.3\nsolver.dt_min = 1\n")
     path = tmp_path / "collapse.cfg"
     path.write_text(text)
     assert cli.main(["run", str(path)]) == 3
+    lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ") for line in lines if " = " in line)
+    assert summary["termination"] == "cfl_collapse"
+    assert summary["certificate"] == "none"
 
 
 def test_non_finite_without_certificate_writes_outputs_exit_3(tmp_path, monkeypatch):
@@ -267,6 +273,68 @@ def test_diagnose_traces_every_seed_and_direction_in_one_call(cfg_path, monkeypa
     assert calls == [([0.1, 0.1, 0.6, 0.6], ["forward", "backward"] * 2)]
     rows = (cfg_path.parent / "out" / "curves.csv").read_text().splitlines()[1:]
     assert {row.split(",")[0] for row in rows} == {"seed0_ode_y", "seed0_ode_q", "seed1_ode_y", "seed1_ode_q"}
+
+
+def test_diagnose_builds_each_spline_table_once_and_drops_it(cfg_path, monkeypatch):
+    text = RUN_CFG.replace("diagnostics.seeds = 0.1, 0.6", "diagnostics.seeds = 0.1, 0.35, 0.6")
+    text = text.replace("diagnostics.residuals = ode_y, ode_q",
+                        "diagnostics.residuals = ode_y, ode_q, ode_ytilde, rem1")
+    path = cfg_path.parent / "kinds.cfg"
+    path.write_text(text)
+    cfg = cli.load_config(path)
+    state0, _ = cli.make_initial(cfg)
+    traj = solver.evolve(state0, cfg.solver)
+
+    real_quantity, real_build = riccati.grid_quantity, charpath.periodic_spline_table
+    requested = []  # grid_quantity names since the last table build
+    built = []  # (quantity, weak reference to its table)
+
+    def spy_quantity(state, name):
+        requested.append(name)
+        return real_quantity(state, name)
+
+    def counting_build(ys, h):
+        assert all(ref() is None for _, ref in built), "an earlier table is alive"
+        assert len(set(requested)) == 1
+        table = real_build(ys, h)
+        built.append((requested[0], weakref.ref(table)))
+        requested.clear()
+        return table
+
+    monkeypatch.setattr(riccati, "grid_quantity", spy_quantity)
+    monkeypatch.setattr(charpath, "periodic_spline_table", counting_build)
+    curves, rows, residual_max = cli._diagnose(cfg, traj, traj.termination.t_stop)
+    union = {"y", "a0", "a2", "q", "y_tilde", "a0_t", "a1_t", "a2_t", "alpha", "beta", "k1", "k2"}
+    names = [name for name, _ in built]
+    assert names[0] == "z" and sorted(names[1:]) == sorted(union)
+    assert all(ref() is None for _, ref in built)
+    assert len(curves) == 6 and set(residual_max) == {"ode_y", "ode_q", "ode_ytilde", "rem1"}
+
+
+@pytest.mark.parametrize("poison, kind, code", [
+    (False, "gradient_blowup", 0),
+    (True, "non_finite", 3),
+], ids=["gradient_blowup", "non_finite"])
+def test_run_stopped_at_its_first_state_writes_every_output(tmp_path, monkeypatch, poison, kind, code):
+    if poison:  # the first step is not finite, and no certificate: exit 3
+        text = "".join(line + "\n" for line in RUN_CFG.splitlines() if not line.startswith("certify."))
+        monkeypatch.setattr(solver, "derivative", lambda values, grid, order=1: np.full(np.shape(values), np.nan))
+    else:  # the initial gradient is already past the cap
+        text = RUN_CFG.replace("solver.gradient_cap = 30", "solver.gradient_cap = 1")
+    path = tmp_path / "first.cfg"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == code
+    out = tmp_path / "out"
+    lines = (out / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ") for line in lines if " = " in line)
+    assert summary["termination"] == kind
+    assert summary["steps"] == "0"
+    assert not any(key.startswith("residual_max.") for key in summary)
+    assert (out / "curves.csv").read_text() == "curve_id,direction,t,x,value,residual\n"
+    assert len((out / "fields.csv").read_text().splitlines()) == 1 + 64
+    for name in ("certificate.txt", "yq_extrema.svg", "characteristics.svg"):
+        assert (out / name).exists(), name
+    assert (out / "assumptions.txt").exists() == (not poison)
 
 
 def test_io_error_exit_4(tmp_path):
