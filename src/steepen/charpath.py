@@ -3,17 +3,16 @@
 Forward curves integrate dx/dt = +c, backward curves dx/dt = -c, with RK4
 in time (:data:`SUBSTEPS` steps per snapshot interval), moving a bundle of
 seeds as one array; each seed of a bundle may have its own direction.
-:class:`FieldSampler` is the one space-time interpolator (cubic spline in
-space, 4-point Lagrange in snapshot time), for the wave speed while
-tracing and for samples along curves.  Each quantity has one periodic
-spline table across all snapshots, built by :func:`periodic_spline_table`
-(numpy only); a sampler gathers the coefficients each point needs from it
-in one indexing operation.  Tables are transient: :func:`trace` builds the
-``z`` table for its own trace, and :func:`sample_along` builds one
-quantity's table, samples every seed of a bundle from it and drops it, so
-one table is alive at a time.  Derived quantities are always computed on
-the grid first (see :mod:`steepen.riccati`) and only then interpolated
-onto curves.
+:class:`FieldSampler` is the one space-time interpolator (periodic 6-point
+Lagrange in space, 4-point Lagrange in snapshot time), for the wave speed
+while tracing and for samples along curves.  A quantity's table is its
+grid values at every snapshot, built by :func:`grid_table`; a sampler
+gathers the values each point needs from it in one indexing operation.
+Tables are transient: :func:`integrate_position` builds the ``c`` table
+for its own trace, and :func:`sample_along` builds one quantity's table,
+samples every seed of a bundle from it and drops it, so one table is
+alive at a time.  Derived quantities are always computed on the grid
+first (see :mod:`steepen.riccati`) and only then interpolated onto curves.
 """
 
 from __future__ import annotations
@@ -23,15 +22,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from steepen import riccati
-from steepen.riccati import Exponents
 from steepen.solver import Trajectory
 
 SUBSTEPS = 4  # RK4 steps per snapshot interval when tracing
 _SIGN = {"forward": 1.0, "backward": -1.0}  # dx/dt = sign * c
 
+# grid nodes j-2 ... j+3 of a point in cell j: 6 points, error O(h^6).  With 4
+# (O(h^4), the scheme's order) one_sided_profile's ode_y residual was 4.6 times
+# larger; with 8 it was the same
+_STENCIL = np.arange(-2.0, 4.0)
+
 # row j of _OTHERS[n]: the nodes i != j of an n-node window, the factors
 # of node j's Lagrange weight
-_OTHERS = {n: np.array([[i for i in range(n) if i != j] for j in range(n)]) for n in (2, 3, 4)}
+_OTHERS = {n: np.array([[i for i in range(n) if i != j] for j in range(n)]) for n in (2, 3, 4, 6)}
 
 
 @dataclass
@@ -53,57 +56,33 @@ class CharacteristicCurve:
         return CharacteristicCurve(direction, self.t, self.x[:, i], self.x_path[:, i], samples)
 
 
-def periodic_spline_table(ys: np.ndarray, h: float) -> np.ndarray:
-    """Periodic cubic-spline coefficients of the columns of ``ys``.
+def _lagrange_weights(nodes: np.ndarray, at) -> np.ndarray:
+    """Lagrange weights of the nodes along the last axis of ``nodes`` at ``at``.
 
-    ``ys`` has shape ``(n + 1, m)``: column ``k`` holds samples at the ``n + 1``
-    knots ``x0 + i*h`` of a uniform periodic grid, its last row repeating the
-    first.  Returns the ``(4, n, m)`` coefficients, highest power first, as
-    ``CubicSpline(knots, ys, axis=0, bc_type="periodic").c`` lays them out.
-
-    On a uniform periodic grid the knot slopes ``s`` solve the circulant
-    system ``s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / h``; the FFT
-    diagonalizes it, with eigenvalues ``4 + 2 cos(2 pi k / n)``.  Each interval
-    then gets ``CubicHermiteSpline``'s cubic through its end values and slopes.
-    The slope, right-hand side and Hermite terms are built in the table's
-    own rows, so the build peaks at about 1.5 tables.
+    ``nodes`` has shape ``S + (n,)`` and the array ``at`` broadcasts
+    against ``S``; the weights have the broadcast shape plus the node axis.  Node ``j``'s
+    weight is the product, in node order, of ``(at - t_i) / (t_j - t_i)``
+    over the nodes ``i != j``.
     """
-    n = len(ys) - 1
-    c = np.empty((4, n, ys.shape[1]))
-    t, slope, s, y = c  # views of the rows; t and slope become c[0] and c[1] in place
-    y[...] = ys[:-1]
-    np.subtract(ys[1:], ys[:-1], out=slope)
-    slope /= h
-    # the right-hand side 3 (slope[i-1] + slope[i]), then the slopes
-    np.add(slope[:-1], slope[1:], out=s[1:])
-    np.add(slope[-1], slope[0], out=s[0])
-    s *= 3.0
-    f = np.fft.rfft(s, axis=0)
-    f /= (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(len(f)) / n))[:, None]
-    s[...] = np.fft.irfft(f, n, axis=0)
-    # t = (s[i] + s[i+1] - 2 slope) / h; doubling and halving slope are exact
-    np.add(s[:-1], s[1:], out=t[:-1])
-    np.add(s[-1], s[0], out=t[-1])
-    slope *= 2.0
-    t -= slope
-    slope *= 0.5
-    t /= h
-    # c1 = (slope - s[i]) / h - t, c0 = t / h
-    slope -= s
-    slope /= h
-    slope -= t
-    t /= h
-    return c
+    others = nodes[..., _OTHERS[nodes.shape[-1]]]
+    return np.multiply.reduce((at[..., None, None] - others) / (nodes[..., None] - others), axis=-1)
+
+
+def grid_table(traj: Trajectory, name: str) -> np.ndarray:
+    """``name`` on the grid at every snapshot, shape ``(n_snapshots, n)``."""
+    table = np.empty((len(traj.snapshots), traj.grid.n))
+    for k, snap in enumerate(traj.snapshots):
+        table[k] = riccati.grid_quantity(snap, name)
+    return table
 
 
 class FieldSampler:
     """Space-time interpolator over a trajectory's snapshots.
 
-    Each quantity has one table: the coefficients of the periodic cubic
-    splines in x of all snapshots, built by one :func:`periodic_spline_table`
-    call and kept for as long as the sampler lives.  Interpolation splits
-    into a time part, :meth:`time_window`, which depends only on the times,
-    and a space part, :meth:`interpolate`; :meth:`values` is the two in turn.
+    Each quantity has one table, its :func:`grid_table`, built on first use
+    and kept for as long as the sampler lives.  Interpolation splits into a
+    time part, :meth:`time_window`, which depends only on the times, and a
+    space part, :meth:`interpolate`; :meth:`values` is the two in turn.
     """
 
     def __init__(self, traj: Trajectory):
@@ -111,78 +90,54 @@ class FieldSampler:
             raise ValueError("trajectory too sparse to interpolate (stride guard)")
         self.traj = traj
         self.times = traj.times
-        grid = traj.grid
-        self.knots = np.append(grid.x, grid.x1)
         self._tables: dict = {}
 
     def table(self, name: str) -> np.ndarray:
-        """``name``'s spline coefficients, shape ``(4, n, n_snapshots)``.
-
-        ``table(name)[:, i, k]`` is snapshot ``k``'s cubic on grid interval
-        ``i``, highest power first.
-        """
-        c = self._tables.get(name)
-        if c is None:
-            snapshots = self.traj.snapshots
-            ys = np.empty((len(self.knots), len(snapshots)))
-            for k, snap in enumerate(snapshots):
-                ys[:-1, k] = riccati.grid_quantity(snap, name)
-            ys[-1] = ys[0]  # the periodic closing row
-            c = periodic_spline_table(ys, self.traj.grid.h)
-            self._tables[name] = c
-        return c
+        """``name``'s grid values at every snapshot, shape ``(n_snapshots, n)``."""
+        values = self._tables.get(name)
+        if values is None:
+            values = self._tables[name] = grid_table(self.traj, name)
+        return values
 
     def time_window(self, ts) -> tuple:
         """The snapshots around each time and their Lagrange weights.
 
-        Returns ``(ks, w)``, both of shape ``(n_w,) + ts.shape``: the indices
-        of the 4 snapshots around each time (all of them when there are
-        fewer) and each one's weight.
+        Returns ``(ks, w)``, both of shape ``ts.shape + (n_w,)``: the indices
+        of the ``n_w`` = 4 snapshots around each time (all of them when there
+        are fewer) and each one's weight.
         """
         ts = np.asarray(ts, dtype=float)
         n_t = len(self.times)
         n_w = min(4, n_t)
         # window start: the snapshot two before t's interval, clamped to [0, n_t - n_w]
         j0 = self.times[2:n_t - n_w + 2].searchsorted(ts, side="right")
-        ks = np.add.outer(np.arange(n_w), j0)  # window axis first
-        tw = self.times[ks]
-        t_other = tw[_OTHERS[n_w]]
-        w = np.multiply.reduce((ts - t_other) / (tw[:, None] - t_other), axis=1)
-        return ks, w
+        ks = j0[..., None] + np.arange(n_w)
+        return ks, _lagrange_weights(self.times[ks], ts)
 
     def interpolate(self, name: str, window: tuple, xs) -> np.ndarray:
         """``name`` at positions ``xs`` in a :meth:`time_window`.
 
         The window's time shape broadcasts against ``xs``; the result has
-        the broadcast shape.
+        the broadcast shape.  Each snapshot's value is the periodic 6-point
+        Lagrange interpolant on grid nodes ``j-2 ... j+3`` of the point's
+        cell ``j``.
         """
         ks, w = window
-        xs = self.traj.grid.wrap(xs)
-        # PPoly's periodic evaluation, with its arithmetic: re-wrap x, find
-        # the interval (the last one is closed), then sum the terms constant
-        # first (evaluate_poly1)
-        xk = self.knots
-        xs = xk[0] + (xs - xk[0]) % (xk[-1] - xk[0])
-        i = xk[1:-1].searchsorted(xs, side="right")  # in [0, n - 1]
-        d = xs - xk[i]
-        c = self.table(name)[:, i, ks]  # one gather: (4, n_w) + the broadcast shape
-        s = 0.0 + c[3]
-        z = d
-        s = s + c[2] * z
-        z = z * d
-        s = s + c[1] * z
-        z = z * d
-        s = s + c[0] * z
-
-        acc = np.zeros(s.shape[1:])  # starts at +0.0, so -0.0 terms sum to +0.0
-        for term in w * s:
-            acc += term
-        return acc
+        grid = self.traj.grid
+        s = (xs - grid.x0) / grid.h
+        j = np.floor(s)
+        nodes = (j[..., None] + _STENCIL).astype(np.intp) % grid.n
+        f = self.table(name)[ks[..., :, None], nodes[..., None, :]]  # one gather: (..., n_w, 6)
+        wx = _lagrange_weights(_STENCIL, s - j)
+        # add.accumulate sums in index order whatever the shapes (np.sum may
+        # pair terms), so a bundle's columns equal single seeds bit for bit
+        at_snapshot = np.add.accumulate(wx[..., None, :] * f, axis=-1)[..., -1]
+        return np.add.accumulate(w * at_snapshot, axis=-1)[..., -1]
 
     def values(self, name: str, ts, xs) -> np.ndarray:
         """``name`` at the (t, x) points of ``ts`` and ``xs``, which broadcast together.
 
-        Each point combines the splines of the 4 snapshots around its time
+        Each point combines its value in the 4 snapshots around its time
         (all of them when there are fewer) with Lagrange weights in time.
         """
         return self.interpolate(name, self.time_window(ts), xs)
@@ -197,13 +152,11 @@ def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
     ``t_nodes`` may be ascending or descending (the latter walks the same
     characteristic backwards in time).  Returns unwrapped positions.
 
-    The ``z`` table is built for this call only, and the time windows of
+    The ``c`` table is built for this call only, and the time windows of
     all RK4 stages are found up front, so each stage does only the space
     part of the interpolation.
     """
     sampler = FieldSampler(traj)
-    grid, m = traj.grid, traj.profile.m
-    K_c, E_c = traj.gc.K_c, Exponents.of(traj.gc.gamma).E_c
 
     t_nodes = np.asarray(t_nodes, dtype=float)
     x = np.array(x_start, dtype=float)
@@ -214,8 +167,7 @@ def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
     ks, w = sampler.time_window(stage_t.reshape(stage_t.shape + (1,) * x.ndim))
 
     def wave_speed(i, stage, x):
-        window = ks[:, i, stage], w[:, i, stage]
-        return K_c * m(grid.wrap(x)) * sampler.interpolate("z", window, x) ** E_c
+        return sampler.interpolate("c", (ks[i, stage], w[i, stage]), x)
 
     xs = np.empty(t_nodes.shape + x.shape)
     xs[0] = x
@@ -257,8 +209,8 @@ def trace(traj: Trajectory, x_start, direction) -> CharacteristicCurve:
 def sample_along(curve: CharacteristicCurve, traj: Trajectory, quantity: str) -> np.ndarray:
     """Interpolate a named derived field onto a curve's nodes (and keep it in ``curve.samples``).
 
-    Every seed of a bundle is sampled in one call; the quantity's spline
-    table is built for this call only.
+    Every seed of a bundle is sampled in one call; the quantity's table is
+    built for this call only.
     """
     t = curve.t.reshape(curve.t.shape + (1,) * (curve.x.ndim - 1))
     values = FieldSampler(traj).values(quantity, t, curve.x)

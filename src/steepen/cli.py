@@ -98,7 +98,7 @@ def _diagnose(cfg: RunConfig, traj: solver.Trajectory, t_resolved: float):
 
     Every (seed, direction) pair is one column of a single traced
     bundle.  Each quantity the configured residuals need is sampled once
-    on the whole bundle, so one spline table is alive at a time.  A run
+    on the whole bundle, so one table is alive at a time.  A run
     that stopped at its first state has no curves.  The residual_max
     summary is taken on the resolved window [0, t_resolved].
     """

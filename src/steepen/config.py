@@ -243,6 +243,8 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
             raise ConfigError("certify block: epsilon must be nonnegative")
     if "A" in cert_kv:
         certify.A = _float("certify", "A", cert_kv["A"])
+        if certify.bounds is None and gas.gamma != 3.0:  # Theorem 15's T* bound needs them
+            raise ConfigError("certify block: A needs the bounds Z_L ... M4 unless gas.gamma = 3")
 
     out_kv = _take(kv, "output")
     if "directory" not in out_kv:

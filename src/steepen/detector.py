@@ -185,7 +185,6 @@ def certify_thm15(
     state0: StateField,
     A: float,
     bounds: AssumptionBounds | None,
-    delta_cond: float | None = None,
     variable: str = "y",
 ) -> Certificate:
     """One-sided-profile certificate with an explicit blowup-time bound.
@@ -201,10 +200,8 @@ def certify_thm15(
     gamma = state0.gc.gamma
     grid = state0.grid
     w_xx = profile_condition_curvature(state0.profile, gamma, grid)
-    if delta_cond is None:
-        kappa = 2.0 / (3.0 * gamma - 1.0)
-        m = state0.m_arrays()[0]
-        delta_cond = 1e-10 * float(np.max(m ** (-kappa)))
+    kappa = 2.0 / (3.0 * gamma - 1.0)
+    delta_cond = 1e-10 * float(np.max(state0.m_arrays()[0] ** (-kappa)))
 
     region = grid.x > A if variable == "y" else grid.x < A
     none_cert = Certificate(kind="none", bounds=bounds, conditional=gamma != 3.0)

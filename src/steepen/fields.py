@@ -25,15 +25,12 @@ class Grid:
     x0: float
     x1: float
     n: int
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if not self.x1 > self.x0:
             raise ValueError("grid requires x1 > x0")
         if self.n < 16:
             raise ValueError("grid requires at least 16 cells")
-        if self.boundary != "periodic":
-            raise ValueError("only periodic boundaries are supported")
         self.h = (self.x1 - self.x0) / self.n
         self.x = self.x0 + self.h * np.arange(self.n)
         self.x.flags.writeable = False
@@ -255,8 +252,6 @@ def derivative(values, grid: Grid, order: int = 1) -> np.ndarray:
     of one copy of ``values`` padded with two periodic ghost cells on each
     side.
     """
-    if grid.boundary != "periodic":
-        raise ValueError("derivative requires a periodic grid")
     f = np.asarray(values, dtype=float)
     if f.ndim == 0 or f.shape[-1] != grid.n:
         raise ValueError("values must match the grid size")

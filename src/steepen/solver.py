@@ -66,7 +66,7 @@ class Trajectory:
     """The stored snapshots of a run, why it stopped and its conservation log.
 
     It holds no derived data beyond what each snapshot caches on itself
-    (its diagnostics); the spline tables that characteristic tracing and
+    (its diagnostics); the tables that characteristic tracing and
     sampling need are built and dropped by :mod:`steepen.charpath`.
     """
 

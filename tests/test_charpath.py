@@ -1,8 +1,5 @@
-import tracemalloc
-
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, PPoly
 
 from steepen import charpath, fields, riccati, solver
 
@@ -84,27 +81,34 @@ def test_bundle_columns_equal_single_seed_traces(varying_traj, direction):
             assert np.array_equal(column.samples[name], charpath.sample_along(single, varying_traj, name)), name
 
 
-def _lagrange_spline_reference(traj, name, tq, xq):
+def _lagrange_reference(traj, name, tq, xq):
     """One point at a time: 4-point Lagrange in snapshot time over periodic
-    cubic splines in space, as the scalar sampler computed it, each snapshot's
-    spline built on its own column and evaluated by scipy's ``PPoly``."""
+    6-point Lagrange in space, on grid nodes j-2 ... j+3 of the point's cell j."""
     times = traj.times
     n_t = len(times)
     k = min(max(int(np.searchsorted(times, tq, side="right")) - 1, 0), n_t - 2)
     j0 = min(max(k - 1, 0), max(n_t - 4, 0))
     tw = times[j0:min(j0 + 4, n_t)]
     grid = traj.grid
-    xq = float(grid.wrap(xq))
-    total = 0.0
+    s = (xq - grid.x0) / grid.h
+    j = int(np.floor(s))
+    offsets = range(-2, 4)
+    total = None
     for jj in range(len(tw)):
         w = 1.0
         for ii in range(len(tw)):
             if ii != jj:
                 w *= (tq - tw[ii]) / (tw[jj] - tw[ii])
         arr = riccati.grid_quantity(traj.snapshots[j0 + jj], name)
-        c = charpath.periodic_spline_table(np.append(arr, arr[0])[:, None], grid.h)[:, :, 0]
-        spline = PPoly(c, np.append(grid.x, grid.x1), extrapolate="periodic")
-        total += w * float(spline(xq))
+        at_snapshot = None
+        for o in offsets:
+            wx = 1.0
+            for other in offsets:
+                if other != o:
+                    wx *= ((s - j) - other) / (o - other)
+            term = wx * arr[(j + o) % grid.n]
+            at_snapshot = term if at_snapshot is None else at_snapshot + term
+        total = w * at_snapshot if total is None else total + w * at_snapshot
     return total
 
 
@@ -131,9 +135,45 @@ def test_values_equal_scalar_lagrange_spline_reference(varying_traj, n_snapshots
     xs = np.concatenate((xs, rng.uniform(-1.0, 2.0, 40)))
     sampler = charpath.FieldSampler(traj)
     for name in ("z", "y", "m_x"):
-        expect = [_lagrange_spline_reference(traj, name, t, x) for t, x in zip(ts, xs)]
+        expect = [_lagrange_reference(traj, name, t, x) for t, x in zip(ts, xs)]
         assert np.array_equal(sampler.values(name, ts, xs), expect), name
         assert np.array_equal(sampler.values(name, ts[::-1], xs[::-1]), expect[::-1]), name
+
+
+def _fixed_field_traj(gc, n, z):
+    """Four snapshots at uneven times, each holding the field ``z(x)``."""
+    grid = fields.Grid(0.0, 1.0, n)
+    profile = fields.EntropyProfile.constant(1.0)
+    snapshots = [
+        fields.StateField(grid=grid, t=t, z=z(grid.x), u=np.zeros(n), profile=profile, gc=gc)
+        for t in (0.0, 0.1, 0.25, 0.3)
+    ]
+    log = solver.ConservedLog(np.zeros(4), np.zeros(4), np.zeros(4))
+    return solver.Trajectory(snapshots, solver.Termination("reached_t_end", 0.3), log)
+
+
+def test_space_interpolation_is_sixth_order(gas3):
+    rng = np.random.default_rng(5)
+
+    def quintic(x):
+        return 2.0 + x * (1.0 - x) * (x - 0.3) * (x - 0.6) * (x + 0.5)
+
+    traj = _fixed_field_traj(gas3, 64, quintic)
+    h = traj.grid.h
+    ts = rng.uniform(0.0, 0.3, 200)
+    xs = rng.uniform(3.0 * h, 1.0 - 3.0 * h, 200)  # the stencil stays off the wrap
+    got = charpath.FieldSampler(traj).values("z", ts, xs)
+    assert np.max(np.abs(got - quintic(xs))) <= 1e-14
+
+    def error(n):
+        def smooth(x):
+            return 1.0 + 0.1 * np.sin(2.0 * np.pi * x)
+
+        xs = rng.uniform(-1.0, 2.0, 400)
+        got = charpath.FieldSampler(_fixed_field_traj(gas3, n, smooth)).values("z", ts[:1], xs)
+        return np.max(np.abs(got - smooth(xs)))
+
+    assert error(64) <= error(32) / 2.0**5.5
 
 
 def test_one_spline_table_per_quantity(varying_traj, monkeypatch):
@@ -143,60 +183,20 @@ def test_one_spline_table_per_quantity(varying_traj, monkeypatch):
         conserved=varying_traj.conserved,
     )
     built = []
-    build = charpath.periodic_spline_table
+    build = charpath.grid_table
 
-    def counting(ys, h):
-        built.append(ys.shape)
-        return build(ys, h)
+    def counting(traj, name):
+        table = build(traj, name)
+        built.append((name, table.shape))
+        return table
 
-    monkeypatch.setattr(charpath, "periodic_spline_table", counting)
+    monkeypatch.setattr(charpath, "grid_table", counting)
     curve = charpath.trace(traj, 0.3, "forward")
     riccati.residual(traj, curve, "ode_y")
-    assert len(built) == 4  # z while tracing; y, a0 and a2 for the residual
-    assert all(shape == (traj.grid.n + 1, len(traj.snapshots)) for shape in built)
+    assert [name for name, _ in built] == ["c", "y", "a0", "a2"]  # c while tracing; y, a0 and a2 for the residual
+    assert all(shape == (len(traj.snapshots), traj.grid.n) for _, shape in built)
     riccati.residual(traj, curve, "ode_y")  # every sample is on the curve already
     assert len(built) == 4
-
-
-def _periodic_samples(n, m, seed=0):
-    """``(n + 1, m)`` samples with the closing row: a smooth column, a
-    constant one and random ones."""
-    rng = np.random.default_rng(seed)
-    x = np.arange(n) / n
-    ys = np.empty((n + 1, m))
-    ys[:-1] = rng.standard_normal((n, m))
-    ys[:-1, 0] = np.sin(2.0 * np.pi * x) + 0.3 * np.cos(6.0 * np.pi * x)
-    ys[:-1, 1] = 2.5
-    ys[-1] = ys[0]
-    return ys
-
-
-@pytest.mark.parametrize("n", [16, 512, 2048])
-def test_spline_table_matches_scipy_periodic_cubicspline(n):
-    grid = fields.Grid(0.0, 1.0, n)
-    ys = _periodic_samples(n, 5)
-    c = charpath.periodic_spline_table(ys, grid.h)
-    expect = CubicSpline(np.append(grid.x, grid.x1), ys, axis=0, bc_type="periodic").c
-    assert c.shape == expect.shape == (4, n, 5)
-    for power in range(3):  # each row on its own scale
-        assert np.max(np.abs(c[power] - expect[power])) <= 1e-13 * np.max(np.abs(expect[power]))
-    assert np.array_equal(c[3], ys[:-1])
-    assert not np.any(c[:3, :, 1])  # the constant column: a flat spline
-    for k in range(ys.shape[1]):  # the batched build equals one column's
-        assert np.array_equal(c[:, :, k], charpath.periodic_spline_table(ys[:, k:k + 1], grid.h)[:, :, 0])
-
-
-def test_spline_table_build_peaks_under_two_tables():
-    # lax_blowup's grid at snapshot stride 1: a 22 MB table
-    ys = _periodic_samples(512, 1346)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        c = charpath.periodic_spline_table(ys, 1.0 / 512)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * c.nbytes
 
 
 def test_sample_m_constant_entropy(constant_traj):
@@ -362,11 +362,9 @@ def test_integrate_position_equals_per_stage_sampling(varying_traj, x_start, sig
     each RK4 stage at its own time."""
     traj = varying_traj
     sampler = charpath.FieldSampler(traj)
-    gc, m = traj.gc, traj.profile.m
-    E_c = (gc.gamma + 1.0) / (gc.gamma - 1.0)
 
     def wave_speed(t, x):
-        return gc.K_c * m(traj.grid.wrap(x)) * sampler.values("z", np.full(x.shape, t), x) ** E_c
+        return sampler.values("c", np.full(x.shape, t), x)
 
     t_nodes = charpath.trace(traj, 0.3, "forward").t
     x = np.array(x_start, dtype=float)

@@ -57,6 +57,15 @@ def test_validate_rejects_bad_expression(tmp_path):
     assert cli.main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "certify"])
+def test_thm15_without_bounds_is_a_config_error_unless_gamma_3(tmp_path, command):
+    lines = [line for line in RUN_CFG.splitlines() if not line.startswith("certify.") or line.startswith("certify.A")]
+    path = tmp_path / "thm15.cfg"
+    path.write_text("\n".join(lines).replace("gas.gamma = 3", "gas.gamma = 1.4") + "\n")
+    assert cli.main([command, str(path)]) == 2
+    assert not (tmp_path / "out").exists()  # rejected before any work
+
+
 def test_run_writes_all_outputs(cfg_path, tmp_path):
     assert cli.main(["run", str(cfg_path)]) == 0
     out = tmp_path / "out"
@@ -285,7 +294,7 @@ def test_diagnose_builds_each_spline_table_once_and_drops_it(cfg_path, monkeypat
     state0, _ = cli.make_initial(cfg)
     traj = solver.evolve(state0, cfg.solver)
 
-    real_quantity, real_build = riccati.grid_quantity, charpath.periodic_spline_table
+    real_quantity, real_build = riccati.grid_quantity, charpath.grid_table
     requested = []  # grid_quantity names since the last table build
     built = []  # (quantity, weak reference to its table)
 
@@ -293,20 +302,20 @@ def test_diagnose_builds_each_spline_table_once_and_drops_it(cfg_path, monkeypat
         requested.append(name)
         return real_quantity(state, name)
 
-    def counting_build(ys, h):
+    def counting_build(traj, name):
         assert all(ref() is None for _, ref in built), "an earlier table is alive"
-        assert len(set(requested)) == 1
-        table = real_build(ys, h)
-        built.append((requested[0], weakref.ref(table)))
+        table = real_build(traj, name)
+        assert set(requested) == {name}
+        built.append((name, weakref.ref(table)))
         requested.clear()
         return table
 
     monkeypatch.setattr(riccati, "grid_quantity", spy_quantity)
-    monkeypatch.setattr(charpath, "periodic_spline_table", counting_build)
+    monkeypatch.setattr(charpath, "grid_table", counting_build)
     curves, rows, residual_max = cli._diagnose(cfg, traj, traj.termination.t_stop)
     union = {"y", "a0", "a2", "q", "y_tilde", "a0_t", "a1_t", "a2_t", "alpha", "beta", "k1", "k2"}
     names = [name for name, _ in built]
-    assert names[0] == "z" and sorted(names[1:]) == sorted(union)
+    assert names[0] == "c" and sorted(names[1:]) == sorted(union)
     assert all(ref() is None for _, ref in built)
     assert len(curves) == 6 and set(residual_max) == {"ode_y", "ode_q", "ode_ytilde", "rem1"}
 

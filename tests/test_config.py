@@ -140,6 +140,9 @@ def test_certify_block_requires_complete_bounds(tmp_path):
     assert cfg.certify.bounds.M3 == 0.0
     assert cfg.certify.A == 0.25
     assert cfg.certify.epsilon == 0.02
+    assert load_config(_write(tmp_path, BASE + "certify.A = 0.25\n")).certify.bounds is None  # gamma = 3
+    with pytest.raises(ConfigError, match="A needs the bounds"):
+        load_config(_write(tmp_path, BASE.replace("gas.gamma = 3", "gas.gamma = 1.4") + "certify.A = 0.25\n"))
 
 
 def test_diagnostics_block_parsing(tmp_path):

@@ -15,8 +15,6 @@ def test_grid_validation():
         fields.Grid(1.0, 0.0, 64)
     with pytest.raises(ValueError):
         fields.Grid(0.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        fields.Grid(0.0, 1.0, 64, boundary="outflow")
     g = fields.Grid(-1.0, 3.0, 32)
     assert g.h == pytest.approx(0.125)
     assert g.x[0] == -1.0 and g.x[-1] == pytest.approx(3.0 - g.h)
