@@ -5,14 +5,17 @@ in time (:data:`SUBSTEPS` steps per snapshot interval), moving a bundle of
 seeds as one array; each seed of a bundle may have its own direction.
 :class:`FieldSampler` is the one space-time interpolator (periodic 6-point
 Lagrange in space, 4-point Lagrange in snapshot time), for the wave speed
-while tracing and for samples along curves.  A quantity's table is its
-grid values at every snapshot, built by :func:`grid_table`; a sampler
-gathers the values each point needs from it in one indexing operation.
-Tables are transient: :func:`integrate_position` builds the ``c`` table
-for its own trace, and :func:`sample_along` builds one quantity's table,
-samples every seed of a bundle from it and drops it, so one table is
-alive at a time.  Derived quantities are always computed on the grid
-first (see :mod:`steepen.riccati`) and only then interpolated onto curves.
+while tracing and for samples along curves.  It holds a sliding window of
+grid rows, at most 4 snapshots per quantity: a row is computed when its
+snapshot enters the window and overwritten once it has left, so its memory
+does not grow with the number of snapshots.  A trace and a sample both
+walk the snapshots forward in time, so each call computes each row once,
+and a sample of several quantities computes each snapshot's diagnostics
+once for all of them.  :func:`sample_along` may instead take its rows from
+the caller's own pass over the snapshots (the run computes each
+snapshot's diagnostics once for every output).  Derived quantities are
+always computed on the grid first (see :mod:`steepen.riccati`) and only
+then interpolated onto curves.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from steepen import riccati
 from steepen.solver import Trajectory
 
 SUBSTEPS = 4  # RK4 steps per snapshot interval when tracing
+_CHUNK = 64  # RK4 steps whose stage time windows are found together
 _SIGN = {"forward": 1.0, "backward": -1.0}  # dx/dt = sign * c
 
 # grid nodes j-2 ... j+3 of a point in cell j: 6 points, error O(h^6).  With 4
@@ -68,36 +72,72 @@ def _lagrange_weights(nodes: np.ndarray, at) -> np.ndarray:
     return np.multiply.reduce((at[..., None, None] - others) / (nodes[..., None] - others), axis=-1)
 
 
-def grid_table(traj: Trajectory, name: str) -> np.ndarray:
-    """``name`` on the grid at every snapshot, shape ``(n_snapshots, n)``."""
-    table = np.empty((len(traj.snapshots), traj.grid.n))
-    for k, snap in enumerate(traj.snapshots):
-        table[k] = riccati.grid_quantity(snap, name)
-    return table
-
-
 class FieldSampler:
-    """Space-time interpolator over a trajectory's snapshots.
+    """Space-time interpolator over a trajectory's snapshots, on a sliding window of grid rows.
 
-    Each quantity has one table, its :func:`grid_table`, built on first use
-    and kept for as long as the sampler lives.  Interpolation splits into a
-    time part, :meth:`time_window`, which depends only on the times, and a
-    space part, :meth:`interpolate`; :meth:`values` is the two in turn.
+    Interpolation splits into a time part, :meth:`time_window`, which
+    depends only on the times, and a space part, :meth:`interpolate`,
+    which gathers each point's values from the rows held.  :meth:`add`
+    names the quantities held and :meth:`hold` brings a window's rows in.
+    :meth:`sample` does all of it for fixed points in one pass forward
+    through the snapshots, and :meth:`values` is :meth:`sample` for one
+    quantity.
+
+    The held rows form one ``(quantities, width, n)`` array; snapshot
+    ``k``'s rows sit in slot ``k % width``, ``width`` being the snapshots
+    of one time window (4, or all of them when there are fewer), and one
+    gather serves every quantity at once.  By default a row is computed
+    from its snapshot by :func:`riccati.grid_quantities`; ``rows``, if
+    given, is an iterator over every snapshot's rows ``{name: row}`` in
+    snapshot order, from which the sampler takes them instead (stepping
+    over the snapshots no window uses).
     """
 
-    def __init__(self, traj: Trajectory):
+    def __init__(self, traj: Trajectory, rows=None):
         if len(traj.snapshots) < 2:
             raise ValueError("trajectory too sparse to interpolate (stride guard)")
         self.traj = traj
         self.times = traj.times
-        self._tables: dict = {}
+        self.width = min(4, len(self.times))
+        self._source = rows
+        self._next = 0  # the snapshot whose rows the source yields next
+        self._names: tuple = ()  # the quantities held, in table order
+        self._table = np.empty((0, self.width, traj.grid.n))
+        self._held = range(0)  # the snapshots whose rows the slots hold
 
-    def table(self, name: str) -> np.ndarray:
-        """``name``'s grid values at every snapshot, shape ``(n_snapshots, n)``."""
-        values = self._tables.get(name)
-        if values is None:
-            values = self._tables[name] = grid_table(self.traj, name)
-        return values
+    def _fetch(self, k: int) -> dict:
+        if self._source is None:
+            return riccati.grid_quantities(self.traj.snapshots[k], self._names)
+        if k < self._next:
+            raise ValueError(f"the rows of snapshot {k} were already taken from the source")
+        for _ in range(k - self._next):
+            next(self._source)
+        self._next = k + 1
+        return next(self._source)
+
+    def add(self, names) -> None:
+        """Hold the quantities of ``names`` too; when some are new, the
+        window is fetched afresh."""
+        missing = tuple(name for name in names if name not in self._names)
+        if missing:
+            self._names += missing
+            self._table = np.empty((len(self._names), self.width, self.traj.grid.n))
+            self._held = range(0)
+
+    def hold(self, lo: int, hi: int) -> None:
+        """Hold the rows of snapshots ``lo`` ... ``hi`` (at most ``width`` of them).
+
+        Rows held already stay; each other one is fetched into its
+        snapshot's slot, over a row that has left the window.
+        """
+        if self._held.start <= lo and hi < self._held.stop:
+            return
+        for k in range(lo, hi + 1):
+            if k not in self._held:
+                rows = self._fetch(k)
+                for i, name in enumerate(self._names):
+                    self._table[i, k % self.width] = rows[name]
+        self._held = range(lo, hi + 1)
 
     def time_window(self, ts) -> tuple:
         """The snapshots around each time and their Lagrange weights.
@@ -107,32 +147,59 @@ class FieldSampler:
         are fewer) and each one's weight.
         """
         ts = np.asarray(ts, dtype=float)
-        n_t = len(self.times)
-        n_w = min(4, n_t)
-        # window start: the snapshot two before t's interval, clamped to [0, n_t - n_w]
-        j0 = self.times[2:n_t - n_w + 2].searchsorted(ts, side="right")
-        ks = j0[..., None] + np.arange(n_w)
+        ks = self._window_start(ts)[..., None] + np.arange(self.width)
         return ks, _lagrange_weights(self.times[ks], ts)
 
-    def interpolate(self, name: str, window: tuple, xs) -> np.ndarray:
-        """``name`` at positions ``xs`` in a :meth:`time_window`.
+    def _window_start(self, ts) -> np.ndarray:
+        """The first snapshot of each time's window: the snapshot two before
+        its interval, clamped to ``[0, n_t - width]``."""
+        n_t = len(self.times)
+        return self.times[2:n_t - self.width + 2].searchsorted(ts, side="right")
+
+    def interpolate(self, window: tuple, xs) -> np.ndarray:
+        """Every held quantity at positions ``xs`` in a :meth:`time_window`
+        whose rows are held.
 
         The window's time shape broadcasts against ``xs``; the result has
-        the broadcast shape.  Each snapshot's value is the periodic 6-point
-        Lagrange interpolant on grid nodes ``j-2 ... j+3`` of the point's
-        cell ``j``.
+        shape ``(quantities,)`` plus the broadcast shape.  Each snapshot's
+        value is the periodic 6-point Lagrange interpolant on grid nodes
+        ``j-2 ... j+3`` (mod ``n``) of the point's cell ``j``.
         """
         ks, w = window
         grid = self.traj.grid
         s = (xs - grid.x0) / grid.h
         j = np.floor(s)
         nodes = (j[..., None] + _STENCIL).astype(np.intp) % grid.n
-        f = self.table(name)[ks[..., :, None], nodes[..., None, :]]  # one gather: (..., n_w, 6)
+        # one gather for all quantities: (quantities, ..., n_w, 6)
+        f = self._table[:, ks[..., :, None] % self.width, nodes[..., None, :]]
         wx = _lagrange_weights(_STENCIL, s - j)
         # add.accumulate sums in index order whatever the shapes (np.sum may
         # pair terms), so a bundle's columns equal single seeds bit for bit
         at_snapshot = np.add.accumulate(wx[..., None, :] * f, axis=-1)[..., -1]
         return np.add.accumulate(w * at_snapshot, axis=-1)[..., -1]
+
+    def sample(self, names, ts, xs) -> dict:
+        """``names`` at the (t, x) points of ``ts`` and ``xs``, which broadcast together.
+
+        One pass forward through the snapshots, whatever the order of the
+        points: the points whose time window starts at snapshot ``k`` are
+        interpolated together once the window's rows are held, and their
+        time weights are found then.  Returns ``{name: values}``, each of
+        the broadcast shape.
+        """
+        self.add(names)
+        ts, xs = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))
+        shape = ts.shape
+        ts, xs = ts.ravel(), xs.ravel()
+        starts = self._window_start(ts)
+        order = np.argsort(starts, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(starts[order])) + 1) if order.size else []
+        out = np.empty((len(self._names), ts.size))
+        for group in groups:  # the weights of one group at a time
+            k = int(starts[group[0]])
+            self.hold(k, k + self.width - 1)
+            out[:, group] = self.interpolate(self.time_window(ts[group]), xs[group])
+        return {name: out[self._names.index(name)].reshape(shape) for name in names}
 
     def values(self, name: str, ts, xs) -> np.ndarray:
         """``name`` at the (t, x) points of ``ts`` and ``xs``, which broadcast together.
@@ -140,7 +207,7 @@ class FieldSampler:
         Each point combines its value in the 4 snapshots around its time
         (all of them when there are fewer) with Lagrange weights in time.
         """
-        return self.interpolate(name, self.time_window(ts), xs)
+        return self.sample((name,), ts, xs)[name]
 
 
 def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
@@ -152,11 +219,13 @@ def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
     ``t_nodes`` may be ascending or descending (the latter walks the same
     characteristic backwards in time).  Returns unwrapped positions.
 
-    The ``c`` table is built for this call only, and the time windows of
-    all RK4 stages are found up front, so each stage does only the space
-    part of the interpolation.
+    The time windows of the RK4 stages are found :data:`_CHUNK` steps at a
+    time, so each stage does only the space part of the interpolation;
+    the ``c`` rows of a stage's window are brought in before it, each
+    once, as the windows slide with the nodes.
     """
     sampler = FieldSampler(traj)
+    sampler.add(("c",))
 
     t_nodes = np.asarray(t_nodes, dtype=float)
     x = np.array(x_start, dtype=float)
@@ -164,14 +233,21 @@ def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
     # stage times (ta, ta + dt/2, tb) of every step, with trailing axes that
     # broadcast against x
     stage_t = np.stack((ta, ta + 0.5 * (tb - ta), tb), axis=1)
-    ks, w = sampler.time_window(stage_t.reshape(stage_t.shape + (1,) * x.ndim))
+    stage_t = stage_t.reshape(stage_t.shape + (1,) * x.ndim)
 
     def wave_speed(i, stage, x):
-        return sampler.interpolate("c", (ks[i, stage], w[i, stage]), x)
+        # the windows of the chunk that step i is in, set by the loop below
+        ks, w = windows
+        j = i % _CHUNK
+        sampler.hold(starts[j][stage], starts[j][stage] + sampler.width - 1)
+        return sampler.interpolate((ks[j, stage], w[j, stage]), x)[0]
 
     xs = np.empty(t_nodes.shape + x.shape)
     xs[0] = x
     for i in range(len(t_nodes) - 1):
+        if i % _CHUNK == 0:
+            windows = sampler.time_window(stage_t[i:i + _CHUNK])
+            starts = windows[0].reshape(-1, 3, sampler.width)[..., 0].tolist()
         dt = tb[i] - ta[i]
         k1 = sign * wave_speed(i, 0, x)
         k2 = sign * wave_speed(i, 1, x + 0.5 * dt * k1)
@@ -206,16 +282,21 @@ def trace(traj: Trajectory, x_start, direction) -> CharacteristicCurve:
                                traj.grid.wrap(x_path), x_path)
 
 
-def sample_along(curve: CharacteristicCurve, traj: Trajectory, quantity: str) -> np.ndarray:
-    """Interpolate a named derived field onto a curve's nodes (and keep it in ``curve.samples``).
+def sample_along(curve: CharacteristicCurve, traj: Trajectory, quantity, rows=None):
+    """Interpolate named derived fields onto a curve's nodes (and keep them in ``curve.samples``).
 
-    Every seed of a bundle is sampled in one call; the quantity's table is
-    built for this call only.
+    ``quantity`` is one name, whose values are returned, or a sequence of
+    names, sampled in one pass that computes each snapshot's diagnostics
+    once for all of them, and returned as ``{name: values}``.  Every seed
+    of a bundle is sampled in the same pass.  ``rows`` is a row source for
+    :class:`FieldSampler`: an iterator over every snapshot's grid rows of
+    these names, in snapshot order.
     """
+    names = (quantity,) if isinstance(quantity, str) else tuple(quantity)
     t = curve.t.reshape(curve.t.shape + (1,) * (curve.x.ndim - 1))
-    values = FieldSampler(traj).values(quantity, t, curve.x)
-    curve.samples[quantity] = values
-    return values
+    samples = FieldSampler(traj, rows).sample(names, t, curve.x)
+    curve.samples.update(samples)
+    return samples[quantity] if isinstance(quantity, str) else samples
 
 
 # --- along-curve differentiation -------------------------------------------

@@ -6,10 +6,10 @@ assumptions.txt, summary.txt (and SVG plots when enabled) into the
 configured output directory.  Runs are deterministic: identical configs
 produce byte-identical CSV outputs.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure (vacuum, CFL
-collapse or a non-finite state before t_end without a blowup
-certificate; the outputs up to that point are still written), 4 I/O
-error.
+Exit codes: 0 success, 2 config error, 3 numeric failure (a vacuum or
+CFL-collapse stop, whatever the certificate, or a non-finite state
+before t_end without a blowup certificate; the outputs up to that point
+are still written), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -66,58 +66,79 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 FIELDS_COLUMNS = ("t", "x", "z", "u", "m", "p", "c", "alpha", "beta", "y", "q")
+# fields.csv rows formatted by one ``%``: a whole snapshot's block is about
+# 200 kB at n = 1024, past glibc's mmap threshold, and making and freeing
+# it once per snapshot let the heap shrink and grow back each time (8.5k
+# more page faults on one_sided_profile); blocks of 256 rows stay below
+_ROWS_PER_FORMAT = 256
 
 
-def _write_fields_csv(path: Path, traj: solver.Trajectory) -> None:
-    """One row per (snapshot, node), every value as ``%.16g``.
+def _snapshot_pass(fh, traj: solver.Trajectory, names, extrema: np.ndarray):
+    """Walk the snapshots once, computing each one's diagnostics once.
 
-    ``x`` and ``m`` (frozen by :func:`solver.evolve`) are formatted once
-    per run into a row template per node, and ``t`` once per snapshot; the
-    other 8 columns of a snapshot are formatted by one ``%`` over its
-    flattened rows, so memory stays O(n) per snapshot.
+    For each snapshot ``k`` in turn: write its block of fields.csv to
+    ``fh``, record its ``min y``, ``min q`` and
+    :func:`detector.gradient_peak` in ``extrema[:, k]``, and yield its
+    grid rows of ``names`` (a :func:`charpath.sample_along` row source).
+    The diagnostics are dropped before the next snapshot.
+
+    fields.csv has one row per (snapshot, node), every value as
+    ``%.16g``.  ``x`` and ``m`` (frozen by :func:`solver.evolve`) are
+    formatted once per run into a row template per node, and ``t`` once
+    per snapshot; the other 8 columns are formatted by one ``%`` per
+    ``_ROWS_PER_FORMAT`` flattened rows.
     """
     first = traj.snapshots[0]
     m = first.m_arrays()[0]
     # node j's row after its t: ",x,%.16g,%.16g,m,%.16g,...\n"; joined with a
-    # snapshot's t as separator behind an empty piece, they give its format
-    pieces = [""] + [
+    # snapshot's t as separator behind an empty piece, they give the format
+    # of a block of rows
+    templates = [
         ",%.16g,%%.16g,%%.16g,%.16g" % (x, mj) + ",%.16g" * 6 + "\n"
         for x, mj in zip(first.grid.x.tolist(), m.tolist())
     ]
-    with open(path, "w") as fh:
-        fh.write(",".join(FIELDS_COLUMNS) + "\n")
-        for snap in traj.snapshots:
-            p, c = snap.thermo()
-            d = riccati.diagnostics(snap)
-            table = np.column_stack((snap.z, snap.u, p, c, d.alpha, d.beta, d.y, d.q))
-            fh.write(("%.16g" % snap.t).join(pieces) % tuple(table.ravel().tolist()))
+    step = _ROWS_PER_FORMAT
+    blocks = [[""] + templates[lo:lo + step] for lo in range(0, len(templates), step)]
+    fh.write(",".join(FIELDS_COLUMNS) + "\n")
+    for k, snap in enumerate(traj.snapshots):
+        d = riccati.diagnostics(snap)
+        p, c = snap.thermo()
+        table = np.column_stack((snap.z, snap.u, p, c, d.alpha, d.beta, d.y, d.q))
+        t = "%.16g" % snap.t
+        for lo, pieces in zip(range(0, len(table), step), blocks):
+            fh.write(t.join(pieces) % tuple(table[lo:lo + step].ravel().tolist()))
+        extrema[:, k] = np.min(d.y), np.min(d.q), detector.gradient_peak(d)
+        yield riccati.grid_quantities(snap, names, d)
 
 
-def _diagnose(cfg: RunConfig, traj: solver.Trajectory, t_resolved: float):
-    """Trace configured curves and evaluate the selected residuals.
+def _curve_pairs(cfg: RunConfig, traj: solver.Trajectory) -> list:
+    """The configured (seed index, direction) pairs, one bundle column each;
+    none when the run stopped at its first state (nothing to interpolate
+    between)."""
+    if len(traj.snapshots) < 2:
+        return []
+    return [(si, direction) for si in range(len(cfg.diagnostics.seeds))
+            for direction in cfg.diagnostics.directions]
 
-    Every (seed, direction) pair is one column of a single traced
-    bundle.  Each quantity the configured residuals need is sampled once
-    on the whole bundle, so one table is alive at a time.  A run
-    that stopped at its first state has no curves.  The residual_max
-    summary is taken on the resolved window [0, t_resolved].
+
+def _residual_names(cfg: RunConfig) -> tuple:
+    """The quantities the configured residuals sample on the curves."""
+    return tuple(dict.fromkeys(
+        name
+        for kind in cfg.diagnostics.residuals
+        if RESIDUAL_KINDS[kind][0] in cfg.diagnostics.directions
+        for name in RESIDUAL_KINDS[kind][2]
+    ))
+
+
+def _residuals(cfg: RunConfig, traj: solver.Trajectory, bundle, pairs, t_resolved: float):
+    """Evaluate the selected residuals on every column of the sampled bundle.
+
+    Returns the labelled curves, the curves.csv blocks ``(curve_id,
+    direction, curve, values, residual)`` and the residual maxima on the
+    resolved window [0, t_resolved].
     """
-    seeds = cfg.diagnostics.seeds
-    directions = cfg.diagnostics.directions
-    pairs = [(si, direction) for si in range(len(seeds)) for direction in directions]
-    if len(traj.snapshots) < 2:  # nothing to interpolate between
-        pairs = []
-    if pairs:
-        bundle = charpath.trace(traj, [seeds[si] for si, _ in pairs], [d for _, d in pairs])
-        needed = dict.fromkeys(
-            name
-            for kind in cfg.diagnostics.residuals
-            if RESIDUAL_KINDS[kind][0] in directions
-            for name in RESIDUAL_KINDS[kind][2]
-        )
-        for name in needed:
-            charpath.sample_along(bundle, traj, name)
-    curve_rows = []  # (curve_id, direction, t, x, value, residual)
+    blocks = []
     residual_max: dict = {}
     curves = []
     for column, (si, direction) in enumerate(pairs):
@@ -129,17 +150,23 @@ def _diagnose(cfg: RunConfig, traj: solver.Trajectory, t_resolved: float):
             if need_dir != direction:
                 continue
             res = riccati.residual(traj, curve, kind)
-            values = curve.samples[measured]
-            cid = f"seed{si}_{kind}"
             if np.any(window):
                 residual_max[kind] = max(
                     residual_max.get(kind, 0.0), float(np.max(np.abs(res[window])))
                 )
-            for i in range(len(curve.t)):
-                curve_rows.append(
-                    (cid, direction, curve.t[i], curve.x[i], values[i], res[i])
-                )
-    return curves, curve_rows, residual_max
+            blocks.append((f"seed{si}_{kind}", direction, curve, curve.samples[measured], res))
+    return curves, blocks, residual_max
+
+
+def _write_curves_csv(path: Path, blocks) -> None:
+    """One row per curve node of each block, the numbers as ``%.16g``,
+    each block formatted by one ``%`` over its columns."""
+    with open(path, "w") as fh:
+        fh.write("curve_id,direction,t,x,value,residual\n")
+        for cid, direction, curve, values, res in blocks:
+            row = f"{cid},{direction}," + "%.16g,%.16g,%.16g,%.16g\n"
+            table = np.column_stack((curve.t, curve.x, values, res))
+            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _certificates(cfg: RunConfig, state0):
@@ -245,23 +272,37 @@ def _run(cfg: RunConfig):
     t_stop = traj.termination.t_stop
     t_resolved = 0.8 * t_stop if traj.termination.kind == "gradient_blowup" else t_stop
 
+    # every (seed, direction) pair is one column of a single traced bundle;
+    # the one pass over the snapshots then writes fields.csv, records the
+    # extrema and feeds the bundle's samples, so each snapshot's diagnostics
+    # are computed once and dropped before the next
+    pairs = _curve_pairs(cfg, traj)
+    names = _residual_names(cfg)
+    extrema = np.empty((3, len(traj.snapshots)))  # min y, min q, gradient peak
     try:
-        curves, curve_rows, residual_max = _diagnose(cfg, traj, t_resolved)
+        bundle = None
+        if pairs:
+            seeds = cfg.diagnostics.seeds
+            bundle = charpath.trace(traj, [seeds[si] for si, _ in pairs], [d for _, d in pairs])
+        with open(out / "fields.csv", "w") as fh:
+            rows = _snapshot_pass(fh, traj, names, extrema)
+            if bundle is not None:
+                charpath.sample_along(bundle, traj, names, rows)
+            for _ in rows:  # the snapshots no curve node needs
+                pass
+        curves, blocks, residual_max = _residuals(cfg, traj, bundle, pairs, t_resolved)
     except ValueError as exc:
         print(f"stage diagnostics: {exc}", file=sys.stderr)
         return 3, []
+    min_y, min_q, peak = extrema
 
     ths, cert14, cert15 = _certificates(cfg, state0)
-    estimate = detector.detect_blowup(traj)
+    estimate = detector.detect_blowup(traj, peak)
     report = None
     if cfg.certify.bounds is not None:
         report = fields.validate_assumptions(traj, profile, cfg.certify.bounds)
 
-    _write_fields_csv(out / "fields.csv", traj)
-    with open(out / "curves.csv", "w") as fh:
-        fh.write("curve_id,direction,t,x,value,residual\n")
-        for cid, direction, t, x, v, r in curve_rows:
-            fh.write(f"{cid},{direction},{t:.16g},{x:.16g},{v:.16g},{r:.16g}\n")
+    _write_curves_csv(out / "curves.csv", blocks)
     _write_kv(out / "certificate.txt", "certificate report",
               _certificate_pairs(cfg, state0, ths, cert14, cert15))
     if report is not None:
@@ -269,15 +310,14 @@ def _run(cfg: RunConfig):
 
     primary = _primary_certificate(cert14, cert15)
     primary_kind = "none" if primary is None else primary.kind
-    d0 = riccati.diagnostics(traj.snapshots[0])
     drift = solver.conserved_drift(traj, t_max=t_resolved)
     summary = [
         ("termination", traj.termination.kind),
         ("t_stop", traj.termination.t_stop),
         ("x_loc", traj.termination.x_loc),
         ("steps", traj.steps_taken),
-        ("min_y0", float(np.min(d0.y))),
-        ("min_q0", float(np.min(d0.q))),
+        ("min_y0", float(min_y[0])),
+        ("min_q0", float(min_q[0])),
         ("t_blow", None if estimate is None else estimate.t_blow),
         ("t_blow_uncertainty", None if estimate is None else estimate.uncertainty),
         ("certificate", primary_kind),
@@ -290,8 +330,6 @@ def _run(cfg: RunConfig):
 
     if cfg.output.emit_svg:
         t_series = traj.times
-        min_y = np.array([float(np.min(riccati.diagnostics(s).y)) for s in traj.snapshots])
-        min_q = np.array([float(np.min(riccati.diagnostics(s).q)) for s in traj.snapshots])
         svg.line_plot(
             out / "yq_extrema.svg",
             [("min y", t_series, min_y), ("min q", t_series, min_q)],
@@ -305,10 +343,12 @@ def _run(cfg: RunConfig):
             xlabel="t", ylabel="x (unwrapped)",
         )
 
-    numeric_failure = traj.termination.kind in ("cfl_collapse", "vacuum_guard", "non_finite")
-    if numeric_failure and primary_kind == "none":
-        print(f"numeric failure: {traj.termination.kind} at t={traj.termination.t_stop:g}",
-              file=sys.stderr)
+    # under a certificate's hypotheses z stays in [Z_L, Z_U], so the wave
+    # speed stays bounded: a CFL collapse or a vacuum stop is never the
+    # certified blowup, whatever the certificate
+    kind = traj.termination.kind
+    if kind in ("cfl_collapse", "vacuum_guard") or (kind == "non_finite" and primary_kind == "none"):
+        print(f"numeric failure: {kind} at t={traj.termination.t_stop:g}", file=sys.stderr)
         return 3, summary
     return 0, summary
 

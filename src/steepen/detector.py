@@ -248,24 +248,29 @@ class BlowupEstimate:
     window: tuple[float, float]
 
 
-def detect_blowup(traj: Trajectory) -> BlowupEstimate | None:
+def gradient_peak(d: riccati.DiagnosticFields) -> float:
+    """max(|y|, |q|) over the grid: the size whose growth :func:`detect_blowup` extrapolates."""
+    return max(float(np.max(np.abs(d.y))), float(np.max(np.abs(d.q))))
+
+
+def detect_blowup(traj: Trajectory, peak=None) -> BlowupEstimate | None:
     """Extrapolate the gradient-blowup time from the growth of |y|, |q|.
 
     Fits 1/max(|y|, |q|) against time over the last resolved stretch of the
     run and extrapolates its zero crossing; the reciprocal is asymptotically
-    linear near the pole.  Returns None for runs that did not terminate in
-    gradient blowup, and for blowup runs where the time cannot be
-    estimated: fewer than 5 snapshots with a nonzero peak, or a fitted
-    reciprocal that does not decay.
+    linear near the pole.  ``peak`` is the :func:`gradient_peak` of every
+    snapshot, as a run's pass over its snapshots records it; without it,
+    each snapshot's diagnostics are computed here.  Returns None for runs
+    that did not terminate in gradient blowup, and for blowup runs where
+    the time cannot be estimated: fewer than 5 snapshots with a nonzero
+    peak, or a fitted reciprocal that does not decay.
     """
     if traj.termination.kind != "gradient_blowup":
         return None
 
     t = traj.times
-    peak = np.empty_like(t)
-    for k, snap in enumerate(traj.snapshots):
-        d = riccati.diagnostics(snap)
-        peak[k] = max(float(np.max(np.abs(d.y))), float(np.max(np.abs(d.q))))
+    if peak is None:
+        peak = np.array([gradient_peak(riccati.diagnostics(snap)) for snap in traj.snapshots])
     good = peak > 0.0
     t = t[good]
     g_recip = 1.0 / peak[good]

@@ -148,9 +148,6 @@ class StateField:
     profile: EntropyProfile
     gc: GasConstants
     z_floor: float = Z_FLOOR
-    #: the state's ``riccati.DiagnosticFields``, filled on first use by
-    #: ``riccati.diagnostics``
-    cached_diagnostics: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.z = np.array(self.z, dtype=float)

@@ -22,8 +22,11 @@ q` = a0 + a2 q^2; ``residual`` measures both numerically along traced
 characteristics.
 
 :func:`diagnostics` is the one way to reach these fields.  It computes
-them once per state and caches them on the state itself (the state's
-arrays are read-only, so the cache cannot go stale).
+them and returns them, with no cache: a caller that needs a state's
+fields more than once keeps the result, and a run computes each stored
+snapshot's diagnostics once, in one pass over the snapshots.
+:func:`grid_quantities` resolves several named fields of a state with
+one call of :func:`diagnostics`.
 """
 
 from __future__ import annotations
@@ -80,10 +83,7 @@ class DiagnosticFields:
 
 
 def diagnostics(state: StateField) -> DiagnosticFields:
-    """Every diagnostic field of the state, computed on the grid (cached on the state)."""
-    if state.cached_diagnostics is not None:
-        return state.cached_diagnostics
-
+    """Every diagnostic field of the state, computed on the grid."""
     gc = state.gc
     g = gc.gamma
     ex = Exponents.of(g)
@@ -124,7 +124,7 @@ def diagnostics(state: StateField) -> DiagnosticFields:
     a2 = -K_c * (g + 1.0) / (2.0 * (g - 1.0)) * m**ex.E2 * z ** (ex.E1 - 1.0)
     a1_t = K_c * ex.E2 * m_x * z**ex.E_c
 
-    fields = DiagnosticFields(
+    return DiagnosticFields(
         u_x=u_x, z_x=z_x, s_x=s_x, r_x=r_x,
         alpha=alpha, beta=beta,
         y=y, q=q, y_tilde=y_tilde, q_tilde=q_tilde,
@@ -132,31 +132,37 @@ def diagnostics(state: StateField) -> DiagnosticFields:
         a0=a0, a2=a2, a0_t=a0_t, a1_t=a1_t, a2_t=a2_t,
         mu_bar=mu_bar,
     )
-    state.cached_diagnostics = fields
-    return fields
 
 
-#: names resolvable by :func:`grid_quantity` beyond the raw state arrays
+#: names resolvable by :func:`grid_quantities` beyond the raw state arrays
 _DIAG_NAMES = tuple(f.name for f in dataclasses.fields(DiagnosticFields))
 
 
-def grid_quantity(state: StateField, name: str) -> np.ndarray:
-    """A named primitive or derived field evaluated on the grid."""
-    if name == "z":
-        return state.z
-    if name == "u":
-        return state.u
-    if name in ("m", "m_x", "m_xx"):
-        return state.m_arrays()[("m", "m_x", "m_xx").index(name)]
-    if name in ("p", "c"):
-        p, c = state.thermo()
-        return p if name == "p" else c
-    if name in ("s", "r"):
-        m = state.m_arrays()[0]
-        return state.u + m * state.z if name == "s" else state.u - m * state.z
-    if name in _DIAG_NAMES:
-        return getattr(diagnostics(state), name)
-    raise ValueError(f"unknown quantity {name!r}")
+def grid_quantities(state: StateField, names, diag: DiagnosticFields | None = None) -> dict:
+    """Named primitive or derived fields evaluated on the grid, ``{name: array}``.
+
+    The state's diagnostics are computed at most once, for all the names
+    that need them, and not at all when ``diag`` gives them.
+    """
+    out = {}
+    for name in names:
+        if name in ("z", "u"):
+            out[name] = state.z if name == "z" else state.u
+        elif name in ("m", "m_x", "m_xx"):
+            out[name] = state.m_arrays()[("m", "m_x", "m_xx").index(name)]
+        elif name in ("p", "c"):
+            p, c = state.thermo()
+            out[name] = p if name == "p" else c
+        elif name in ("s", "r"):
+            m = state.m_arrays()[0]
+            out[name] = state.u + m * state.z if name == "s" else state.u - m * state.z
+        elif name in _DIAG_NAMES:
+            if diag is None:
+                diag = diagnostics(state)
+            out[name] = getattr(diag, name)
+        else:
+            raise ValueError(f"unknown quantity {name!r}")
+    return out
 
 
 # --- phase-line classification -------------------------------------------
@@ -294,9 +300,9 @@ def residual(traj, curve, which: str) -> np.ndarray:
             f"{which} needs a {direction} curve, got a {curve.direction} one"
         )
 
-    for name in needed:
-        if name not in curve.samples:
-            charpath.sample_along(curve, traj, name)
+    missing = [name for name in needed if name not in curve.samples]
+    if missing:  # one pass: each snapshot's diagnostics computed once
+        charpath.sample_along(curve, traj, missing)
     s = curve.samples
 
     lhs = charpath.directional_derivative(curve, measured)

@@ -65,9 +65,11 @@ class ConservedLog:
 class Trajectory:
     """The stored snapshots of a run, why it stopped and its conservation log.
 
-    It holds no derived data beyond what each snapshot caches on itself
-    (its diagnostics); the tables that characteristic tracing and
-    sampling need are built and dropped by :mod:`steepen.charpath`.
+    It holds no derived data: a snapshot is its ``(z, u)`` arrays, and its
+    diagnostics are computed by whoever needs them
+    (:func:`steepen.riccati.diagnostics`).  The grid rows that
+    characteristic tracing and sampling need are held by a
+    :class:`steepen.charpath.FieldSampler`, a few snapshots at a time.
     """
 
     snapshots: list[StateField]

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ def _lagrange_reference(traj, name, tq, xq):
         for ii in range(len(tw)):
             if ii != jj:
                 w *= (tq - tw[ii]) / (tw[jj] - tw[ii])
-        arr = riccati.grid_quantity(traj.snapshots[j0 + jj], name)
+        arr = riccati.grid_quantities(traj.snapshots[j0 + jj], (name,))[name]
         at_snapshot = None
         for o in offsets:
             wx = 1.0
@@ -176,27 +178,27 @@ def test_space_interpolation_is_sixth_order(gas3):
     assert error(64) <= error(32) / 2.0**5.5
 
 
-def test_one_spline_table_per_quantity(varying_traj, monkeypatch):
-    traj = solver.Trajectory(
-        snapshots=varying_traj.snapshots,
-        termination=varying_traj.termination,
-        conserved=varying_traj.conserved,
-    )
-    built = []
-    build = charpath.grid_table
+def test_residual_computes_each_snapshot_diagnostics_once(varying_traj, monkeypatch):
+    traj = varying_traj
+    real = riccati.diagnostics
+    states = []  # the state of every diagnostics call
+    alive = []  # weak references to every result
 
-    def counting(traj, name):
-        table = build(traj, name)
-        built.append((name, table.shape))
-        return table
+    def spy(state):
+        # the sampler holds rows for one time window, 4 snapshots
+        assert sum(ref() is not None for ref in alive) <= 4
+        states.append(state)
+        result = real(state)
+        alive.append(weakref.ref(result))
+        return result
 
-    monkeypatch.setattr(charpath, "grid_table", counting)
+    monkeypatch.setattr(riccati, "diagnostics", spy)
     curve = charpath.trace(traj, 0.3, "forward")
-    riccati.residual(traj, curve, "ode_y")
-    assert [name for name, _ in built] == ["c", "y", "a0", "a2"]  # c while tracing; y, a0 and a2 for the residual
-    assert all(shape == (len(traj.snapshots), traj.grid.n) for _, shape in built)
+    assert states == []  # tracing needs the wave speed only
+    riccati.residual(traj, curve, "ode_y")  # y, a0 and a2 in one pass
+    assert [id(s) for s in states] == [id(s) for s in traj.snapshots]
     riccati.residual(traj, curve, "ode_y")  # every sample is on the curve already
-    assert len(built) == 4
+    assert len(states) == len(traj.snapshots)
 
 
 def test_sample_m_constant_entropy(constant_traj):

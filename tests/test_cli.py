@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -168,6 +169,25 @@ def test_cfl_collapse_without_certificate_exit_3(tmp_path):
     assert summary["certificate"] == "none"
 
 
+@pytest.mark.parametrize("kind", ["cfl_collapse", "vacuum_guard"])
+def test_cfl_collapse_or_vacuum_with_certificate_exit_3(tmp_path, monkeypatch, kind):
+    # the certificate's bounds keep the wave speed bounded, so neither stop
+    # can be the certified blowup
+    text = RUN_CFG.replace("params.amp = 0.2", "params.amp = 0.0001")
+    if kind == "cfl_collapse":
+        text = text.replace("solver.t_end = 0.3", "solver.t_end = 0.3\nsolver.dt_min = 1\n")
+    else:
+        monkeypatch.setattr(solver._Workspace, "max_wavespeed", lambda self, z: float("nan"))
+    path = tmp_path / "stop.cfg"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 3
+    lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ") for line in lines if " = " in line)
+    assert summary["termination"] == kind
+    assert summary["steps"] == "0"
+    assert summary["certificate"] == "thm15_y"
+
+
 def test_non_finite_without_certificate_writes_outputs_exit_3(tmp_path, monkeypatch):
     text = "".join(line + "\n" for line in RUN_CFG.splitlines() if not line.startswith("certify."))
     path = tmp_path / "nan.cfg"
@@ -250,8 +270,9 @@ def _fields_csv_reference(traj):
 
 def test_fields_csv_matches_per_row_reference(tmp_path):
     gc = eos.make_constants(3.0, 1.0 / 3.0, 1.0)
-    # the unit grid, and one with x0 = -10 and a non-dyadic h
-    for x0, x1, n in ((0.0, 1.0, 16), (-10.0, 3.7, 24)):
+    # the unit grid, one with x0 = -10 and a non-dyadic h, and one whose
+    # rows are formatted in two blocks, the second one partial
+    for x0, x1, n in ((0.0, 1.0, 16), (-10.0, 3.7, 24), (0.0, 1.0, 300)):
         grid = fields.Grid(x0, x1, n)
         state, profile = fields.build_initial(
             "-0.2*sin(2*pi*x)", grid, gc, m0="1 + 0.1*cos(2*pi*x)", z0=1.0
@@ -262,11 +283,40 @@ def test_fields_csv_matches_per_row_reference(tmp_path):
         z = np.resize([1e-9, 1e3, 2.0, 0.7], n)
         traj.snapshots.append(fields.StateField(grid=grid, t=1.0 / 3.0, z=z, u=u, profile=profile, gc=gc))
         path = tmp_path / "fields.csv"
-        cli._write_fields_csv(path, traj)
+        extrema = np.empty((3, len(traj.snapshots)))
+        with open(path, "w") as fh:
+            for rows in cli._snapshot_pass(fh, traj, ("y",), extrema):
+                assert set(rows) == {"y"}
         text = path.read_text()
         assert text == _fields_csv_reference(traj)
+        for k, snap in enumerate(traj.snapshots):
+            d = riccati.diagnostics(snap)
+            peak = max(float(np.max(np.abs(d.y))), float(np.max(np.abs(d.q))))
+            assert tuple(extrema[:, k]) == (np.min(d.y), np.min(d.q), peak)
         assert f"\n0.3333333333333333,{x0:.16g},1e-09,-0," in text
         assert ",1e+290," in text and ",4.940656458412465e-324," in text
+
+
+def test_curves_csv_matches_per_row_reference(tmp_path):
+    t = np.array([0.0, 1.0 / 3.0, 0.5, 2.0])
+    blocks = []
+    for cid, direction, x, values, res in (
+        ("seed0_ode_y", "forward", [0.1, -0.0, 1e-300, 0.999], [-0.0, 5e-324, 1e290, -2.5], [np.nan, 0.0, -1e-9, np.inf]),
+        ("seed1_ode_q", "backward", [0.6, 0.55, 0.5, 0.45], [1.0, 2.0, 3.0, 4.0], [-np.inf, 1.0 / 7.0, 2.0, 3.0]),
+    ):
+        curve = charpath.CharacteristicCurve(direction, t, np.array(x), np.array(x))
+        blocks.append((cid, direction, curve, np.array(values), np.array(res)))
+    path = tmp_path / "curves.csv"
+    cli._write_curves_csv(path, blocks)
+    # the writer it replaced: one tuple of numpy scalars per row, then one f-string per row
+    rows = [(cid, direction, curve.t[i], curve.x[i], values[i], res[i])
+            for cid, direction, curve, values, res in blocks for i in range(len(curve.t))]
+    expect = "curve_id,direction,t,x,value,residual\n" + "".join(
+        f"{cid},{direction},{t:.16g},{x:.16g},{v:.16g},{r:.16g}\n" for cid, direction, t, x, v, r in rows
+    )
+    assert path.read_text() == expect
+    assert "seed0_ode_y,forward,0.3333333333333333,-0,4.940656458412465e-324,0\n" in expect
+    assert ",nan\n" in expect and ",-inf\n" in expect
 
 
 def test_diagnose_traces_every_seed_and_direction_in_one_call(cfg_path, monkeypatch):
@@ -284,40 +334,93 @@ def test_diagnose_traces_every_seed_and_direction_in_one_call(cfg_path, monkeypa
     assert {row.split(",")[0] for row in rows} == {"seed0_ode_y", "seed0_ode_q", "seed1_ode_y", "seed1_ode_q"}
 
 
-def test_diagnose_builds_each_spline_table_once_and_drops_it(cfg_path, monkeypatch):
+def test_run_computes_each_snapshot_diagnostics_once_in_a_window(cfg_path, monkeypatch):
     text = RUN_CFG.replace("diagnostics.seeds = 0.1, 0.6", "diagnostics.seeds = 0.1, 0.35, 0.6")
     text = text.replace("diagnostics.residuals = ode_y, ode_q",
                         "diagnostics.residuals = ode_y, ode_q, ode_ytilde, rem1")
     path = cfg_path.parent / "kinds.cfg"
     path.write_text(text)
     cfg = cli.load_config(path)
-    state0, _ = cli.make_initial(cfg)
-    traj = solver.evolve(state0, cfg.solver)
+    real_evolve, real_diagnostics = solver.evolve, riccati.diagnostics
+    trajs = []
+    states = []  # the state of every diagnostics call
+    alive = []  # weak references to every result
 
-    real_quantity, real_build = riccati.grid_quantity, charpath.grid_table
-    requested = []  # grid_quantity names since the last table build
-    built = []  # (quantity, weak reference to its table)
+    def spy_evolve(state0, solver_cfg):
+        trajs.append(real_evolve(state0, solver_cfg))
+        return trajs[-1]
 
-    def spy_quantity(state, name):
-        requested.append(name)
-        return real_quantity(state, name)
+    def spy_diagnostics(state):
+        # no more than a window of 4 snapshots is held at a time
+        assert sum(ref() is not None for ref in alive) <= 4
+        states.append(state)
+        result = real_diagnostics(state)
+        alive.append(weakref.ref(result))
+        return result
 
-    def counting_build(traj, name):
-        assert all(ref() is None for _, ref in built), "an earlier table is alive"
-        table = real_build(traj, name)
-        assert set(requested) == {name}
-        built.append((name, weakref.ref(table)))
-        requested.clear()
-        return table
+    monkeypatch.setattr(solver, "evolve", spy_evolve)
+    monkeypatch.setattr(riccati, "diagnostics", spy_diagnostics)
+    assert cli.run_pipeline(cfg) == 0
+    [traj] = trajs
+    snapshot_ids = [id(s) for s in traj.snapshots]
+    on_snapshots = [id(s) for s in states if id(s) in snapshot_ids]
+    assert on_snapshots == snapshot_ids  # each once, in one forward pass
+    others = [s for s in states if id(s) not in snapshot_ids]
+    assert len(others) == 2 and others[0] is others[1]  # the two certificates on state0
+    assert others[0].t == 0.0
+    summary = (cfg_path.parent / "out" / "summary.txt").read_text()
+    for kind in ("ode_y", "ode_q", "ode_ytilde", "rem1"):
+        assert f"residual_max.{kind} = " in summary
+    rows = (cfg_path.parent / "out" / "curves.csv").read_text().splitlines()[1:]
+    assert len({row.split(",")[0] for row in rows}) == 3 * 4
 
-    monkeypatch.setattr(riccati, "grid_quantity", spy_quantity)
-    monkeypatch.setattr(charpath, "grid_table", counting_build)
-    curves, rows, residual_max = cli._diagnose(cfg, traj, traj.termination.t_stop)
-    union = {"y", "a0", "a2", "q", "y_tilde", "a0_t", "a1_t", "a2_t", "alpha", "beta", "k1", "k2"}
-    names = [name for name, _ in built]
-    assert names[0] == "c" and sorted(names[1:]) == sorted(union)
-    assert all(ref() is None for _, ref in built)
-    assert len(curves) == 6 and set(residual_max) == {"ode_y", "ode_q", "ode_ytilde", "rem1"}
+
+MEMORY_CFG = """\
+gas.gamma = 3
+gas.K = 0.3333333333333333
+grid.x0 = 0
+grid.x1 = 1
+grid.n = 256
+initial.u0 = -0.2*sin(2*pi*x)
+initial.z0 = 1
+solver.t_end = 0.25
+solver.snapshot_stride = {stride}
+diagnostics.seeds = 0.25
+diagnostics.directions = forward
+diagnostics.residuals = ode_y
+output.directory = out{stride}
+output.emit_svg = false
+"""
+
+
+def test_run_memory_above_the_snapshots_does_not_grow_with_their_count(tmp_path, monkeypatch):
+    real = solver.evolve
+    counts = []
+
+    def spy(state0, solver_cfg):
+        traj = real(state0, solver_cfg)
+        counts.append(len(traj.snapshots))
+        return traj
+
+    monkeypatch.setattr(solver, "evolve", spy)
+    stored, above = [], []
+    for stride in (1, 10):
+        path = tmp_path / f"mem{stride}.cfg"
+        path.write_text(MEMORY_CFG.format(stride=stride))
+        cfg = cli.load_config(path)
+        tracemalloc.start()
+        try:
+            assert cli.run_pipeline(cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored.append(counts[-1] * 2 * 256 * 8)  # the (z, u) arrays of the snapshots
+        above.append(peak - stored[-1])
+    assert counts[0] > 8 * counts[1]
+    # a table of one quantity over all snapshots is half the size of the
+    # snapshots' arrays: what the run holds beyond them must grow by less
+    # (the curve's own nodes, 4 per snapshot interval, still grow with them)
+    assert above[0] - above[1] < 0.5 * (stored[0] - stored[1])
 
 
 @pytest.mark.parametrize("poison, kind, code", [
