@@ -300,7 +300,7 @@ def _run(cfg: RunConfig):
     estimate = detector.detect_blowup(traj, peak)
     report = None
     if cfg.certify.bounds is not None:
-        report = fields.validate_assumptions(traj, profile, cfg.certify.bounds)
+        report = fields.validate_assumptions(traj.snapshots, profile, cfg.certify.bounds)
 
     _write_curves_csv(out / "curves.csv", blocks)
     _write_kv(out / "certificate.txt", "certificate report",
@@ -369,7 +369,7 @@ def certify_only(cfg: RunConfig) -> int:
     _write_kv(out / "certificate.txt", "certificate report",
               _certificate_pairs(cfg, state0, ths, cert14, cert15))
     if cfg.certify.bounds is not None:
-        report = fields.validate_assumptions(state0, profile, cfg.certify.bounds)
+        report = fields.validate_assumptions([state0], profile, cfg.certify.bounds)
         _write_kv(out / "assumptions.txt", "assumption report (initial data only)",
                   _assumption_pairs(report))
     return 0

@@ -10,6 +10,7 @@ sweepable leaves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,7 +115,7 @@ def _bool(block: str, name: str, raw: str) -> bool:
 
 
 _KNOWN = {
-    "gas": {"gamma", "K", "c_v"},
+    "gas": {"gamma", "K"},
     "grid": {"x0", "x1", "n"},
     "initial": {"u0", "z0", "tau0", "m0"},
     "solver": {"cfl", "t_end", "gradient_cap", "snapshot_stride", "dt_min"},
@@ -154,7 +155,6 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
         gas = eos.make_constants(
             _float("gas", "gamma", gas_kv["gamma"]),
             _float("gas", "K", gas_kv["K"]),
-            _float("gas", "c_v", gas_kv.get("c_v", "1.0")),
         )
     except ValueError as exc:
         raise ConfigError(f"gas block: {exc}") from None
@@ -239,10 +239,12 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
             raise ConfigError(f"certify block: {exc}") from None
     if "epsilon" in cert_kv:
         certify.epsilon = _float("certify", "epsilon", cert_kv["epsilon"])
-        if certify.epsilon < 0.0:
-            raise ConfigError("certify block: epsilon must be nonnegative")
+        if not 0.0 <= certify.epsilon < math.inf:
+            raise ConfigError("certify block: epsilon must be finite and nonnegative")
     if "A" in cert_kv:
         certify.A = _float("certify", "A", cert_kv["A"])
+        if not math.isfinite(certify.A):
+            raise ConfigError("certify block: A must be finite")
         if certify.bounds is None and gas.gamma != 3.0:  # Theorem 15's T* bound needs them
             raise ConfigError("certify block: A needs the bounds Z_L ... M4 unless gas.gamma = 3")
 

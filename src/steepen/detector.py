@@ -68,8 +68,6 @@ class Thresholds:
     N_tilde: float
     A1: float
     A2: float
-    epsilon: float
-    discriminant_sign_caveat: bool  # A1 < 0: |A1| in N~ differs from raw A1
 
 
 def thresholds(bounds: AssumptionBounds, gamma: float, epsilon: float = 0.01) -> Thresholds:
@@ -104,14 +102,7 @@ def thresholds(bounds: AssumptionBounds, gamma: float, epsilon: float = 0.01) ->
         / (2.0 * (3.0 * g - 1.0) * (g + 1.0))
         * bounds.Z_U ** (ex.E1 + 1.0)
     )
-    return Thresholds(
-        N=float(N),
-        N_tilde=float(N_tilde),
-        A1=float(A1),
-        A2=float(A2),
-        epsilon=epsilon,
-        discriminant_sign_caveat=A1 < 0.0,
-    )
+    return Thresholds(N=float(N), N_tilde=float(N_tilde), A1=float(A1), A2=float(A2))
 
 
 # --- certificates -----------------------------------------------------------
@@ -121,11 +112,9 @@ def thresholds(bounds: AssumptionBounds, gamma: float, epsilon: float = 0.01) ->
 class Certificate:
     kind: str  # thm14_y | thm14_q | thm14_ytilde | thm14_qtilde | thm15_y | thm15_q | none
     threshold: float | None = None
-    epsilon: float | None = None
     witness_x: float | None = None
     witness_value: float | None = None
     t_star_bound: float | None = None
-    bounds: AssumptionBounds | None = None
     conditional: bool = True
 
 
@@ -151,13 +140,11 @@ def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float =
             return Certificate(
                 kind=kind,
                 threshold=limit,
-                epsilon=epsilon,
                 witness_x=float(x[i]),
                 witness_value=float(arr[i]),
-                bounds=bounds,
                 conditional=True,
             )
-    return Certificate(kind="none", epsilon=epsilon, bounds=bounds, conditional=True)
+    return Certificate(kind="none", conditional=True)
 
 
 def profile_condition_curvature(profile: EntropyProfile, gamma: float, grid: Grid) -> np.ndarray:
@@ -204,7 +191,7 @@ def certify_thm15(
     delta_cond = 1e-10 * float(np.max(state0.m_arrays()[0] ** (-kappa)))
 
     region = grid.x > A if variable == "y" else grid.x < A
-    none_cert = Certificate(kind="none", bounds=bounds, conditional=gamma != 3.0)
+    none_cert = Certificate(kind="none", conditional=gamma != 3.0)
     if not np.any(region):
         return none_cert
     if float(np.min(w_xx[region])) < -delta_cond:
@@ -223,19 +210,8 @@ def certify_thm15(
         witness_x=float(grid.x[i]),
         witness_value=v0,
         t_star_bound=t_star,
-        bounds=bounds,
         conditional=gamma != 3.0,
     )
-
-
-def sign_a0_profile(profile: EntropyProfile, gamma: float, grid: Grid) -> np.ndarray:
-    """Per-cell sign of a0, which depends only on the entropy profile.
-
-    Computed as sign((3g-1) m m_xx - (3g+1) m_x^2); stationary in time.
-    """
-    m, m_x, m_xx = profile.on_grid(grid)
-    g = gamma
-    return np.sign((3.0 * g - 1.0) * m * m_xx - (3.0 * g + 1.0) * m_x**2)
 
 
 # --- empirical blowup-time measurement --------------------------------------

@@ -12,8 +12,9 @@ pure power laws::
     p   = K_p * m**2 * z**(2*gamma/(gamma-1))
     c   = K_c * m * z**((gamma+1)/(gamma-1))
 
-(tau, S) appear only at ingestion and report boundaries; everything else in
-the package consumes (z, m).
+The entropy profile is given directly as m(x), so c_v never enters; tau
+appears only at ingestion (``initial.tau0``).  Everything else in the
+package consumes (z, m).
 """
 
 from __future__ import annotations
@@ -41,27 +42,24 @@ class GasConstants:
 
     gamma: float
     K: float
-    c_v: float
     K_tau: float
     K_p: float
     K_c: float
 
 
-def make_constants(gamma: float, K: float, c_v: float) -> GasConstants:
+def make_constants(gamma: float, K: float) -> GasConstants:
     """Build a :class:`GasConstants` record, deriving K_tau, K_p, K_c.
 
-    Raises ValueError unless gamma > 1, K > 0 and c_v > 0.
+    Raises ValueError unless gamma > 1 and K > 0, both finite.
     """
-    if not gamma > 1.0:
-        raise ValueError(f"adiabatic exponent must exceed 1, got gamma={gamma}")
-    if not K > 0.0:
-        raise ValueError(f"pressure-law constant must be positive, got K={K}")
-    if not c_v > 0.0:
-        raise ValueError(f"specific heat must be positive, got c_v={c_v}")
+    if not 1.0 < gamma < np.inf:
+        raise ValueError(f"adiabatic exponent must be finite and exceed 1, got gamma={gamma}")
+    if not 0.0 < K < np.inf:
+        raise ValueError(f"pressure-law constant must be finite and positive, got K={K}")
     K_tau = (2.0 * np.sqrt(K * gamma) / (gamma - 1.0)) ** (2.0 / (gamma - 1.0))
     K_p = K * K_tau ** (-gamma)
     K_c = np.sqrt(K * gamma) * K_tau ** (-(gamma + 1.0) / 2.0)
-    return GasConstants(gamma=gamma, K=K, c_v=c_v, K_tau=K_tau, K_p=K_p, K_c=K_c)
+    return GasConstants(gamma=gamma, K=K, K_tau=K_tau, K_p=K_p, K_c=K_c)
 
 
 def z_of_tau(tau, gc: GasConstants):
@@ -72,15 +70,6 @@ def z_of_tau(tau, gc: GasConstants):
     g = gc.gamma
     z = (2.0 * np.sqrt(gc.K * g) / (g - 1.0)) * tau ** (-(g - 1.0) / 2.0)
     return z if z.ndim else float(z)
-
-
-def tau_of_z(z, gc: GasConstants, z_floor: float = Z_FLOOR):
-    """Specific volume from z; inverse of :func:`z_of_tau`."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= z_floor) or not np.all(np.isfinite(z)):
-        raise VacuumError(f"z must exceed the vacuum floor {z_floor:g}")
-    tau = gc.K_tau * z ** (-2.0 / (gc.gamma - 1.0))
-    return tau if tau.ndim else float(tau)
 
 
 def thermo(z, m, gc: GasConstants, z_floor: float = Z_FLOOR):
@@ -100,30 +89,3 @@ def thermo(z, m, gc: GasConstants, z_floor: float = Z_FLOOR):
     if p.ndim:
         return p, c
     return float(p), float(c)
-
-
-def m_of_entropy(S, gc: GasConstants):
-    """Entropy variable m = exp(S / (2 c_v)); positive for any real S."""
-    m = np.exp(np.asarray(S, dtype=float) / (2.0 * gc.c_v))
-    return m if m.ndim else float(m)
-
-
-def entropy_of_m(m, gc: GasConstants):
-    """Inverse of :func:`m_of_entropy` (ingestion/report boundary only)."""
-    m = np.asarray(m, dtype=float)
-    if np.any(m <= 0.0):
-        raise ValueError("entropy variable m must be positive")
-    S = 2.0 * gc.c_v * np.log(m)
-    return S if S.ndim else float(S)
-
-
-def pressure_tau_S(tau, S, gc: GasConstants):
-    """Pressure in the original (tau, S) variables: K e^(S/c_v) tau^(-gamma).
-
-    Report-boundary helper; the rest of the package uses :func:`thermo`.
-    """
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0.0):
-        raise VacuumError("specific volume must be positive")
-    p = gc.K * np.exp(np.asarray(S, dtype=float) / gc.c_v) * tau ** (-gc.gamma)
-    return p if p.ndim else float(p)

@@ -27,6 +27,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.x0) and np.isfinite(self.x1)):
+            raise ValueError("grid ends x0, x1 must be finite")
         if not self.x1 > self.x0:
             raise ValueError("grid requires x1 > x0")
         if self.n < 16:
@@ -150,6 +152,7 @@ class StateField:
     z_floor: float = Z_FLOOR
 
     def __post_init__(self):
+        # a state owns its arrays: np.array copies whatever it is given
         self.z = np.array(self.z, dtype=float)
         self.u = np.array(self.u, dtype=float)
         if self.z.shape != (self.grid.n,) or self.u.shape != (self.grid.n,):
@@ -238,16 +241,15 @@ def build_initial(
 # --- finite differences --------------------------------------------------
 
 
-def derivative(values, grid: Grid, order: int = 1) -> np.ndarray:
-    """4th-order central finite difference on the periodic grid.
+def derivative(values, grid: Grid) -> np.ndarray:
+    """First derivative by the 4th-order central difference on the periodic grid.
 
-    order=1 and order=2 are supported; the stencils are exact for
-    polynomials of degree <= 4 (away from the periodic wrap) up to rounding.
-    ``values`` is differentiated along its last axis, which must match the
-    grid, so a stack of fields such as ``(z, u)`` takes one call; each row
-    equals the 1-D result bit for bit.  The shifted neighbours are slices
-    of one copy of ``values`` padded with two periodic ghost cells on each
-    side.
+    The stencil is exact for polynomials of degree <= 4 (away from the
+    periodic wrap) up to rounding.  ``values`` is differentiated along its
+    last axis, which must match the grid, so a stack of fields such as
+    ``(z, u)`` takes one call; each row equals the 1-D result bit for bit.
+    The shifted neighbours are slices of one copy of ``values`` padded with
+    two periodic ghost cells on each side.
     """
     f = np.asarray(values, dtype=float)
     if f.ndim == 0 or f.shape[-1] != grid.n:
@@ -257,17 +259,13 @@ def derivative(values, grid: Grid, order: int = 1) -> np.ndarray:
     fm1 = padded[..., 1:-3]
     fp1 = padded[..., 3:-1]
     fp2 = padded[..., 4:]
-    if order == 1:
-        # (-fp2 + 8 fp1 - 8 fm1 + fm2) / (12 h), summed in that order in place
-        out = fp1 * 8.0
-        out -= fp2
-        out -= fm1 * 8.0
-        out += fm2
-        out /= 12.0 * grid.h
-        return out
-    if order == 2:
-        return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * grid.h**2)
-    raise ValueError("order must be 1 or 2")
+    # (-fp2 + 8 fp1 - 8 fm1 + fm2) / (12 h), summed in that order in place
+    out = fp1 * 8.0
+    out -= fp2
+    out -= fm1 * 8.0
+    out += fm2
+    out /= 12.0 * grid.h
+    return out
 
 
 # --- a-priori bound checking ---------------------------------------------
@@ -285,6 +283,9 @@ class AssumptionBounds:
     M4: float
 
     def __post_init__(self):
+        for name in ("Z_L", "Z_U", "M1", "M2", "M3", "M4"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0.0 < self.Z_L < self.Z_U):
             raise ValueError("need 0 < Z_L < Z_U")
         if not (0.0 < self.M1 < self.M2):
@@ -318,15 +319,10 @@ class AssumptionReport:
 def validate_assumptions(states, profile: EntropyProfile, bounds: AssumptionBounds) -> AssumptionReport:
     """Compare observed extremes of z and the entropy profile against bounds.
 
-    ``states`` is a StateField, an iterable of StateFields, or a Trajectory
-    (anything with ``.snapshots``).  Violations are report entries, never
-    errors; inputs are not mutated.
+    ``states`` is a sequence of StateFields, such as a trajectory's
+    snapshots.  Violations are report entries, never errors; inputs are
+    not mutated.
     """
-    if hasattr(states, "snapshots"):
-        states = states.snapshots
-    elif isinstance(states, StateField):
-        states = [states]
-    states = list(states)
     if not states:
         raise ValueError("no states to check")
 

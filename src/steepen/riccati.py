@@ -92,10 +92,10 @@ def diagnostics(state: StateField) -> DiagnosticFields:
     u = state.u
     m, m_x, m_xx = state.m_arrays()
 
-    u_x = derivative(u, grid, 1)
-    z_x = derivative(z, grid, 1)
-    s_x = derivative(u + m * z, grid, 1)
-    r_x = derivative(u - m * z, grid, 1)
+    u_x = derivative(u, grid)
+    z_x = derivative(z, grid)
+    s_x = derivative(u + m * z, grid)
+    r_x = derivative(u - m * z, grid)
 
     ent = ((g - 1.0) / g) * m_x * z
     alpha = u_x + m * z_x + ent
@@ -189,86 +189,6 @@ def phase_classify(a0: float, a2: float, v: float) -> PhaseRegime:
     r = float(np.sqrt(-a0 / a2))
     region = "below" if v < -r else ("above" if v > r else "between")
     return PhaseRegime((-r, r), region, mono)
-
-
-# --- Riccati integration as a blowup oracle --------------------------------
-
-
-@dataclass(frozen=True)
-class RiccatiResult:
-    kind: str  # finite | blowup
-    value: float | None = None
-    t_blow: float | None = None
-
-
-def integrate_riccati(
-    v0: float,
-    t: np.ndarray,
-    a0: np.ndarray,
-    a2: np.ndarray,
-    blow_threshold: float = 1e8,
-) -> RiccatiResult:
-    """Integrate v' = a0(t) + a2(t) v^2 over the coefficient series.
-
-    Declares blowup once |v| crosses ``blow_threshold``; the blowup time is
-    then recovered by extrapolating the reciprocal 1/v (linear near the
-    pole) through the last accepted steps.  With constant coefficients and
-    a0 = 0 the result is cross-checked against the closed form
-    v(t) = v0 / (1 - a2 v0 t).
-    """
-    from scipy.integrate import solve_ivp  # a test oracle: keep scipy off the run path
-    from scipy.interpolate import CubicSpline
-
-    t = np.asarray(t, dtype=float)
-    a0 = np.broadcast_to(np.asarray(a0, dtype=float), t.shape)
-    a2 = np.broadcast_to(np.asarray(a2, dtype=float), t.shape)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("t must be a strictly increasing series")
-    if np.any(a2 >= 0.0):
-        raise ValueError("a2 series must be negative throughout")
-
-    if t.size >= 4:
-        a0_f = CubicSpline(t, a0)
-        a2_f = CubicSpline(t, a2)
-    else:
-        a0_f = lambda s: np.interp(s, t, a0)  # noqa: E731
-        a2_f = lambda s: np.interp(s, t, a2)  # noqa: E731
-
-    def rhs(s, v):
-        return a0_f(s) + a2_f(s) * v * v
-
-    def crossed(s, v):
-        return abs(float(v[0])) - blow_threshold
-
-    crossed.terminal = True
-    crossed.direction = 1
-
-    sol = solve_ivp(
-        rhs, (t[0], t[-1]), [float(v0)], method="RK45",
-        rtol=1e-10, atol=1e-12, events=crossed, dense_output=False,
-    )
-
-    const_coeffs = float(np.ptp(a0)) == 0.0 and float(np.ptp(a2)) == 0.0 and a0[0] == 0.0
-
-    if sol.t_events[0].size:
-        tail_t = np.append(sol.t[-3:], sol.t_events[0][0])
-        tail_v = np.append(sol.y[0, -3:], sol.y_events[0][0, 0])
-        keep = np.abs(tail_v) > 0
-        w = 1.0 / tail_v[keep]
-        coeff = np.polyfit(tail_t[keep], w, 1)
-        t_blow = float(-coeff[1] / coeff[0])
-        if const_coeffs:
-            exact = 1.0 / (a2[0] * v0)
-            if abs(t_blow - exact) > 1e-6 * max(1.0, abs(exact)):
-                raise RuntimeError("riccati integrator failed its closed-form cross-check")
-        return RiccatiResult("blowup", t_blow=t_blow)
-
-    value = float(sol.y[0, -1])
-    if const_coeffs:
-        exact = v0 / (1.0 - a2[0] * v0 * (t[-1] - t[0]))
-        if abs(value - exact) > 1e-6 * max(1.0, abs(exact)):
-            raise RuntimeError("riccati integrator failed its closed-form cross-check")
-    return RiccatiResult("finite", value=value)
 
 
 # --- residual verification along characteristics ---------------------------

@@ -3,8 +3,8 @@ import pytest
 from steepen import eos, fields, solver
 
 
-def make_gas(gamma=3.0, K=1.0 / 3.0, c_v=1.0):
-    return eos.make_constants(gamma, K, c_v)
+def make_gas(gamma=3.0, K=1.0 / 3.0):
+    return eos.make_constants(gamma, K)
 
 
 @pytest.fixture(scope="session")

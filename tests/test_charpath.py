@@ -401,8 +401,8 @@ def test_operator_identity_recovers_partial_derivatives():
             state, solver.SolverConfig(cfl=0.4, t_end=0.3, snapshot_stride=5, gradient_cap=100.0)
         )
         m = state.m_arrays()[0]
-        u_x = fields.derivative(state.u, grid, 1)
-        z_x = fields.derivative(state.z, grid, 1)
+        u_x = fields.derivative(state.u, grid)
+        z_x = fields.derivative(state.z, grid)
         _, c = state.thermo()
         worst_t = worst_x = 0.0
         for seed in (0.12, 0.42, 0.77):

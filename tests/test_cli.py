@@ -52,6 +52,14 @@ def test_validate_ok(cfg_path, capsys):
     assert "config ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")), ids=lambda p: p.stem
+)
+def test_committed_config_validates(path, capsys):
+    assert cli.main(["validate", str(path)]) == 0
+    assert "config ok" in capsys.readouterr().out
+
+
 def test_validate_rejects_bad_expression(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(RUN_CFG.replace("-amp*sin(2*pi*x)", "sin(+)"))
@@ -195,10 +203,10 @@ def test_non_finite_without_certificate_writes_outputs_exit_3(tmp_path, monkeypa
     real = solver.derivative
     calls = 0
 
-    def derivative_then_nan(values, grid, order=1):
+    def derivative_then_nan(values, grid):
         nonlocal calls
         calls += 1
-        return real(values, grid, order) if calls <= 4 * 10 else np.full(np.shape(values), np.nan)
+        return real(values, grid) if calls <= 4 * 10 else np.full(np.shape(values), np.nan)
 
     monkeypatch.setattr(solver, "derivative", derivative_then_nan)
     assert cli.main(["run", str(path)]) == 3
@@ -269,7 +277,7 @@ def _fields_csv_reference(traj):
 
 
 def test_fields_csv_matches_per_row_reference(tmp_path):
-    gc = eos.make_constants(3.0, 1.0 / 3.0, 1.0)
+    gc = eos.make_constants(3.0, 1.0 / 3.0)
     # the unit grid, one with x0 = -10 and a non-dyadic h, and one whose
     # rows are formatted in two blocks, the second one partial
     for x0, x1, n in ((0.0, 1.0, 16), (-10.0, 3.7, 24), (0.0, 1.0, 300)):
@@ -430,7 +438,7 @@ def test_run_memory_above_the_snapshots_does_not_grow_with_their_count(tmp_path,
 def test_run_stopped_at_its_first_state_writes_every_output(tmp_path, monkeypatch, poison, kind, code):
     if poison:  # the first step is not finite, and no certificate: exit 3
         text = "".join(line + "\n" for line in RUN_CFG.splitlines() if not line.startswith("certify."))
-        monkeypatch.setattr(solver, "derivative", lambda values, grid, order=1: np.full(np.shape(values), np.nan))
+        monkeypatch.setattr(solver, "derivative", lambda values, grid: np.full(np.shape(values), np.nan))
     else:  # the initial gradient is already past the cap
         text = RUN_CFG.replace("solver.gradient_cap = 30", "solver.gradient_cap = 1")
     path = tmp_path / "first.cfg"

@@ -61,6 +61,8 @@ def test_unknown_block_and_key(tmp_path):
         load_config(_write(tmp_path, BASE + "gas.R = 8.31\n"))
     with pytest.raises(ConfigError, match="unknown key 'diagnostics.substeps'"):
         load_config(_write(tmp_path, BASE + "diagnostics.substeps = 4\n"))
+    with pytest.raises(ConfigError, match="gas block: unknown key 'gas.c_v'"):
+        load_config(_write(tmp_path, BASE + "gas.c_v = 1\n"))
 
 
 def test_gas_block_validation_names_block(tmp_path):
@@ -159,6 +161,37 @@ def test_diagnostics_block_parsing(tmp_path):
         load_config(_write(tmp_path, BASE + "diagnostics.residuals = ode_w\n"))
     with pytest.raises(ConfigError, match="unknown direction"):
         load_config(_write(tmp_path, BASE + "diagnostics.directions = up\n"))
+
+
+BOUNDS = """\
+certify.Z_L = 0.2
+certify.Z_U = 3
+certify.M1 = 0.5
+certify.M2 = 1.5
+certify.M3 = 0
+certify.M4 = 0
+"""
+
+
+@pytest.mark.parametrize("key,value", [
+    ("gas.gamma", "inf"),
+    ("gas.K", "nan"),
+    ("grid.x0", "-inf"),
+    ("grid.x1", "inf"),
+    ("solver.t_end", "nan"),
+    ("solver.gradient_cap", "nan"),
+    ("solver.dt_min", "nan"),
+    ("certify.Z_U", "inf"),
+    ("certify.M3", "nan"),
+    ("certify.epsilon", "inf"),
+    ("certify.A", "nan"),
+])
+def test_non_finite_numbers_name_the_block(tmp_path, key, value):
+    kv = parse_kv(BASE + BOUNDS)
+    kv[key] = value
+    block = key.split(".", 1)[0]
+    with pytest.raises(ConfigError, match=f"{block} block: .*finite"):
+        build_config(kv, tmp_path)
 
 
 def test_bad_numbers_name_the_block(tmp_path):

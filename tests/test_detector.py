@@ -246,17 +246,23 @@ def test_one_sided_profile_condition_curvature():
 # --- sign of a0 ------------------------------------------------------------------
 
 
+def _sign_a0(prof, gamma, grid):
+    """sign(a0) on the grid, from the diagnostics of a state with profile ``prof``."""
+    state, _ = fields.build_initial(0.0, grid, make_gas(gamma, 1.0), m0=prof, z0=1.0)
+    return np.sign(riccati.diagnostics(state).a0)
+
+
 def test_sign_a0_constant_profile_zero(gas3):
     grid = fields.Grid(0.0, 1.0, 64)
     prof = fields.EntropyProfile.constant(1.0)
-    assert np.all(detector.sign_a0_profile(prof, 3.0, grid) == 0.0)
+    assert np.all(_sign_a0(prof, 3.0, grid) == 0.0)
 
 
 def test_sign_a0_one_sided_profile_nonpositive():
     g = 2.0
     prof = fields.EntropyProfile.from_expression(f"(exp(-x)+1)^({-(3 * g - 1) / 2})")
     grid = fields.Grid(0.0, 8.0, 64)
-    signs = detector.sign_a0_profile(prof, g, grid)
+    signs = _sign_a0(prof, g, grid)
     assert np.all(signs <= 0.0)
     assert np.any(signs < 0.0)
 
@@ -267,7 +273,7 @@ def test_sign_a0_against_finite_difference_oracle():
     text = f"((exp(x/2)+exp(-x/2))/2)^(-0.7)"  # cosh-shaped positive profile
     prof = fields.EntropyProfile.from_expression(text)
     grid = fields.Grid(-4.0, 4.0, 128)
-    signs = detector.sign_a0_profile(prof, g, grid)
+    signs = _sign_a0(prof, g, grid)
     # oracle: central second difference of m^(-kappa) sampled densely
     step = 1e-4
     w = lambda x: prof.m(x) ** (-kappa)
@@ -289,7 +295,7 @@ def test_threshold_certificate_soundness_empirical(gas3):
     traj = solver.evolve(
         state, solver.SolverConfig(cfl=0.4, t_end=3.0, snapshot_stride=10, gradient_cap=30.0)
     )
-    report = fields.validate_assumptions(traj, prof, bounds)
+    report = fields.validate_assumptions(traj.snapshots, prof, bounds)
     bad = [c.name for c in report if not c.passed and c.name.startswith("z")]
     assert not bad  # the a-priori z bounds really held for this run
     assert traj.termination.kind == "gradient_blowup"

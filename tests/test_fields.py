@@ -126,8 +126,7 @@ def test_state_arrays_immutable(gas3):
 
 def test_derivative_constant_is_zero(gas3):
     grid = fields.Grid(0.0, 1.0, 64)
-    assert np.allclose(fields.derivative(np.full(64, 3.0), grid, 1), 0.0, atol=1e-13)
-    assert np.allclose(fields.derivative(np.full(64, 3.0), grid, 2), 0.0, atol=1e-10)
+    assert np.allclose(fields.derivative(np.full(64, 3.0), grid), 0.0, atol=1e-13)
 
 
 def test_derivative_exact_for_quartics_away_from_wrap():
@@ -135,32 +134,27 @@ def test_derivative_exact_for_quartics_away_from_wrap():
     x = grid.x
     f = 2.0 + x - 3.0 * x**2 + 0.5 * x**3 + 0.25 * x**4
     d1 = 1.0 - 6.0 * x + 1.5 * x**2 + x**3
-    d2 = -6.0 + 3.0 * x + 3.0 * x**2
     inner = slice(2, 62)
-    assert np.allclose(fields.derivative(f, grid, 1)[inner], d1[inner], atol=1e-10)
-    assert np.allclose(fields.derivative(f, grid, 2)[inner], d2[inner], atol=1e-7)
+    assert np.allclose(fields.derivative(f, grid)[inner], d1[inner], atol=1e-10)
 
 
 def test_derivative_observed_order_at_least_3_8():
-    errs = {1: [], 2: []}
+    errs = []
     for n in (32, 64, 128, 256):
         grid = fields.Grid(0.0, 2.0, n)
         k = 2.0 * np.pi / 2.0
         f = np.sin(k * grid.x)
-        exact1 = k * np.cos(k * grid.x)
-        exact2 = -(k**2) * np.sin(k * grid.x)
-        errs[1].append(np.max(np.abs(fields.derivative(f, grid, 1) - exact1)))
-        errs[2].append(np.max(np.abs(fields.derivative(f, grid, 2) - exact2)))
-    for order in (1, 2):
-        rates = np.log2(np.array(errs[order][:-1]) / np.array(errs[order][1:]))
-        assert np.all(rates >= 3.8), rates
+        exact = k * np.cos(k * grid.x)
+        errs.append(np.max(np.abs(fields.derivative(f, grid) - exact)))
+    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(rates >= 3.8), rates
 
 
 def test_derivative_sawtooth_error_localized_at_jump():
     # a linear ramp is not periodic; the wrap cell sees the jump
     grid = fields.Grid(0.0, 1.0, 64)
     ramp = grid.x.copy()
-    d1 = fields.derivative(ramp, grid, 1)
+    d1 = fields.derivative(ramp, grid)
     inner = slice(2, 62)
     assert np.allclose(d1[inner], 1.0, atol=1e-10)
     assert np.max(np.abs(d1 - 1.0)) > 1.0  # wrap cells are polluted
@@ -171,35 +165,26 @@ def test_derivative_linearity():
     grid = fields.Grid(0.0, 1.0, 64)
     f = rng.normal(size=64)
     g = rng.normal(size=64)
-    lhs = fields.derivative(2.5 * f - 1.25 * g, grid, 1)
-    rhs = 2.5 * fields.derivative(f, grid, 1) - 1.25 * fields.derivative(g, grid, 1)
+    lhs = fields.derivative(2.5 * f - 1.25 * g, grid)
+    rhs = 2.5 * fields.derivative(f, grid) - 1.25 * fields.derivative(g, grid)
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-11 * np.max(np.abs(lhs)) + 1e-13)
 
 
 @pytest.mark.parametrize("n", [16, 2048])
-@pytest.mark.parametrize("order", [1, 2])
-def test_derivative_bitwise_equals_roll_reference(n, order):
-    # the ghost-padded stencil must give the np.roll formula bit for bit
+@pytest.mark.parametrize("rows", [1, 2])
+def test_derivative_bitwise_equals_roll_reference(n, rows):
+    # the ghost-padded stencil must give the np.roll formula bit for bit,
+    # on one field and, row by row, on a (2, n) stack such as the solver's
     grid = fields.Grid(0.0, 1.0, n)
-    rng = np.random.default_rng(n + order)
-    f = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
-    fp1, fp2, fm1, fm2 = np.roll(f, -1), np.roll(f, -2), np.roll(f, 1), np.roll(f, 2)
-    if order == 1:
-        ref = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * grid.h)
-    else:
-        ref = (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * grid.h**2)
-    assert np.array_equal(fields.derivative(f, grid, order), ref)
-    # a stack is differentiated along its last axis, each row as in 1-D
-    stacked = fields.derivative(np.stack((f, f[::-1])), grid, order)
-    assert stacked.shape == (2, n)
-    assert np.array_equal(stacked[0], ref)
-    assert np.array_equal(stacked[1], fields.derivative(f[::-1], grid, order))
-
-
-def test_derivative_rejects_bad_order(gas3):
-    grid = fields.Grid(0.0, 1.0, 32)
-    with pytest.raises(ValueError):
-        fields.derivative(np.ones(32), grid, 3)
+    rng = np.random.default_rng(n + rows)
+    f = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-8, 9, size=(rows, n))
+    fp1, fp2, fm1, fm2 = (np.roll(f, shift, axis=-1) for shift in (-1, -2, 1, 2))
+    ref = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * grid.h)
+    if rows == 1:
+        f, ref = f[0], ref[0]
+    out = fields.derivative(f, grid)
+    assert out.shape == f.shape
+    assert np.array_equal(out, ref)
 
 
 # --- assumption checking ------------------------------------------------------
@@ -214,7 +199,7 @@ def _bounds(**kw):
 def test_validate_assumptions_pass(gas3):
     grid = fields.Grid(0.0, 1.0, 32)
     state, prof = fields.build_initial(0.0, grid, gas3, m0=1.0, z0=1.0)
-    report = fields.validate_assumptions(state, prof, _bounds())
+    report = fields.validate_assumptions([state], prof, _bounds())
     assert report.all_passed
     by_name = {c.name: c for c in report}
     assert by_name["m_x_abs"].observed == 0.0
@@ -226,7 +211,7 @@ def test_validate_assumptions_z_dip_recorded(gas3):
     grid = fields.Grid(0.0, 1.0, 64)
     state, prof = fields.build_initial("0.8*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
     traj = solver.evolve(state, solver.SolverConfig(cfl=0.4, t_end=0.12, snapshot_stride=4))
-    report = fields.validate_assumptions(traj, prof, _bounds(Z_L=0.9))
+    report = fields.validate_assumptions(traj.snapshots, prof, _bounds(Z_L=0.9))
     by_name = {c.name: c for c in report}
     check = by_name["z_lower"]
     assert not check.passed

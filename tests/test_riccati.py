@@ -204,48 +204,6 @@ def test_phase_classify_requires_negative_a2():
         riccati.phase_classify(1.0, 0.0, 0.0)
 
 
-# --- riccati integration ----------------------------------------------------------
-
-
-def test_integrate_riccati_blowup_closed_form():
-    t = np.linspace(0.0, 1.0, 50)
-    res = riccati.integrate_riccati(-2.0, t, np.zeros(50), -np.ones(50))
-    assert res.kind == "blowup"
-    assert res.t_blow == pytest.approx(0.5, abs=1e-6)
-
-
-def test_integrate_riccati_decay_branch():
-    t = np.linspace(0.0, 3.0, 80)
-    res = riccati.integrate_riccati(2.0, t, np.zeros(80), -np.ones(80))
-    assert res.kind == "finite"
-    assert res.value == pytest.approx(2.0 / (1.0 + 2.0 * 3.0), rel=1e-7)
-
-
-def test_integrate_riccati_approaches_stable_root():
-    t = np.linspace(0.0, 12.0, 200)
-    res = riccati.integrate_riccati(2.0, t, 3.0 * np.ones(200), -np.ones(200))
-    assert res.kind == "finite"
-    assert res.value == pytest.approx(np.sqrt(3.0), rel=1e-6)
-
-
-def test_integrate_riccati_coefficient_sign_error():
-    t = np.linspace(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        riccati.integrate_riccati(1.0, t, np.zeros(10), np.ones(10))
-    with pytest.raises(ValueError):
-        riccati.integrate_riccati(1.0, t[::-1], np.zeros(10), -np.ones(10))
-
-
-def test_integrate_riccati_varying_coefficients():
-    # d/dt(1/v) = -a2 for a0 = 0, so 1/v(T) = 1/v0 - int a2
-    t = np.linspace(0.0, 2.0, 120)
-    a2 = -(1.0 + 0.5 * np.sin(t))
-    res = riccati.integrate_riccati(1.0, t, np.zeros_like(t), a2)
-    integral = -(2.0 + 0.5 * (1.0 - np.cos(2.0)))  # analytic int of a2
-    assert res.kind == "finite"
-    assert res.value == pytest.approx(1.0 / (1.0 - integral), rel=1e-6)
-
-
 # --- residuals --------------------------------------------------------------------
 
 
@@ -351,7 +309,7 @@ def test_invariant_domain_on_determinacy_region(gas3):
     assert np.all(pos0[band])
 
     traj = solver.evolve(state, solver.SolverConfig(cfl=0.4, t_end=0.12, snapshot_stride=5))
-    c_max = max(solver.max_wavespeed(s) for s in traj.snapshots)
+    c_max = max(float(np.max(s.thermo()[1])) for s in traj.snapshots)
     for snap in traj.snapshots:
         shrink = c_max * snap.t
         region = wrapped < 0.2 - shrink

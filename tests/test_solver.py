@@ -15,26 +15,41 @@ def _constant_state(gas, n=64, z=1.0, L=1.0):
 # --- time step ----------------------------------------------------------------
 
 
+def _cfl_dt(state, cfl):
+    """cfl * h / max_x c with evolve's arithmetic: c_max = K_c max(m z^((g+1)/(g-1)))."""
+    g = state.gc.gamma
+    m = state.m_arrays()[0]
+    c_max = state.gc.K_c * float(np.max(m * state.z ** ((g + 1.0) / (g - 1.0))))
+    return cfl * state.grid.h / c_max
+
+
+def _first_dt(state, cfl, t_end):
+    """The first step evolve takes from ``state``; ``t_end`` must exceed it."""
+    traj = solver.evolve(state, solver.SolverConfig(cfl=cfl, t_end=t_end, snapshot_stride=1))
+    return traj.conserved.t[1]
+
+
 def test_cfl_dt_formula():
     gc = make_gas(1.4, 1.0)
     state = _constant_state(gc, n=100, z=1.0)
-    assert solver.cfl_dt(state, 0.5) == pytest.approx(0.5 * 0.01 / gc.K_c, rel=1e-13)
+    expected = 0.5 * 0.01 / gc.K_c
+    assert _first_dt(state, 0.5, 3.0 * expected) == pytest.approx(expected, rel=1e-13)
 
 
 def test_cfl_dt_gamma3_example(gas3):
     grid = fields.Grid(0.0, 6.4, 64)  # h = 0.1
     state, _ = fields.build_initial(0.0, grid, gas3, m0=1.0, z0=2.0)
     # c = K_c m z^2 = 4
-    assert solver.cfl_dt(state, 0.4) == pytest.approx(0.01, rel=1e-13)
+    assert _first_dt(state, 0.4, 0.05) == pytest.approx(0.01, rel=1e-13)
 
 
 def test_cfl_dt_halves_when_speed_doubles(gas3):
     s1 = _constant_state(gas3, z=1.0)
     s2 = _constant_state(gas3, z=np.sqrt(2.0))  # c = z^2 doubles
-    assert solver.cfl_dt(s2, 0.4) == pytest.approx(0.5 * solver.cfl_dt(s1, 0.4), rel=1e-12)
+    assert _first_dt(s2, 0.4, 0.1) == pytest.approx(0.5 * _first_dt(s1, 0.4, 0.1), rel=1e-12)
 
 
-def test_cfl_dt_is_the_step_evolve_takes():
+def test_cfl_dt_is_the_step_evolve_takes(gas3):
     gc = make_gas(5.0 / 3.0, 1.0 / 15.0)  # K_c != 1, so where it multiplies matters
     grid = fields.Grid(0.0, 1.0, 64)
     state, _ = fields.build_initial(
@@ -42,40 +57,46 @@ def test_cfl_dt_is_the_step_evolve_takes():
     )
     cfg = solver.SolverConfig(cfl=0.4, t_end=0.05, snapshot_stride=1)
     traj = solver.evolve(state, cfg)
-    assert traj.conserved.t[1] == solver.cfl_dt(state, cfg.cfl)
+    assert traj.conserved.t[1] == _cfl_dt(state, cfg.cfl)
     second = traj.snapshots[1]
-    assert traj.conserved.t[2] == second.t + solver.cfl_dt(second, cfg.cfl)
+    assert traj.conserved.t[2] == second.t + _cfl_dt(second, cfg.cfl)
+    # gamma = 3 by hand: h = 0.1, z = 2, c = 4, so dt = 0.4 * 0.1 / 4
+    state3, _ = fields.build_initial(0.0, fields.Grid(0.0, 6.4, 64), gas3, m0=1.0, z0=2.0)
+    traj3 = solver.evolve(state3, solver.SolverConfig(cfl=0.4, t_end=0.05, snapshot_stride=1))
+    assert traj3.conserved.t[1] == _cfl_dt(state3, 0.4) == pytest.approx(0.01, rel=1e-13)
 
 
 # --- single step ----------------------------------------------------------------
 
 
+def _one_step(state, dt):
+    """One RK4 step of ``dt`` through evolve: t_end = dt, under a full CFL step."""
+    traj = solver.evolve(state, solver.SolverConfig(cfl=1.0, t_end=dt, snapshot_stride=1))
+    assert traj.steps_taken == 1 and traj.conserved.t[1] == dt
+    return traj.snapshots[-1]
+
+
 def test_step_constant_state_fixed_point(gas3):
     state = _constant_state(gas3, z=1.5)
-    new = solver.step(state, 1e-3)
+    new = _one_step(state, 1e-3)
     assert np.allclose(new.z, state.z, rtol=0, atol=1e-15)
     assert np.allclose(new.u, state.u, rtol=0, atol=1e-15)
     assert new.t == pytest.approx(1e-3)
-
-
-def test_step_rejects_nonpositive_dt(gas3):
-    with pytest.raises(ValueError):
-        solver.step(_constant_state(gas3), 0.0)
 
 
 def test_step_reduces_to_p_system_when_entropy_constant(gas3):
     """With m constant the entropy forcing vanishes identically."""
     grid = fields.Grid(0.0, 1.0, 64)
     state, _ = fields.build_initial("0.1*sin(2*pi*x)", grid, gas3, m0=1.0, z0="1 + 0.1*cos(2*pi*x)")
-    dt = 0.3 * solver.cfl_dt(state, 1.0)
-    stepped = solver.step(state, dt)
+    dt = 0.3 * _cfl_dt(state, 1.0)
+    stepped = _one_step(state, dt)
 
     g = gas3.gamma
     e_c = (g + 1.0) / (g - 1.0)
 
     def rhs(z, u):
-        u_x = fields.derivative(u, grid, 1)
-        z_x = fields.derivative(z, grid, 1)
+        u_x = fields.derivative(u, grid)
+        z_x = fields.derivative(z, grid)
         zc = z**e_c
         return -gas3.K_c * zc * u_x, -gas3.K_c * zc * z_x  # pure p-system, m = 1
 
@@ -168,10 +189,10 @@ def test_evolve_non_finite_stops_at_last_finite_state(gas3, monkeypatch, poisone
     real = solver.derivative
     calls = 0
 
-    def derivative_then_nan(values, grid, order=1):
+    def derivative_then_nan(values, grid):
         nonlocal calls
         calls += 1
-        out = real(values, grid, order)
+        out = real(values, grid)
         if calls >= 4 * good_steps + 4:
             out[poisoned_row] = np.nan
         return out
@@ -192,6 +213,18 @@ def test_evolve_entropy_arrays_bit_identical(varying_traj):
     first = varying_traj.snapshots[0].m_arrays()[0]
     last = varying_traj.snapshots[-1].m_arrays()[0]
     assert first.tobytes() == last.tobytes()
+
+
+def test_snapshots_own_their_arrays(gas3):
+    # evolve swaps two state buffers between steps: a snapshot keeping a view
+    # of either would share memory with every other snapshot but one
+    grid = fields.Grid(0.0, 1.0, 32)
+    state, _ = fields.build_initial("0.1*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
+    traj = solver.evolve(state, solver.SolverConfig(cfl=0.4, t_end=0.05, snapshot_stride=1))
+    assert len(traj.snapshots) >= 4
+    arrays = [a for snap in traj.snapshots for a in (snap.z, snap.u)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 def test_snapshot_times_strictly_increasing(varying_traj):
