@@ -1,4 +1,4 @@
-"""Characteristic tracing through a trajectory and along-curve derivatives.
+"""Characteristic tracing through a trajectory and sampling along the curves.
 
 Forward curves integrate dx/dt = +c, backward curves dx/dt = -c, with RK4
 in time (:data:`SUBSTEPS` steps per snapshot interval), moving a bundle of
@@ -80,8 +80,7 @@ class FieldSampler:
     which gathers each point's values from the rows held.  :meth:`add`
     names the quantities held and :meth:`hold` brings a window's rows in.
     :meth:`sample` does all of it for fixed points in one pass forward
-    through the snapshots, and :meth:`values` is :meth:`sample` for one
-    quantity.
+    through the snapshots.
 
     The held rows form one ``(quantities, width, n)`` array; snapshot
     ``k``'s rows sit in slot ``k % width``, ``width`` being the snapshots
@@ -201,14 +200,6 @@ class FieldSampler:
             out[:, group] = self.interpolate(self.time_window(ts[group]), xs[group])
         return {name: out[self._names.index(name)].reshape(shape) for name in names}
 
-    def values(self, name: str, ts, xs) -> np.ndarray:
-        """``name`` at the (t, x) points of ``ts`` and ``xs``, which broadcast together.
-
-        Each point combines its value in the 4 snapshots around its time
-        (all of them when there are fewer) with Lagrange weights in time.
-        """
-        return self.sample((name,), ts, xs)[name]
-
 
 def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
     """RK4 integration of dx/dt = sign*c through the trajectory's field.
@@ -297,66 +288,3 @@ def sample_along(curve: CharacteristicCurve, traj: Trajectory, quantity, rows=No
     samples = FieldSampler(traj, rows).sample(names, t, curve.x)
     curve.samples.update(samples)
     return samples[quantity] if isinstance(quantity, str) else samples
-
-
-# --- along-curve differentiation -------------------------------------------
-
-
-def _fd_weights(nodes: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """First-derivative weights at ``x0`` over arbitrary nodes (Fornberg).
-
-    Batched: ``nodes`` has shape ``(m, n)``, one window of ``n`` nodes per
-    row, and ``x0`` shape ``(m,)``; the result has the shape of ``nodes``.
-    """
-    nodes = nodes.T  # node axis first
-    n = len(nodes)
-    w0 = np.zeros(nodes.shape)
-    w1 = np.zeros(nodes.shape)
-    c1 = 1.0
-    c4 = nodes[0] - x0
-    w0[0] = 1.0
-    for i in range(1, n):
-        c2 = 1.0
-        c5 = c4
-        c4 = nodes[i] - x0
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            if j == i - 1:
-                w1[i] = c1 * (w0[i - 1] - c5 * w1[i - 1]) / c2
-                w0[i] = -c1 * c5 * w0[i - 1] / c2
-            w1[j] = (c4 * w1[j] - w0[j]) / c3
-            w0[j] = c4 * w0[j] / c3
-        c1 = c2
-    return w1.T
-
-
-def directional_derivative(curve: CharacteristicCurve, quantity: str) -> np.ndarray:
-    """d/dt of an along-curve sample series (5-point, 4th order).
-
-    On forward curves this realizes the forward directional derivative
-    (prime); on backward curves the backward one (backprime).
-    """
-    if quantity not in curve.samples:
-        raise ValueError(f"quantity {quantity!r} has not been sampled on this curve")
-    f = curve.samples[quantity]
-    t = curve.t
-    n = len(t)
-    if n < 5:
-        raise ValueError("need at least 5 curve nodes to differentiate")
-
-    # node i's window t[j0:j0 + 5], centred where the curve allows
-    j0 = np.clip(np.arange(n) - 2, 0, n - 5)
-    win = j0[:, None] + np.arange(5)
-    tw = t[win]
-    dts = np.diff(tw, axis=1)
-    h = dts[:, 0]
-    uniform = (j0 == np.arange(n) - 2) & np.all(np.abs(dts - h[:, None]) <= 1e-12 * h[:, None], axis=1)
-    w = np.empty((n, 5))
-    w[uniform] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    w[~uniform] = _fd_weights(tw[~uniform], t[~uniform])
-    # a stack of 1x5 @ 5x1 products runs np.dot's routine per node, so each sum
-    # equals that of a per-node np.dot bit for bit
-    out = np.matmul(w[:, None, :], f[win][:, :, None])[:, 0, 0]
-    out[uniform] /= h[uniform]
-    return out

@@ -124,19 +124,16 @@ def _curve_pairs(cfg: RunConfig, traj: solver.Trajectory) -> list:
 def _residual_names(cfg: RunConfig) -> tuple:
     """The quantities the configured residuals sample on the curves."""
     return tuple(dict.fromkeys(
-        name
-        for kind in cfg.diagnostics.residuals
-        if RESIDUAL_KINDS[kind][0] in cfg.diagnostics.directions
-        for name in RESIDUAL_KINDS[kind][2]
+        name for kind in cfg.diagnostics.residuals for name in RESIDUAL_KINDS[kind][2]
     ))
 
 
-def _residuals(cfg: RunConfig, traj: solver.Trajectory, bundle, pairs, t_resolved: float):
+def _residuals(cfg: RunConfig, bundle, pairs, t_resolved: float):
     """Evaluate the selected residuals on every column of the sampled bundle.
 
     Returns the labelled curves, the curves.csv blocks ``(curve_id,
     direction, curve, values, residual)`` and the residual maxima on the
-    resolved window [0, t_resolved].
+    resolved window [0, t_resolved] (``nan`` when a residual is).
     """
     blocks = []
     residual_max: dict = {}
@@ -149,10 +146,10 @@ def _residuals(cfg: RunConfig, traj: solver.Trajectory, bundle, pairs, t_resolve
             need_dir, measured, _ = RESIDUAL_KINDS[kind]
             if need_dir != direction:
                 continue
-            res = riccati.residual(traj, curve, kind)
+            res = riccati.residual(curve, kind)
             if np.any(window):
-                residual_max[kind] = max(
-                    residual_max.get(kind, 0.0), float(np.max(np.abs(res[window])))
+                residual_max[kind] = float(
+                    np.maximum(residual_max.get(kind, 0.0), np.max(np.abs(res[window])))
                 )
             blocks.append((f"seed{si}_{kind}", direction, curve, curve.samples[measured], res))
     return curves, blocks, residual_max
@@ -261,7 +258,7 @@ def _run(cfg: RunConfig):
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        state0, profile = make_initial(cfg)
+        state0 = make_initial(cfg)[0]
     except (VacuumError, ValueError) as exc:
         print(f"stage build: {exc}", file=sys.stderr)
         return 3, []
@@ -290,7 +287,7 @@ def _run(cfg: RunConfig):
                 charpath.sample_along(bundle, traj, names, rows)
             for _ in rows:  # the snapshots no curve node needs
                 pass
-        curves, blocks, residual_max = _residuals(cfg, traj, bundle, pairs, t_resolved)
+        curves, blocks, residual_max = _residuals(cfg, bundle, pairs, t_resolved)
     except ValueError as exc:
         print(f"stage diagnostics: {exc}", file=sys.stderr)
         return 3, []
@@ -300,7 +297,7 @@ def _run(cfg: RunConfig):
     estimate = detector.detect_blowup(traj, peak)
     report = None
     if cfg.certify.bounds is not None:
-        report = fields.validate_assumptions(traj.snapshots, profile, cfg.certify.bounds)
+        report = fields.validate_assumptions(traj.snapshots, cfg.certify.bounds)
 
     _write_curves_csv(out / "curves.csv", blocks)
     _write_kv(out / "certificate.txt", "certificate report",
@@ -361,7 +358,7 @@ def certify_only(cfg: RunConfig) -> int:
     out = cfg.output.directory
     out.mkdir(parents=True, exist_ok=True)
     try:
-        state0, profile = make_initial(cfg)
+        state0 = make_initial(cfg)[0]
     except (VacuumError, ValueError) as exc:
         print(f"stage build: {exc}", file=sys.stderr)
         return 3
@@ -369,7 +366,7 @@ def certify_only(cfg: RunConfig) -> int:
     _write_kv(out / "certificate.txt", "certificate report",
               _certificate_pairs(cfg, state0, ths, cert14, cert15))
     if cfg.certify.bounds is not None:
-        report = fields.validate_assumptions([state0], profile, cfg.certify.bounds)
+        report = fields.validate_assumptions([state0], cfg.certify.bounds)
         _write_kv(out / "assumptions.txt", "assumption report (initial data only)",
                   _assumption_pairs(report))
     return 0

@@ -37,7 +37,11 @@ class InitialSpec:
 class DiagnosticsSpec:
     seeds: list = field(default_factory=list)
     directions: list = field(default_factory=lambda: ["forward", "backward"])
-    residuals: list = field(default_factory=lambda: list(RESIDUAL_KINDS))
+    residuals: list | None = None  # None: every kind of the configured directions
+
+    def __post_init__(self):
+        if self.residuals is None:
+            self.residuals = [k for k, spec in RESIDUAL_KINDS.items() if spec[0] in self.directions]
 
 
 @dataclass
@@ -179,12 +183,7 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
         raise ConfigError("initial block: missing required key 'u0'")
     if ("z0" in ini_kv) == ("tau0" in ini_kv):
         raise ConfigError("initial block: provide exactly one of z0 or tau0")
-    initial = InitialSpec(
-        u0=ini_kv["u0"],
-        m0=ini_kv.get("m0", "1"),
-        z0=ini_kv.get("z0"),
-        tau0=ini_kv.get("tau0"),
-    )
+    initial = InitialSpec(**ini_kv)
     for name in ("u0", "z0", "tau0", "m0"):
         raw = getattr(initial, name)
         if raw is not None and raw.startswith("file:"):
@@ -196,32 +195,30 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
     if "t_end" not in sol_kv:
         raise ConfigError("solver block: missing required key 't_end'")
     try:
-        solver_cfg = SolverConfig(
-            cfl=_float("solver", "cfl", sol_kv.get("cfl", "0.4")),
-            t_end=_float("solver", "t_end", sol_kv["t_end"]),
-            snapshot_stride=_int("solver", "snapshot_stride", sol_kv.get("snapshot_stride", "10")),
-            gradient_cap=_float("solver", "gradient_cap", sol_kv.get("gradient_cap", "1e4")),
-            dt_min=_float("solver", "dt_min", sol_kv.get("dt_min", "1e-12")),
-        )
+        solver_cfg = SolverConfig(**{
+            name: (_int if name == "snapshot_stride" else _float)("solver", name, raw)
+            for name, raw in sol_kv.items()
+        })
     except ValueError as exc:
         raise ConfigError(f"solver block: {exc}") from None
 
-    dia_kv = _take(kv, "diagnostics")
-    diagnostics = DiagnosticsSpec()
-    if "seeds" in dia_kv and dia_kv["seeds"]:
-        diagnostics.seeds = [
-            _float("diagnostics", "seeds", s) for s in dia_kv["seeds"].split(",") if s.strip()
-        ]
-    if "directions" in dia_kv:
-        diagnostics.directions = [d.strip() for d in dia_kv["directions"].split(",") if d.strip()]
-        for d in diagnostics.directions:
-            if d not in ("forward", "backward"):
-                raise ConfigError(f"diagnostics block: unknown direction {d!r}")
-    if "residuals" in dia_kv:
-        diagnostics.residuals = [r.strip() for r in dia_kv["residuals"].split(",") if r.strip()]
-        for r in diagnostics.residuals:
-            if r not in RESIDUAL_KINDS:
-                raise ConfigError(f"diagnostics block: unknown residual {r!r}")
+    dia_kv = {name: [v.strip() for v in raw.split(",") if v.strip()]
+              for name, raw in _take(kv, "diagnostics").items()}
+    if "seeds" in dia_kv:
+        dia_kv["seeds"] = [_float("diagnostics", "seeds", s) for s in dia_kv["seeds"]]
+        if not all(map(math.isfinite, dia_kv["seeds"])):
+            raise ConfigError("diagnostics block: seeds must be finite")
+    for d in dia_kv.get("directions", ()):
+        if d not in ("forward", "backward"):
+            raise ConfigError(f"diagnostics block: unknown direction {d!r}")
+    diagnostics = DiagnosticsSpec(**dia_kv)
+    for r in diagnostics.residuals:
+        if r not in RESIDUAL_KINDS:
+            raise ConfigError(f"diagnostics block: unknown residual {r!r}")
+        if RESIDUAL_KINDS[r][0] not in diagnostics.directions:
+            raise ConfigError(
+                f"diagnostics block: residual {r!r} needs {RESIDUAL_KINDS[r][0]} in directions"
+            )
 
     cert_kv = _take(kv, "certify")
     certify = CertifySpec()
@@ -253,7 +250,7 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
         raise ConfigError("output block: missing required key 'directory'")
     output = OutputSpec(
         directory=(base_dir / out_kv["directory"]).resolve(),
-        emit_svg=_bool("output", "emit_svg", out_kv.get("emit_svg", "false")),
+        **{name: _bool("output", name, raw) for name, raw in out_kv.items() if name != "directory"},
     )
 
     return RunConfig(

@@ -70,7 +70,7 @@ class Thresholds:
     A2: float
 
 
-def thresholds(bounds: AssumptionBounds, gamma: float, epsilon: float = 0.01) -> Thresholds:
+def thresholds(bounds: AssumptionBounds, gamma: float, epsilon: float) -> Thresholds:
     """Certificate thresholds N and N~ from the a-priori bound constants.
 
     Degenerates to N = N~ = 0 when M3 = M4 = 0 (constant entropy), which
@@ -118,7 +118,7 @@ class Certificate:
     conditional: bool = True
 
 
-def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float = 0.01) -> Certificate:
+def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float) -> Certificate:
     """Threshold certificate on initial data: strong enough compression blows up.
 
     Checks min y < -N, min q < -N, min y~ < -N~, min q~ < -N~ in that
@@ -229,26 +229,22 @@ def gradient_peak(d: riccati.DiagnosticFields) -> float:
     return max(float(np.max(np.abs(d.y))), float(np.max(np.abs(d.q))))
 
 
-def detect_blowup(traj: Trajectory, peak=None) -> BlowupEstimate | None:
+def detect_blowup(traj: Trajectory, peak: np.ndarray) -> BlowupEstimate | None:
     """Extrapolate the gradient-blowup time from the growth of |y|, |q|.
 
     Fits 1/max(|y|, |q|) against time over the last resolved stretch of the
     run and extrapolates its zero crossing; the reciprocal is asymptotically
     linear near the pole.  ``peak`` is the :func:`gradient_peak` of every
-    snapshot, as a run's pass over its snapshots records it; without it,
-    each snapshot's diagnostics are computed here.  Returns None for runs
-    that did not terminate in gradient blowup, and for blowup runs where
-    the time cannot be estimated: fewer than 5 snapshots with a nonzero
-    peak, or a fitted reciprocal that does not decay.
+    snapshot, as a run's pass over its snapshots records it.  Returns None
+    for runs that did not terminate in gradient blowup, and for blowup runs
+    where the time cannot be estimated: fewer than 5 snapshots with a
+    nonzero peak, or a fitted reciprocal that does not decay.
     """
     if traj.termination.kind != "gradient_blowup":
         return None
 
-    t = traj.times
-    if peak is None:
-        peak = np.array([gradient_peak(riccati.diagnostics(snap)) for snap in traj.snapshots])
     good = peak > 0.0
-    t = t[good]
+    t = traj.times[good]
     g_recip = 1.0 / peak[good]
     if len(t) < 5:
         return None

@@ -25,6 +25,7 @@ import numpy as np
 
 #: Positive floor for the metric-density variable z.  Values at or below the
 #: floor count as vacuum, which the smooth-solution machinery excludes.
+#: Every vacuum check reads it when it runs.
 Z_FLOOR = 1e-10
 
 
@@ -72,15 +73,15 @@ def z_of_tau(tau, gc: GasConstants):
     return z if z.ndim else float(z)
 
 
-def thermo(z, m, gc: GasConstants, z_floor: float = Z_FLOOR):
+def thermo(z, m, gc: GasConstants):
     """Pressure and Lagrangian sound speed at (z, m).
 
     Returns the pair (p, c); both are strictly positive for valid inputs.
     """
     z = np.asarray(z, dtype=float)
     m = np.asarray(m, dtype=float)
-    if np.any(z <= z_floor) or not np.all(np.isfinite(z)):
-        raise VacuumError(f"z must exceed the vacuum floor {z_floor:g}")
+    if np.any(z <= Z_FLOOR) or not np.all(np.isfinite(z)):
+        raise VacuumError(f"z must exceed the vacuum floor {Z_FLOOR:g}")
     if np.any(m <= 0.0):
         raise ValueError("entropy variable m must be positive")
     g = gc.gamma

@@ -57,11 +57,6 @@ class Expr:
     def diff(self) -> "Expr":
         raise NotImplementedError
 
-    def canonical(self) -> str:
-        raise NotImplementedError
-
-    _PREC = 9
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
@@ -78,37 +73,25 @@ class Expr:
 class Num(Expr):
     value: float
 
-    _PREC = 9
-
     def eval(self, x):
         return self.value
 
     def diff(self):
         return Num(0.0)
 
-    def canonical(self):
-        return repr(float(self.value))
-
 
 @dataclass(frozen=True)
 class Var(Expr):
-    _PREC = 9
-
     def eval(self, x):
         return x
 
     def diff(self):
         return Num(1.0)
 
-    def canonical(self):
-        return "x"
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-
-    _PREC = 2
 
     def eval(self, x):
         return -self.arg.eval(x)
@@ -116,19 +99,12 @@ class Neg(Expr):
     def diff(self):
         return _neg(self.arg.diff())
 
-    def canonical(self):
-        return "-" + _wrap(self.arg, 3)
-
 
 @dataclass(frozen=True)
 class Bin(Expr):
     op: str
     lhs: Expr
     rhs: Expr
-
-    @property
-    def _PREC(self):  # noqa: N802 - mirrors the class attribute on peers
-        return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[self.op]
 
     def eval(self, x):
         a = self.lhs.eval(x)
@@ -158,32 +134,11 @@ class Bin(Expr):
         n = b.value  # type: ignore[union-attr]
         return _mul(_mul(Num(n), _pow(a, Num(n - 1.0))), da)
 
-    def canonical(self):
-        p = self._PREC
-        if self.op == "^":
-            # right operand is numeric; parenthesize negatives so the text
-            # re-parses to the same tree (x^-4 would bind the minus first)
-            rhs = self.rhs.canonical()
-            if self.rhs.value < 0:  # type: ignore[union-attr]
-                rhs = f"({rhs})"
-            lhs = _wrap(self.lhs, p + 1)
-            # the sign bit, not `< 0`: -0.0 prints with a leading minus too
-            if isinstance(self.lhs, Num) and math.copysign(1.0, self.lhs.value) < 0:
-                lhs = f"({lhs})"
-            return lhs + "^" + rhs
-        # right child always parenthesized at equal precedence so the
-        # emitted text re-parses to the same (left-associated) tree
-        left = _wrap(self.lhs, p)
-        right = _wrap(self.rhs, p + 1)
-        return f"{left} {self.op} {right}"
-
 
 @dataclass(frozen=True)
 class Call(Expr):
     fn: str
     arg: Expr
-
-    _PREC = 9
 
     def eval(self, x):
         return FUNCTIONS[self.fn](self.arg.eval(x))
@@ -202,14 +157,6 @@ class Call(Expr):
         else:  # sqrt
             return _div(da, _mul(Num(2.0), Call("sqrt", a)))
         return _mul(outer, da)
-
-    def canonical(self):
-        return f"{self.fn}({self.arg.canonical()})"
-
-
-def _wrap(node: Expr, minimum: int) -> str:
-    text = node.canonical()
-    return f"({text})" if node._PREC < minimum else text
 
 
 # --- light constant folding (keeps derivative ASTs small) ---------------

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from steepen import eos
-from steepen.eos import GasConstants, VacuumError, Z_FLOOR
+from steepen.eos import GasConstants, VacuumError
 from steepen.expressions import parse_expression
 
 
@@ -78,11 +78,10 @@ class EntropyProfile:
     smooth solutions).
     """
 
-    def __init__(self, m: Callable, m_x: Callable, m_xx: Callable, source: str):
+    def __init__(self, m: Callable, m_x: Callable, m_xx: Callable):
         self.m = m
         self.m_x = m_x
         self.m_xx = m_xx
-        self.source = source
         self._grid_cache: dict = {}
 
     @classmethod
@@ -90,7 +89,7 @@ class EntropyProfile:
         ast = parse_expression(text, constants)
         d1 = ast.diff()
         d2 = d1.diff()
-        return cls(ast, d1, d2, source="analytic-expression")
+        return cls(ast, d1, d2)
 
     @classmethod
     def from_samples(cls, x: np.ndarray, values: np.ndarray) -> "EntropyProfile":
@@ -105,7 +104,7 @@ class EntropyProfile:
         from scipy.interpolate import CubicSpline  # only sampled inputs need scipy
 
         spline = CubicSpline(x, values)  # not-a-knot ends
-        return cls(spline, spline.derivative(1), spline.derivative(2), source="sampled-with-spline")
+        return cls(spline, spline.derivative(1), spline.derivative(2))
 
     @classmethod
     def from_file(cls, path) -> "EntropyProfile":
@@ -123,7 +122,7 @@ class EntropyProfile:
         def zero(x):
             return np.zeros_like(np.asarray(x, dtype=float))
 
-        return cls(const, zero, zero, source="analytic-expression")
+        return cls(const, zero, zero)
 
     def on_grid(self, grid: Grid):
         """Arrays (m, m_x, m_xx) on the grid nodes, cached per grid."""
@@ -149,7 +148,6 @@ class StateField:
     u: np.ndarray
     profile: EntropyProfile
     gc: GasConstants
-    z_floor: float = Z_FLOOR
 
     def __post_init__(self):
         # a state owns its arrays: np.array copies whatever it is given
@@ -159,8 +157,8 @@ class StateField:
             raise ValueError("state arrays must match the grid size")
         if not (np.all(np.isfinite(self.z)) and np.all(np.isfinite(self.u))):
             raise ValueError("state arrays must be finite")
-        if np.any(self.z <= self.z_floor):
-            raise VacuumError(f"z at/below the vacuum floor {self.z_floor:g}")
+        if np.any(self.z <= eos.Z_FLOOR):
+            raise VacuumError(f"z at/below the vacuum floor {eos.Z_FLOOR:g}")
         self.z.flags.writeable = False
         self.u.flags.writeable = False
 
@@ -170,7 +168,7 @@ class StateField:
     def thermo(self):
         """(p, c) arrays on the grid."""
         m = self.m_arrays()[0]
-        return eos.thermo(self.z, m, self.gc, self.z_floor)
+        return eos.thermo(self.z, m, self.gc)
 
 
 def _as_function(f, constants=None) -> Callable:
@@ -191,7 +189,6 @@ def build_initial(
     m0=None,
     z0=None,
     tau0=None,
-    z_floor: float = Z_FLOOR,
     constants=None,
 ):
     """Sample initial data onto a grid.
@@ -227,14 +224,14 @@ def build_initial(
     else:
         z = np.broadcast_to(np.asarray(_as_function(z0, constants)(x), dtype=float), x.shape).copy()
 
-    if not np.all(np.isfinite(z)) or np.any(z <= z_floor):
-        raise VacuumError(f"initial z at/below the vacuum floor {z_floor:g}")
+    if not np.all(np.isfinite(z)) or np.any(z <= eos.Z_FLOOR):
+        raise VacuumError(f"initial z at/below the vacuum floor {eos.Z_FLOOR:g}")
 
     m, _, _ = profile.on_grid(grid)
     if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
         raise ValueError("entropy profile must be positive and finite on the grid")
 
-    state = StateField(grid=grid, t=0.0, z=z, u=u, profile=profile, gc=gc, z_floor=z_floor)
+    state = StateField(grid=grid, t=0.0, z=z, u=u, profile=profile, gc=gc)
     return state, profile
 
 
@@ -316,12 +313,12 @@ class AssumptionReport:
         return iter(self.checks)
 
 
-def validate_assumptions(states, profile: EntropyProfile, bounds: AssumptionBounds) -> AssumptionReport:
+def validate_assumptions(states, bounds: AssumptionBounds) -> AssumptionReport:
     """Compare observed extremes of z and the entropy profile against bounds.
 
     ``states`` is a sequence of StateFields, such as a trajectory's
-    snapshots.  Violations are report entries, never errors; inputs are
-    not mutated.
+    snapshots; the entropy profile is the first state's.  Violations are
+    report entries, never errors; inputs are not mutated.
     """
     if not states:
         raise ValueError("no states to check")
@@ -339,8 +336,7 @@ def validate_assumptions(states, profile: EntropyProfile, bounds: AssumptionBoun
             z_max = float(st.z[i_max])
             where_max = (st.t, float(st.grid.x[i_max]))
 
-    grid = states[0].grid
-    m, m_x, m_xx = profile.on_grid(grid)
+    m, m_x, m_xx = states[0].m_arrays()
     m_min, m_max = float(np.min(m)), float(np.max(m))
     mx_max = float(np.max(np.abs(m_x)))
     mxx_max = float(np.max(np.abs(m_xx)))

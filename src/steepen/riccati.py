@@ -19,7 +19,8 @@ with tilde variants lacking the m prefactor.  Smooth solutions satisfy
 alpha' = k1(k2(3 alpha + beta) + alpha beta - alpha^2) together with its
 backward mirror, and the decoupled forms y' = a0 + a2 y^2,
 q` = a0 + a2 q^2; ``residual`` measures both numerically along traced
-characteristics.
+characteristics, from samples taken along them, by
+:func:`directional_derivative`.
 
 :func:`diagnostics` is the one way to reach these fields.  It computes
 them and returns them, with no cache: a caller that needs a state's
@@ -191,6 +192,72 @@ def phase_classify(a0: float, a2: float, v: float) -> PhaseRegime:
     return PhaseRegime((-r, r), region, mono)
 
 
+# --- along-curve differentiation -------------------------------------------
+
+
+def _fd_weights(nodes: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """First-derivative weights at ``x0`` over arbitrary nodes (Fornberg).
+
+    Batched: ``nodes`` has shape ``(m, n)``, one window of ``n`` nodes per
+    row, and ``x0`` shape ``(m,)``; the result has the shape of ``nodes``.
+    """
+    nodes = nodes.T  # node axis first
+    n = len(nodes)
+    w0 = np.zeros(nodes.shape)
+    w1 = np.zeros(nodes.shape)
+    c1 = 1.0
+    c4 = nodes[0] - x0
+    w0[0] = 1.0
+    for i in range(1, n):
+        c2 = 1.0
+        c5 = c4
+        c4 = nodes[i] - x0
+        for j in range(i):
+            c3 = nodes[i] - nodes[j]
+            c2 *= c3
+            if j == i - 1:
+                w1[i] = c1 * (w0[i - 1] - c5 * w1[i - 1]) / c2
+                w0[i] = -c1 * c5 * w0[i - 1] / c2
+            w1[j] = (c4 * w1[j] - w0[j]) / c3
+            w0[j] = c4 * w0[j] / c3
+        c1 = c2
+    return w1.T
+
+
+def directional_derivative(curve, quantity: str) -> np.ndarray:
+    """d/dt of an along-curve sample series (5-point, 4th order).
+
+    ``curve`` is a :class:`steepen.charpath.CharacteristicCurve` with
+    ``quantity`` sampled on it.
+
+    On forward curves this realizes the forward directional derivative
+    (prime); on backward curves the backward one (backprime).
+    """
+    if quantity not in curve.samples:
+        raise ValueError(f"quantity {quantity!r} has not been sampled on this curve")
+    f = curve.samples[quantity]
+    t = curve.t
+    n = len(t)
+    if n < 5:
+        raise ValueError("need at least 5 curve nodes to differentiate")
+
+    # node i's window t[j0:j0 + 5], centred where the curve allows
+    j0 = np.clip(np.arange(n) - 2, 0, n - 5)
+    win = j0[:, None] + np.arange(5)
+    tw = t[win]
+    dts = np.diff(tw, axis=1)
+    h = dts[:, 0]
+    uniform = (j0 == np.arange(n) - 2) & np.all(np.abs(dts - h[:, None]) <= 1e-12 * h[:, None], axis=1)
+    w = np.empty((n, 5))
+    w[uniform] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+    w[~uniform] = _fd_weights(tw[~uniform], t[~uniform])
+    # a stack of 1x5 @ 5x1 products runs np.dot's routine per node, so each sum
+    # equals that of a per-node np.dot bit for bit
+    out = np.matmul(w[:, None, :], f[win][:, :, None])[:, 0, 0]
+    out[uniform] /= h[uniform]
+    return out
+
+
 # --- residual verification along characteristics ---------------------------
 
 #: equation -> (needed direction, measured quantity, quantities on the RHS)
@@ -204,14 +271,14 @@ RESIDUAL_KINDS = {
 }
 
 
-def residual(traj, curve, which: str) -> np.ndarray:
+def residual(curve, which: str) -> np.ndarray:
     """(measured directional derivative) - (equation right-hand side).
 
+    ``curve`` carries the samples of every quantity the equation names in
+    :data:`RESIDUAL_KINDS` (see :func:`steepen.charpath.sample_along`).
     The curve direction must match the equation's derivative direction:
     forward curves for the primed equations, backward for the back-primed.
     """
-    from steepen import charpath  # deferred: charpath consumes this module
-
     if which not in RESIDUAL_KINDS:
         raise ValueError(f"unknown residual kind {which!r}")
     direction, measured, needed = RESIDUAL_KINDS[which]
@@ -219,13 +286,12 @@ def residual(traj, curve, which: str) -> np.ndarray:
         raise ValueError(
             f"{which} needs a {direction} curve, got a {curve.direction} one"
         )
-
     missing = [name for name in needed if name not in curve.samples]
-    if missing:  # one pass: each snapshot's diagnostics computed once
-        charpath.sample_along(curve, traj, missing)
+    if missing:
+        raise ValueError(f"{which} needs {', '.join(missing)} sampled on the curve")
     s = curve.samples
 
-    lhs = charpath.directional_derivative(curve, measured)
+    lhs = directional_derivative(curve, measured)
     if which == "rem1":
         rhs = s["k1"] * (s["k2"] * (3.0 * s["alpha"] + s["beta"]) + s["alpha"] * s["beta"] - s["alpha"] ** 2)
     elif which == "rem2":

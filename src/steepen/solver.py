@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from steepen import eos
 from steepen.eos import VacuumError
 from steepen.fields import Grid, StateField, derivative
 
@@ -86,14 +87,6 @@ class Trajectory:
         return self.snapshots[0].grid
 
     @property
-    def profile(self):
-        return self.snapshots[0].profile
-
-    @property
-    def gc(self):
-        return self.snapshots[0].gc
-
-    @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
 
@@ -107,7 +100,6 @@ class _Workspace:
         m, m_x, _ = state.m_arrays()
         self.grid = state.grid
         self.gc = gc
-        self.z_floor = state.z_floor
         self.m = m
         self.e_c = (g + 1.0) / (g - 1.0)
         self.K_c = gc.K_c
@@ -124,7 +116,7 @@ class _Workspace:
     def rhs(self, w, out):
         """Write (z_t, u_t) of the stacked state ``w = (z, u)`` into ``out``."""
         z = w[0]
-        if (z <= self.z_floor).any():
+        if (z <= eos.Z_FLOOR).any():
             raise VacuumError("z fell to the vacuum floor during a step")
         z_x, u_x = derivative(w, self.grid)
         zc = z**self.e_c
@@ -181,7 +173,7 @@ def _rk4(ws: _Workspace, w, dt, out):
     acc += k
     acc *= dt / 6.0
     np.add(w, acc, out=out)
-    if (out[0] <= ws.z_floor).any():
+    if (out[0] <= eos.Z_FLOOR).any():
         raise VacuumError("z fell to the vacuum floor during a step")
 
 
@@ -210,7 +202,7 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
     def make_state(tv, zv, uv):
         return StateField(
             grid=grid, t=tv, z=zv, u=uv,  # StateField copies them
-            profile=state0.profile, gc=state0.gc, z_floor=state0.z_floor,
+            profile=state0.profile, gc=state0.gc,
         )
 
     snapshots = [make_state(t, *w)]
@@ -276,14 +268,14 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
     )
 
 
-def conserved_drift(traj: Trajectory, t_max: float | None = None) -> dict:
-    """Max relative drift of the conserved logs up to t_max (default: all).
+def conserved_drift(traj: Trajectory, t_max: float) -> dict:
+    """Max relative drift of the conserved logs up to t_max.
 
     The momentum integral can start (and stay) at zero, so its drift is
     normalized by the larger of |int u(0)| and L * max|u| over the run.
     """
     log = traj.conserved
-    mask = np.ones_like(log.t, dtype=bool) if t_max is None else log.t <= t_max
+    mask = log.t <= t_max
     u_peak = max(float(np.max(np.abs(s.u))) for s in traj.snapshots)
     out = {}
     for name, series in (("int_u", log.int_u), ("int_tau", log.int_tau)):

@@ -1,10 +1,22 @@
+import numpy as np
 import pytest
 
-from steepen import eos, fields, solver
+from steepen import charpath, detector, eos, fields, riccati, solver
 
 
 def make_gas(gamma=3.0, K=1.0 / 3.0):
     return eos.make_constants(gamma, K)
+
+
+def sampled_residual(traj, curve, kind):
+    """``riccati.residual`` of ``kind`` on ``curve``, its quantities sampled from ``traj`` first."""
+    charpath.sample_along(curve, traj, riccati.RESIDUAL_KINDS[kind][2])
+    return riccati.residual(curve, kind)
+
+
+def gradient_peaks(traj):
+    """The ``detector.gradient_peak`` of every snapshot, as a run's snapshot pass records it."""
+    return np.array([detector.gradient_peak(riccati.diagnostics(s)) for s in traj.snapshots])
 
 
 @pytest.fixture(scope="session")

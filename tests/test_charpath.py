@@ -46,7 +46,7 @@ def test_trace_rejects_bad_direction_and_sparse_trajectory(constant_traj, gas3):
 def test_node_spacing_matches_local_speed(varying_traj):
     curve = charpath.trace(varying_traj, 0.3, "forward")
     sampler = charpath.FieldSampler(varying_traj)
-    gc = varying_traj.gc
+    gc = varying_traj.snapshots[0].gc
     E_c = (gc.gamma + 1.0) / (gc.gamma - 1.0)
     dt = np.diff(curve.t)
     dx = np.diff(curve.x_path)
@@ -54,8 +54,8 @@ def test_node_spacing_matches_local_speed(varying_traj):
     for i in range(0, len(dt), 7):
         t_mid = curve.t[i] + 0.5 * dt[i]
         x_mid = 0.5 * (curve.x_path[i] + curve.x_path[i + 1])
-        m_mid = varying_traj.profile.m(varying_traj.grid.wrap(x_mid))
-        c_mid = gc.K_c * m_mid * float(sampler.values("z", t_mid, x_mid)) ** E_c
+        m_mid = varying_traj.snapshots[0].profile.m(varying_traj.grid.wrap(x_mid))
+        c_mid = gc.K_c * m_mid * float(sampler.sample(("z",), t_mid, x_mid)["z"]) ** E_c
         worst = max(worst, abs(dx[i] - c_mid * dt[i]) / dt[i] ** 3)
     assert worst <= 10.0  # |dx - c dt| = O(dt^3) with a modest constant
 
@@ -138,8 +138,8 @@ def test_values_equal_scalar_lagrange_spline_reference(varying_traj, n_snapshots
     sampler = charpath.FieldSampler(traj)
     for name in ("z", "y", "m_x"):
         expect = [_lagrange_reference(traj, name, t, x) for t, x in zip(ts, xs)]
-        assert np.array_equal(sampler.values(name, ts, xs), expect), name
-        assert np.array_equal(sampler.values(name, ts[::-1], xs[::-1]), expect[::-1]), name
+        assert np.array_equal(sampler.sample((name,), ts, xs)[name], expect), name
+        assert np.array_equal(sampler.sample((name,), ts[::-1], xs[::-1])[name], expect[::-1]), name
 
 
 def _fixed_field_traj(gc, n, z):
@@ -164,7 +164,7 @@ def test_space_interpolation_is_sixth_order(gas3):
     h = traj.grid.h
     ts = rng.uniform(0.0, 0.3, 200)
     xs = rng.uniform(3.0 * h, 1.0 - 3.0 * h, 200)  # the stencil stays off the wrap
-    got = charpath.FieldSampler(traj).values("z", ts, xs)
+    got = charpath.FieldSampler(traj).sample(("z",), ts, xs)["z"]
     assert np.max(np.abs(got - quintic(xs))) <= 1e-14
 
     def error(n):
@@ -172,7 +172,7 @@ def test_space_interpolation_is_sixth_order(gas3):
             return 1.0 + 0.1 * np.sin(2.0 * np.pi * x)
 
         xs = rng.uniform(-1.0, 2.0, 400)
-        got = charpath.FieldSampler(_fixed_field_traj(gas3, n, smooth)).values("z", ts[:1], xs)
+        got = charpath.FieldSampler(_fixed_field_traj(gas3, n, smooth)).sample(("z",), ts[:1], xs)["z"]
         return np.max(np.abs(got - smooth(xs)))
 
     assert error(64) <= error(32) / 2.0**5.5
@@ -195,10 +195,17 @@ def test_residual_computes_each_snapshot_diagnostics_once(varying_traj, monkeypa
     monkeypatch.setattr(riccati, "diagnostics", spy)
     curve = charpath.trace(traj, 0.3, "forward")
     assert states == []  # tracing needs the wave speed only
-    riccati.residual(traj, curve, "ode_y")  # y, a0 and a2 in one pass
+    charpath.sample_along(curve, traj, riccati.RESIDUAL_KINDS["ode_y"][2])  # y, a0, a2 in one pass
     assert [id(s) for s in states] == [id(s) for s in traj.snapshots]
-    riccati.residual(traj, curve, "ode_y")  # every sample is on the curve already
+    riccati.residual(curve, "ode_y")  # every sample is on the curve already
     assert len(states) == len(traj.snapshots)
+
+
+def test_residual_names_a_missing_sample(constant_traj):
+    curve = charpath.trace(constant_traj, 0.3, "forward")
+    charpath.sample_along(curve, constant_traj, ("y", "a0"))
+    with pytest.raises(ValueError, match="ode_y needs a2 sampled"):
+        riccati.residual(curve, "ode_y")
 
 
 def test_sample_m_constant_entropy(constant_traj):
@@ -253,7 +260,7 @@ def test_unknown_quantity_rejected(constant_traj):
 def test_directional_derivative_requires_samples_and_nodes(constant_traj):
     curve = charpath.trace(constant_traj, 0.1, "forward")
     with pytest.raises(ValueError):
-        charpath.directional_derivative(curve, "z")
+        riccati.directional_derivative(curve, "z")
     charpath.sample_along(curve, constant_traj, "z")
     short = charpath.CharacteristicCurve(
         direction="forward",
@@ -263,7 +270,7 @@ def test_directional_derivative_requires_samples_and_nodes(constant_traj):
         samples={"z": curve.samples["z"][:4]},
     )
     with pytest.raises(ValueError):
-        charpath.directional_derivative(short, "z")
+        riccati.directional_derivative(short, "z")
 
 
 def _fornberg_reference(nodes, x0):
@@ -299,7 +306,7 @@ def test_directional_derivative_equals_per_node_reference():
     j0 = np.clip(np.arange(n) - 2, 0, n - 5)
     windows = t[j0[:, None] + np.arange(5)]
     expect_w = np.array([_fornberg_reference(tw, ti) for tw, ti in zip(windows, t)])
-    assert np.array_equal(charpath._fd_weights(windows, t), expect_w)
+    assert np.array_equal(riccati._fd_weights(windows, t), expect_w)
 
     expect = np.empty(n)
     for i in range(n):
@@ -310,13 +317,13 @@ def test_directional_derivative_equals_per_node_reference():
         else:
             expect[i] = float(np.dot(expect_w[i], fw))
     curve = charpath.CharacteristicCurve("forward", t, t, t, samples={"f": f})
-    assert np.array_equal(charpath.directional_derivative(curve, "f"), expect)
+    assert np.array_equal(riccati.directional_derivative(curve, "f"), expect)
 
 
 def test_directional_derivative_zero_in_constant_state(constant_traj):
     curve = charpath.trace(constant_traj, 0.6, "backward")
     charpath.sample_along(curve, constant_traj, "u")
-    d = charpath.directional_derivative(curve, "u")
+    d = riccati.directional_derivative(curve, "u")
     assert np.max(np.abs(d)) <= 1e-10
 
 
@@ -335,12 +342,12 @@ def _zprime_error(n):
         curve = charpath.trace(traj, seed, "forward")
         for name in ("z", "beta", "m_x", "m", "c"):
             charpath.sample_along(curve, traj, name)
-        dz = charpath.directional_derivative(curve, "z")
+        dz = riccati.directional_derivative(curve, "z")
         rhs = -gc.K_c * curve.samples["z"] ** ((g + 1.0) / (g - 1.0)) * (
             curve.samples["beta"] + (g - 1.0) / g * curve.samples["m_x"] * curve.samples["z"]
         )
         worst_z = max(worst_z, float(np.max(np.abs(dz - rhs))))
-        dm = charpath.directional_derivative(curve, "m")
+        dm = riccati.directional_derivative(curve, "m")
         worst_m = max(worst_m, float(np.max(np.abs(dm - curve.samples["c"] * curve.samples["m_x"]))))
     return worst_z, worst_m
 
@@ -366,7 +373,7 @@ def test_integrate_position_equals_per_stage_sampling(varying_traj, x_start, sig
     sampler = charpath.FieldSampler(traj)
 
     def wave_speed(t, x):
-        return sampler.values("c", np.full(x.shape, t), x)
+        return sampler.sample(("c",), np.full(x.shape, t), x)["c"]
 
     t_nodes = charpath.trace(traj, 0.3, "forward").t
     x = np.array(x_start, dtype=float)
@@ -410,8 +417,8 @@ def test_operator_identity_recovers_partial_derivatives():
             bw = charpath.trace(traj, seed, "backward")
             charpath.sample_along(fw, traj, "z")
             charpath.sample_along(bw, traj, "z")
-            df = charpath.directional_derivative(fw, "z")
-            db = charpath.directional_derivative(bw, "z")
+            df = riccati.directional_derivative(fw, "z")
+            db = riccati.directional_derivative(bw, "z")
             i = int(round(seed * n)) % n
             z_t = -(c[i] / m[i]) * u_x[i]
             worst_t = max(worst_t, abs(0.5 * (df[0] + db[0]) - z_t))

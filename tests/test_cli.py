@@ -233,7 +233,7 @@ def test_drift_window_is_the_resolved_window(tmp_path, monkeypatch, t_end, kind,
     real = solver.conserved_drift
     seen = []
 
-    def spy(traj, t_max=None):
+    def spy(traj, t_max):
         seen.append((traj.termination, t_max))
         return real(traj, t_max)
 
@@ -242,6 +242,27 @@ def test_drift_window_is_the_resolved_window(tmp_path, monkeypatch, t_end, kind,
     [(termination, t_max)] = seen
     assert termination.kind == kind
     assert t_max == fraction * termination.t_stop
+
+
+def test_a_nan_residual_reads_nan_in_the_summary(cfg_path, tmp_path, monkeypatch):
+    # the first of the two ode_q curves is NaN, the second finite: the
+    # maximum over them is NaN, not the finite one
+    real = riccati.residual
+    calls = []
+
+    def nan_first_ode_q(*args):
+        res = real(*args)
+        kind = args[-1]
+        calls.append(kind)
+        return np.full_like(res, np.nan) if calls.count("ode_q") == 1 and kind == "ode_q" else res
+
+    monkeypatch.setattr(riccati, "residual", nan_first_ode_q)
+    assert cli.main(["run", str(cfg_path)]) == 0
+    assert calls.count("ode_q") == 2
+    text = (tmp_path / "out" / "summary.txt").read_text()
+    summary = dict(line.split(" = ") for line in text.splitlines() if " = " in line)
+    assert summary["residual_max.ode_q"] == "nan"
+    assert np.isfinite(float(summary["residual_max.ode_y"]))
 
 
 def test_blowup_without_a_time_estimate_writes_outputs_exit_0(tmp_path):
@@ -267,7 +288,7 @@ def _fields_csv_reference(traj):
     lines = ["t,x,z,u,m,p,c,alpha,beta,y,q\n"]
     for snap in traj.snapshots:
         m = snap.m_arrays()[0]
-        p, c = eos.thermo(snap.z, m, traj.gc, snap.z_floor)
+        p, c = eos.thermo(snap.z, m, snap.gc)
         d = riccati.diagnostics(snap)
         for j in range(snap.grid.n):
             row = (snap.t, snap.grid.x[j], snap.z[j], snap.u[j], m[j], p[j], c[j],

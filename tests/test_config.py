@@ -4,6 +4,7 @@ from scipy.interpolate import CubicSpline
 
 from steepen.cli import run_pipeline
 from steepen.config import ConfigError, build_config, load_config, make_initial, parse_kv
+from steepen.riccati import RESIDUAL_KINDS
 
 
 BASE = """\
@@ -88,7 +89,6 @@ def test_referenced_file_must_exist(tmp_path):
     )
     cfg = load_config(_write(tmp_path, cfg_text))
     state, profile = make_initial(cfg)
-    assert profile.source == "sampled-with-spline"
     assert np.allclose(profile.m(0.5), 1.0 + 0.1 * np.sin(0.5), atol=1e-5)
 
 
@@ -163,6 +163,15 @@ def test_diagnostics_block_parsing(tmp_path):
         load_config(_write(tmp_path, BASE + "diagnostics.directions = up\n"))
 
 
+def test_residuals_follow_the_traced_directions(tmp_path):
+    assert load_config(_write(tmp_path, BASE)).diagnostics.residuals == list(RESIDUAL_KINDS)
+    forward = BASE + "diagnostics.directions = forward\n"
+    cfg = load_config(_write(tmp_path, forward))
+    assert cfg.diagnostics.residuals == ["rem1", "ode_y", "ode_ytilde"]
+    with pytest.raises(ConfigError, match="diagnostics block: residual 'ode_q' needs backward"):
+        load_config(_write(tmp_path, forward + "diagnostics.residuals = ode_y, ode_q\n"))
+
+
 BOUNDS = """\
 certify.Z_L = 0.2
 certify.Z_U = 3
@@ -185,6 +194,7 @@ certify.M4 = 0
     ("certify.M3", "nan"),
     ("certify.epsilon", "inf"),
     ("certify.A", "nan"),
+    ("diagnostics.seeds", "0.1, nan"),
 ])
 def test_non_finite_numbers_name_the_block(tmp_path, key, value):
     kv = parse_kv(BASE + BOUNDS)

@@ -5,7 +5,7 @@ import pytest
 
 from steepen import detector, fields, riccati, solver
 
-from conftest import make_gas
+from conftest import gradient_peaks, make_gas
 
 
 def _bounds(**kw):
@@ -87,12 +87,12 @@ def test_thresholds_monotone_in_ZU_and_M4():
     for g in gammas:
         n_prev = -1.0
         for zu in (1.0, 1.5, 2.0, 3.0):
-            th = detector.thresholds(_bounds(Z_U=zu, **base), g)
+            th = detector.thresholds(_bounds(Z_U=zu, **base), g, 0.01)
             assert th.N > n_prev
             n_prev = th.N
         n_prev = -1.0
         for m4 in (0.5, 1.0, 2.0):
-            th = detector.thresholds(_bounds(**{**base, "M4": m4}, Z_U=2.0), g)
+            th = detector.thresholds(_bounds(**{**base, "M4": m4}, Z_U=2.0), g, 0.01)
             assert th.N > n_prev
             n_prev = th.N
 
@@ -118,7 +118,7 @@ def test_thresholds_decrease_monotonically_as_epsilon_shrinks():
 
 def test_thresholds_domain_errors():
     with pytest.raises(ValueError):
-        detector.thresholds(_bounds(), gamma=1.0)
+        detector.thresholds(_bounds(), gamma=1.0, epsilon=0.01)
     with pytest.raises(ValueError):
         detector.thresholds(_bounds(), gamma=2.0, epsilon=-0.1)
 
@@ -129,7 +129,7 @@ def test_thresholds_domain_errors():
 def test_certify_thm14_isentropic_sign_test(gas3):
     grid = fields.Grid(0.0, 1.0, 128)
     state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
-    cert = detector.certify_thm14(state, _bounds(M3=0.0, M4=0.0))
+    cert = detector.certify_thm14(state, _bounds(M3=0.0, M4=0.0), 0.01)
     assert cert.kind == "thm14_y"
     assert cert.threshold == 0.0
     assert cert.witness_value == pytest.approx(-0.4 * np.pi, rel=1e-3)
@@ -139,7 +139,7 @@ def test_certify_thm14_isentropic_sign_test(gas3):
 def test_certify_thm14_constant_state_none(gas3):
     grid = fields.Grid(0.0, 1.0, 64)
     state, _ = fields.build_initial(0.0, grid, gas3, m0=1.0, z0=1.0)
-    cert = detector.certify_thm14(state, _bounds(M3=0.0, M4=0.0))
+    cert = detector.certify_thm14(state, _bounds(M3=0.0, M4=0.0), 0.01)
     assert cert.kind == "none"  # min y = 0 is not a strict violation
 
 
@@ -150,7 +150,7 @@ def test_certify_thm14_stationary_mild_profile_none():
     m_expr = "1 + 0.3*tanh(sin(2*pi*(x - 10)/20))"
     z_expr = f"(1/(({m_expr})^2))^({(g - 1.0) / (2.0 * g)})"
     state, _ = fields.build_initial(0.0, grid, gc, m0=m_expr, z0=z_expr)
-    cert = detector.certify_thm14(state, _bounds(Z_U=2.0, M2=1.5, M3=0.5, M4=0.5))
+    cert = detector.certify_thm14(state, _bounds(Z_U=2.0, M2=1.5, M3=0.5, M4=0.5), 0.01)
     assert cert.kind == "none"  # y, q are O(m_x), far inside the thresholds
 
 
@@ -160,7 +160,7 @@ def test_certify_thm14_witness_at_twice_threshold(gas3):
     amp = 2.0 * th.N / (2.0 * np.pi)  # min y0 = -2N for u = -a sin(2 pi x)
     grid = fields.Grid(0.0, 1.0, 256)
     state, _ = fields.build_initial(f"-{amp}*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
-    cert = detector.certify_thm14(state, bounds)
+    cert = detector.certify_thm14(state, bounds, 0.01)
     assert cert.kind == "thm14_y"
     assert cert.witness_value == pytest.approx(-2.0 * th.N, rel=1e-4)
 
@@ -288,21 +288,21 @@ def test_sign_a0_against_finite_difference_oracle():
 def test_threshold_certificate_soundness_empirical(gas3):
     """Certified data whose run satisfies the bounds must end in blowup."""
     grid = fields.Grid(0.0, 1.0, 256)
-    state, prof = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
+    state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
     bounds = _bounds(M3=1e-12, M4=1e-12)  # near-degenerate: N is tiny but positive
-    cert = detector.certify_thm14(state, bounds)
+    cert = detector.certify_thm14(state, bounds, 0.01)
     assert cert.kind == "thm14_y"
     traj = solver.evolve(
         state, solver.SolverConfig(cfl=0.4, t_end=3.0, snapshot_stride=10, gradient_cap=30.0)
     )
-    report = fields.validate_assumptions(traj.snapshots, prof, bounds)
+    report = fields.validate_assumptions(traj.snapshots, bounds)
     bad = [c.name for c in report if not c.passed and c.name.startswith("z")]
     assert not bad  # the a-priori z bounds really held for this run
     assert traj.termination.kind == "gradient_blowup"
 
 
 def test_detect_blowup_none_for_smooth_run(constant_traj):
-    assert detector.detect_blowup(constant_traj) is None
+    assert detector.detect_blowup(constant_traj, gradient_peaks(constant_traj)) is None
 
 
 def test_detect_blowup_matches_riccati_oracle(gas3):
@@ -311,7 +311,8 @@ def test_detect_blowup_matches_riccati_oracle(gas3):
     y0 = riccati.diagnostics(state).y
     oracle = 1.0 / abs(float(np.min(y0)))
     cfg = solver.SolverConfig(cfl=0.4, t_end=1.5, snapshot_stride=10, gradient_cap=30.0)
-    est = detector.detect_blowup(solver.evolve(state, cfg))
+    traj = solver.evolve(state, cfg)
+    est = detector.detect_blowup(traj, gradient_peaks(traj))
     assert est is not None
     assert abs(est.t_blow - oracle) / oracle <= 0.05
     assert est.uncertainty < 0.1 * oracle
@@ -324,7 +325,7 @@ def test_detect_blowup_none_when_too_few_snapshots(gas3):
     traj = solver.evolve(state, cfg)
     assert traj.termination.kind == "gradient_blowup"
     assert len(traj.snapshots) < 5
-    assert detector.detect_blowup(traj) is None
+    assert detector.detect_blowup(traj, gradient_peaks(traj)) is None
 
 
 def test_detect_blowup_none_when_reciprocal_grows(gas3):
@@ -339,4 +340,4 @@ def test_detect_blowup_none_when_reciprocal_grows(gas3):
         termination=solver.Termination("gradient_blowup", snapshots[-1].t, 0.25),
         conserved=solver.ConservedLog(np.zeros(n), np.zeros(n), np.zeros(n)),
     )
-    assert detector.detect_blowup(traj) is None
+    assert detector.detect_blowup(traj, gradient_peaks(traj)) is None

@@ -53,7 +53,6 @@ def test_sampled_profile_spline(tmp_path):
     xs = np.linspace(0.0, 6.0, 200)
     vals = 1.0 + 0.3 * np.tanh(xs - 3.0)
     prof = fields.EntropyProfile.from_samples(xs, vals)
-    assert prof.source == "sampled-with-spline"
     probe = np.linspace(0.5, 5.5, 37)
     assert np.allclose(prof.m(probe), 1.0 + 0.3 * np.tanh(probe - 3.0), atol=1e-7)
     assert np.allclose(prof.m_x(probe), 0.3 / np.cosh(probe - 3.0) ** 2, atol=1e-4)
@@ -198,8 +197,8 @@ def _bounds(**kw):
 
 def test_validate_assumptions_pass(gas3):
     grid = fields.Grid(0.0, 1.0, 32)
-    state, prof = fields.build_initial(0.0, grid, gas3, m0=1.0, z0=1.0)
-    report = fields.validate_assumptions([state], prof, _bounds())
+    state, _ = fields.build_initial(0.0, grid, gas3, m0=1.0, z0=1.0)
+    report = fields.validate_assumptions([state], _bounds())
     assert report.all_passed
     by_name = {c.name: c for c in report}
     assert by_name["m_x_abs"].observed == 0.0
@@ -209,9 +208,9 @@ def test_validate_assumptions_pass(gas3):
 def test_validate_assumptions_z_dip_recorded(gas3):
     # rarefying data: u_x > 0 drives z down; watch it cross a tight Z_L
     grid = fields.Grid(0.0, 1.0, 64)
-    state, prof = fields.build_initial("0.8*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
+    state, _ = fields.build_initial("0.8*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
     traj = solver.evolve(state, solver.SolverConfig(cfl=0.4, t_end=0.12, snapshot_stride=4))
-    report = fields.validate_assumptions(traj.snapshots, prof, _bounds(Z_L=0.9))
+    report = fields.validate_assumptions(traj.snapshots, _bounds(Z_L=0.9))
     by_name = {c.name: c for c in report}
     check = by_name["z_lower"]
     assert not check.passed

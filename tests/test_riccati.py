@@ -3,7 +3,7 @@ import pytest
 
 from steepen import charpath, detector, fields, riccati, solver
 
-from conftest import make_gas
+from conftest import make_gas, sampled_residual
 
 
 def _state(expr_u, expr_m, expr_z, gamma=5.0 / 3.0, K=1.0 / 15.0, n=256, L=1.0):
@@ -68,11 +68,11 @@ def test_alpha_beta_match_pressure_derivative_form(varying_traj):
             for name in ("p", "c", "alpha", "beta"):
                 charpath.sample_along(c, traj, name)
         # beta from the forward (primed) derivative of p
-        dp_f = charpath.directional_derivative(fw, "p")
+        dp_f = riccati.directional_derivative(fw, "p")
         beta_ref = -dp_f / fw.samples["c"] ** 2
         worst = max(worst, float(np.max(np.abs(beta_ref - fw.samples["beta"]))))
         # alpha from the backward derivative of p
-        dp_b = charpath.directional_derivative(bw, "p")
+        dp_b = riccati.directional_derivative(bw, "p")
         alpha_ref = -dp_b / bw.samples["c"] ** 2
         worst = max(worst, float(np.max(np.abs(alpha_ref - bw.samples["alpha"]))))
     assert worst <= 5e-3  # two interpolations compound; grid formulas are canonical
@@ -210,16 +210,16 @@ def test_phase_classify_requires_negative_a2():
 def test_residual_direction_mismatch(varying_traj):
     fw = charpath.trace(varying_traj, 0.2, "forward")
     with pytest.raises(ValueError):
-        riccati.residual(varying_traj, fw, "rem2")
+        riccati.residual(fw, "rem2")
     with pytest.raises(ValueError):
-        riccati.residual(varying_traj, fw, "nonsense")
+        riccati.residual(fw, "nonsense")
 
 
 def test_residuals_vanish_in_constant_state(constant_traj):
     for kind in riccati.RESIDUAL_KINDS:
         direction = riccati.RESIDUAL_KINDS[kind][0]
         curve = charpath.trace(constant_traj, 0.4, direction)
-        res = riccati.residual(constant_traj, curve, kind)
+        res = sampled_residual(constant_traj, curve, kind)
         assert np.max(np.abs(res)) <= 1e-10, kind
 
 
@@ -227,7 +227,7 @@ def test_residuals_small_on_smooth_varying_run(varying_traj):
     for kind in riccati.RESIDUAL_KINDS:
         direction = riccati.RESIDUAL_KINDS[kind][0]
         curve = charpath.trace(varying_traj, 0.37, direction)
-        res = riccati.residual(varying_traj, curve, kind)
+        res = sampled_residual(varying_traj, curve, kind)
         assert np.max(np.abs(res)) <= 0.05, kind
 
 
@@ -235,7 +235,7 @@ def test_mu_bar_transport_identity(varying_traj):
     curve = charpath.trace(varying_traj, 0.3, "forward")
     for name in ("mu_bar", "a1_t"):
         charpath.sample_along(curve, varying_traj, name)
-    dmu = charpath.directional_derivative(curve, "mu_bar")
+    dmu = riccati.directional_derivative(curve, "mu_bar")
     err = np.max(np.abs(dmu + curve.samples["a1_t"] * curve.samples["mu_bar"]))
     assert err <= 1e-6 * max(1.0, float(np.max(np.abs(dmu))))
 
@@ -255,7 +255,7 @@ def test_beta_backprime_coupling_at_beta_zero():
     beta = charpath.sample_along(curve, traj, "beta")
     for name in ("alpha", "k1", "k2"):
         charpath.sample_along(curve, traj, name)
-    d_beta = charpath.directional_derivative(curve, "beta")
+    d_beta = riccati.directional_derivative(curve, "beta")
     crossings = np.where(beta[:-1] * beta[1:] < 0.0)[0]
     assert crossings.size >= 1
     i = crossings[0]
@@ -273,11 +273,11 @@ def test_beta_backprime_coupling_at_beta_zero():
 def test_phase_monotonicity_agrees_with_measured_derivative(varying_traj):
     """Fig.-1 arrows vs the measured y' at random probe points."""
     curve = charpath.trace(varying_traj, 0.4, "forward")
-    res = riccati.residual(varying_traj, curve, "ode_y")
+    res = sampled_residual(varying_traj, curve, "ode_y")
     y = curve.samples["y"]
     a0 = curve.samples["a0"]
     a2 = curve.samples["a2"]
-    dy = charpath.directional_derivative(curve, "y")
+    dy = riccati.directional_derivative(curve, "y")
     rng = np.random.default_rng(17)
     probes = rng.integers(0, len(y), size=100)
     checked = 0

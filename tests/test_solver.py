@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steepen import fields, riccati, solver
+from steepen import eos, fields, riccati, solver
 
 from conftest import make_gas
 
@@ -159,10 +159,12 @@ def test_evolve_conservation_drift_small_pre_blowup(gas3):
     assert drift["int_tau"] <= 1e-8
 
 
-def test_evolve_vacuum_guard_tag(gas3):
-    # a raised floor turns a strong rarefaction into a vacuum-guard stop
+def test_evolve_vacuum_guard_tag(gas3, monkeypatch):
+    # a raised floor turns a strong rarefaction into a vacuum-guard stop; at
+    # the default floor this run stops as cfl_collapse
+    monkeypatch.setattr(eos, "Z_FLOOR", 0.9)
     grid = fields.Grid(0.0, 1.0, 64)
-    state, _ = fields.build_initial("2.0*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0, z_floor=0.9)
+    state, _ = fields.build_initial("2.0*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
     traj = solver.evolve(state, solver.SolverConfig(cfl=0.4, t_end=1.0))
     assert traj.termination.kind == "vacuum_guard"
     assert 0.0 <= traj.termination.t_stop < 1.0
