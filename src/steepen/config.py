@@ -11,6 +11,7 @@ sweepable leaves.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,6 +97,18 @@ def _take(kv: dict, block: str) -> dict:
     return {k[len(prefix):]: v for k, v in kv.items() if k.startswith(prefix)}
 
 
+@contextmanager
+def _in_block(block: str):
+    """Report a ValueError raised inside as a ConfigError naming ``block``;
+    a ConfigError names its block already and passes through as it is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{block} block: {exc}") from None
+
+
 def _float(block: str, name: str, raw: str) -> float:
     try:
         return float(raw)
@@ -155,26 +168,22 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
     for req in ("gamma", "K"):
         if req not in gas_kv:
             raise ConfigError(f"gas block: missing required key {req!r}")
-    try:
+    with _in_block("gas"):
         gas = eos.make_constants(
             _float("gas", "gamma", gas_kv["gamma"]),
             _float("gas", "K", gas_kv["K"]),
         )
-    except ValueError as exc:
-        raise ConfigError(f"gas block: {exc}") from None
 
     grid_kv = _take(kv, "grid")
     for req in ("x0", "x1", "n"):
         if req not in grid_kv:
             raise ConfigError(f"grid block: missing required key {req!r}")
-    try:
+    with _in_block("grid"):
         grid = Grid(
             _float("grid", "x0", grid_kv["x0"]),
             _float("grid", "x1", grid_kv["x1"]),
             _int("grid", "n", grid_kv["n"]),
         )
-    except ValueError as exc:
-        raise ConfigError(f"grid block: {exc}") from None
 
     params = {name: _float("params", name, raw) for name, raw in _take(kv, "params").items()}
 
@@ -194,13 +203,11 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
     sol_kv = _take(kv, "solver")
     if "t_end" not in sol_kv:
         raise ConfigError("solver block: missing required key 't_end'")
-    try:
+    with _in_block("solver"):
         solver_cfg = SolverConfig(**{
             name: (_int if name == "snapshot_stride" else _float)("solver", name, raw)
             for name, raw in sol_kv.items()
         })
-    except ValueError as exc:
-        raise ConfigError(f"solver block: {exc}") from None
 
     dia_kv = {name: [v.strip() for v in raw.split(",") if v.strip()]
               for name, raw in _take(kv, "diagnostics").items()}
@@ -228,12 +235,10 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
         missing = sorted(set(bound_names) - set(present))
         raise ConfigError(f"certify block: incomplete bounds, missing {missing}")
     if present:
-        try:
+        with _in_block("certify"):
             certify.bounds = AssumptionBounds(
                 **{b: _float("certify", b, cert_kv[b]) for b in bound_names}
             )
-        except ValueError as exc:
-            raise ConfigError(f"certify block: {exc}") from None
     if "epsilon" in cert_kv:
         certify.epsilon = _float("certify", "epsilon", cert_kv["epsilon"])
         if not 0.0 <= certify.epsilon < math.inf:

@@ -238,31 +238,44 @@ def build_initial(
 # --- finite differences --------------------------------------------------
 
 
+def fill_ghosts(padded) -> None:
+    """Make ``(..., n + 4)`` values periodic again, in place: ghost columns
+    0, 1 take nodes n - 2, n - 1 and columns n + 2, n + 3 take nodes 0, 1
+    (node i sits in column i + 2)."""
+    padded[..., :2] = padded[..., -4:-2]
+    padded[..., -2:] = padded[..., 2:4]
+
+
 def derivative(values, grid: Grid) -> np.ndarray:
     """First derivative by the 4th-order central difference on the periodic grid.
 
     The stencil is exact for polynomials of degree <= 4 (away from the
     periodic wrap) up to rounding.  ``values`` is differentiated along its
-    last axis, which must match the grid, so a stack of fields such as
-    ``(z, u)`` takes one call; each row equals the 1-D result bit for bit.
-    The shifted neighbours are slices of one copy of ``values`` padded with
-    two periodic ghost cells on each side.
+    last axis, so a stack of fields such as ``(z, u)`` takes one call; each
+    row equals the 1-D result bit for bit.  The last axis holds either the
+    ``n`` nodes, which are then padded by one copy, or ``n + 4`` columns
+    that already carry two periodic ghost cells on each side (node i in
+    column i + 2).  The result is ``(..., n)``.
     """
+    n = grid.n
     f = np.asarray(values, dtype=float)
-    if f.ndim == 0 or f.shape[-1] != grid.n:
+    if f.ndim == 0 or f.shape[-1] not in (n, n + 4):
         raise ValueError("values must match the grid size")
-    padded = np.concatenate((f[..., -2:], f, f[..., :2]), axis=-1)
-    fm2 = padded[..., :-4]
-    fm1 = padded[..., 1:-3]
-    fp1 = padded[..., 3:-1]
-    fp2 = padded[..., 4:]
-    # (-fp2 + 8 fp1 - 8 fm1 + fm2) / (12 h), summed in that order in place
-    out = fp1 * 8.0
-    out -= fp2
-    out -= fm1 * 8.0
-    out += fm2
-    out /= 12.0 * grid.h
-    return out
+    if f.shape[-1] == n:
+        f = np.concatenate((f[..., -2:], f, f[..., :2]), axis=-1)
+    flat = f.ravel()
+    # out[c] = (-f[c+2] + 8 f[c+1] - 8 f[c-1] + f[c-2]) / (12 h) at every flat
+    # centre c, summed in that order in place from one product 8 f; the
+    # centres whose stencil reaches into the next row are ghosts, and are
+    # dropped
+    f8 = flat * 8.0
+    out = np.empty_like(flat)
+    body = out[2:-2]
+    np.subtract(f8[3:-1], flat[4:], out=body)
+    body -= f8[1:-3]
+    body += flat[:-4]
+    body /= 12.0 * grid.h
+    return out.reshape(f.shape)[..., 2:n + 2]
 
 
 # --- a-priori bound checking ---------------------------------------------

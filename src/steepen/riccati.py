@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from steepen.fields import StateField, derivative
+from steepen.fields import StateField, derivative, fill_ghosts
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,17 @@ def diagnostics(state: StateField) -> DiagnosticFields:
     u = state.u
     m, m_x, m_xx = state.m_arrays()
 
-    u_x = derivative(u, grid)
-    z_x = derivative(z, grid)
-    s_x = derivative(u + m * z, grid)
-    r_x = derivative(u - m * z, grid)
+    # one stencil call on (u, z, u + m z, u - m z), built with its ghost cells
+    # in place rather than stacked and then padded by a second copy
+    rows = np.empty((4, grid.n + 4))
+    nodes = rows[:, 2:-2]
+    nodes[0] = u
+    nodes[1] = z
+    np.multiply(m, z, out=nodes[3])
+    np.add(u, nodes[3], out=nodes[2])
+    np.subtract(u, nodes[3], out=nodes[3])
+    fill_ghosts(rows)
+    u_x, z_x, s_x, r_x = derivative(rows, grid)
 
     ent = ((g - 1.0) / g) * m_x * z
     alpha = u_x + m * z_x + ent

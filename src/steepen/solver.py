@@ -7,13 +7,17 @@ Semi-discrete form (4th-order central differences, periodic)::
     m_t = 0
 
 advanced with the classical 4-stage Runge-Kutta scheme under a CFL time
-step.  The state is held as one ``(2, n)`` array with rows ``(z, u)``:
-each stage takes one :func:`~steepen.fields.derivative` call for both
-gradients, and the stage sums, the RK4 combination and the finiteness
-check each run once on the stacked array, in preallocated buffers.  The
-energy equation is not evolved; smooth solutions carry it via the
-stationarity of the entropy.  The integrals of u and tau (momentum and
-volume) are logged at every step as a conservation check.
+step.  The state is held as one ``(2, n + 4)`` array with rows ``(z, u)``:
+node i sits in column i + 2, and two periodic ghost cells pad each end.
+Each stage takes one :func:`~steepen.fields.derivative` call for both
+gradients, which reads the padded buffer as it is.  The stage sums, the
+RK4 combination and the finiteness check each run once over the whole
+buffers, in preallocated storage; a ghost gets the same operations as its
+node, so only a slope's ghosts are refilled, and every node value is bit
+for bit that of the unpadded formulas.  The energy equation is not
+evolved; smooth solutions carry it via the stationarity of the entropy.
+The integrals of u and tau (momentum and volume) are logged at every step
+as a conservation check.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from steepen import eos
 from steepen.eos import VacuumError
-from steepen.fields import Grid, StateField, derivative
+from steepen.fields import Grid, StateField, derivative, fill_ghosts
 
 
 @dataclass
@@ -92,7 +96,12 @@ class Trajectory:
 
 
 class _Workspace:
-    """Profile-derived constants and the RK stage buffers, reused across steps."""
+    """Profile-derived constants and the RK stage buffers, reused across steps.
+
+    A state is a ``(2, n + 4)`` array, rows ``(z, u)``: node i sits in
+    column i + 2, and columns 0, 1 and n + 2, n + 3 hold periodic ghost
+    copies of nodes n - 2, n - 1 and 0, 1.
+    """
 
     def __init__(self, state: StateField):
         gc = state.gc
@@ -105,22 +114,21 @@ class _Workspace:
         self.K_c = gc.K_c
         self.mc_coeff = gc.K_c * m * m  # m*c = coeff * z**e_c
         self.forcing = 2.0 * gc.K_p * m * m_x  # 2(p/m)m_x = forcing * z**(e_c+1)
-        # (2, n) buffers: the stage state, one stage's slope, the slope sum
-        self.stage, self.k, self.acc = np.empty((3, 2, len(m)))
+        # padded buffers: the stage state, one stage's slope, the slope sum,
+        # and _steepness's forward differences
+        self.stage, self.k, self.acc, self.diff = np.empty((4, 2, len(m) + 4))
 
     def max_wavespeed(self, z) -> float:
-        """max_x c = K_c max(m z^e_c), the speed a step is bounded by
-        (not finite when z is not)."""
+        """max_x c = K_c max(m z^e_c) over the nodes ``z``, the speed a step
+        is bounded by (not finite when z is not)."""
         return self.K_c * float(np.max(self.m * z**self.e_c))
 
     def rhs(self, w, out):
-        """Write (z_t, u_t) of the stacked state ``w = (z, u)`` into ``out``."""
-        z = w[0]
-        if (z <= eos.Z_FLOOR).any():
-            raise VacuumError("z fell to the vacuum floor during a step")
+        """Write (z_t, u_t) of the padded state ``w``, ghosts included, into ``out``."""
         z_x, u_x = derivative(w, self.grid)
+        z = w[0, 2:-2]
         zc = z**self.e_c
-        z_t, u_t = out
+        z_t, u_t = out[:, 2:-2]
         # z_t = -K_c zc u_x and u_t = -(mc_coeff zc z_x + forcing zc z),
         # each product in that order
         np.multiply(zc, -self.K_c, out=z_t)
@@ -131,32 +139,41 @@ class _Workspace:
         zc *= z
         u_t += zc
         np.negative(u_t, out=u_t)
+        fill_ghosts(out)
 
 
-def _abs_forward_diff(a):
-    """|a[i+1] - a[i]| with the periodic wrap at the last node."""
-    d = np.empty_like(a)
-    np.subtract(a[1:], a[:-1], out=d[:-1])
-    d[-1] = a[0] - a[-1]
-    return np.abs(d, out=d)
+def _check_floor(w):
+    # fmin ignores NaN, as the comparison z <= Z_FLOOR does
+    if np.fmin.reduce(w[0]) <= eos.Z_FLOOR:
+        raise VacuumError("z fell to the vacuum floor during a step")
 
 
-def _steepness(z, u, m, grid: Grid):
+def _steepness(ws: _Workspace, w):
     # one-sided differences: unlike the centered stencil they cannot alias
-    # away a two-cell sawtooth, so the cap also catches lost resolution
-    dz = _abs_forward_diff(z)
-    np.multiply(m, dz, out=dz)
-    mags = np.maximum(_abs_forward_diff(u), dz, out=dz)
+    # away a two-cell sawtooth, so the cap also catches lost resolution.
+    # One pass over the flat state gives both rows' differences; ghost
+    # column n + 2 is node 0, so the last node's is the periodic wrap.
+    flat = w.reshape(-1)
+    d = ws.diff.reshape(-1)[:-1]
+    np.subtract(flat[1:], flat[:-1], out=d)
+    np.abs(d, out=d)
+    dz, du = ws.diff[:, 2:-2]
+    np.multiply(ws.m, dz, out=dz)
+    mags = np.maximum(du, dz, out=dz)
+    grid = ws.grid
     mags /= grid.h
     i = int(mags.argmax())
     return float(mags[i] * grid.length), float(grid.x[i])
 
 
 def _rk4(ws: _Workspace, w, dt, out):
-    """One RK4 step of the stacked state ``w``, written into ``out``.
+    """One RK4 step of the padded state ``w``, written into ``out``.
 
-    Every element is computed as ``w + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)``
-    with stages ``w + (dt/2) k1``, ``w + (dt/2) k2`` and ``w + dt k3``.
+    Every element, ghosts included, is computed as
+    ``w + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)`` with stages
+    ``w + (dt/2) k1``, ``w + (dt/2) k2`` and ``w + dt k3``; a ghost gets the
+    same operations on exact copies, so it stays its node's copy.  ``w``
+    itself is above the vacuum floor: every state the run keeps is checked.
     """
     stage, k, acc = ws.stage, ws.k, ws.acc
     half = 0.5 * dt
@@ -164,24 +181,26 @@ def _rk4(ws: _Workspace, w, dt, out):
     np.multiply(acc, half, out=stage)
     stage += w
     for stage_dt in (half, dt):  # k2, then k3
+        _check_floor(stage)
         ws.rhs(stage, k)
         np.multiply(k, stage_dt, out=stage)
         stage += w
         k *= 2.0
         acc += k
+    _check_floor(stage)
     ws.rhs(stage, k)  # k4
     acc += k
     acc *= dt / 6.0
     np.add(w, acc, out=out)
-    if (out[0] <= eos.Z_FLOOR).any():
-        raise VacuumError("z fell to the vacuum floor during a step")
+    _check_floor(out)
 
 
-def _conserved(ws: _Workspace, z, u):
+def _conserved(ws: _Workspace, w):
     gc = ws.gc
     h = ws.grid.h
+    z, u = w[:, 2:-2]
     tau = gc.K_tau * z ** (-2.0 / (gc.gamma - 1.0))
-    return h * float(np.sum(u)), h * float(np.sum(tau))
+    return h * float(u.sum()), h * float(tau.sum())
 
 
 def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
@@ -195,31 +214,31 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
     """
     ws = _Workspace(state0)
     grid = state0.grid
-    w = np.stack((state0.z, state0.u))  # rows (z, u)
+    w = np.pad(np.stack((state0.z, state0.u)), ((0, 0), (2, 2)), mode="wrap")
     w_new = np.empty_like(w)
     t = 0.0
 
-    def make_state(tv, zv, uv):
+    def make_state(tv, wv):
         return StateField(
-            grid=grid, t=tv, z=zv, u=uv,  # StateField copies them
+            grid=grid, t=tv, z=wv[0, 2:-2], u=wv[1, 2:-2],  # StateField copies them
             profile=state0.profile, gc=state0.gc,
         )
 
-    snapshots = [make_state(t, *w)]
+    snapshots = [make_state(t, w)]
     log_t, log_u, log_tau = [], [], []
 
-    def log(tv, zv, uv):
-        iu, itau = _conserved(ws, zv, uv)
+    def log(tv, wv):
+        iu, itau = _conserved(ws, wv)
         log_t.append(tv)
         log_u.append(iu)
         log_tau.append(itau)
 
-    log(t, *w)
+    log(t, w)
 
     termination = None
     steps = 0
     while True:
-        steep, x_peak = _steepness(w[0], w[1], ws.m, grid)
+        steep, x_peak = _steepness(ws, w)
         if steep > cfg.gradient_cap:
             termination = Termination("gradient_blowup", t, x_peak)
             break
@@ -227,7 +246,7 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
             termination = Termination("reached_t_end", t)
             break
 
-        c_max = ws.max_wavespeed(w[0])
+        c_max = ws.max_wavespeed(w[0, 2:-2])
         if not np.isfinite(c_max) or c_max <= 0.0:
             termination = Termination("vacuum_guard", t)
             break
@@ -249,12 +268,12 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
         w, w_new = w_new, w
         t += dt
         steps += 1
-        log(t, *w)
+        log(t, w)
         if steps % cfg.snapshot_stride == 0:
-            snapshots.append(make_state(t, *w))
+            snapshots.append(make_state(t, w))
 
     if snapshots[-1].t < t - 1e-300:
-        snapshots.append(make_state(t, *w))
+        snapshots.append(make_state(t, w))
 
     return Trajectory(
         snapshots=snapshots,

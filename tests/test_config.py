@@ -211,3 +211,15 @@ def test_bad_numbers_name_the_block(tmp_path):
         load_config(_write(tmp_path, BASE.replace("solver.t_end = 0.2", "solver.t_end = soon")))
     with pytest.raises(ConfigError, match="output block"):
         load_config(_write(tmp_path, BASE + "output.emit_svg = maybe\n"))
+
+
+@pytest.mark.parametrize("key", ["gas.gamma", "grid.n", "solver.cfl", "certify.M1"])
+def test_malformed_number_names_its_block_once(tmp_path, key):
+    kv = parse_kv(BASE + BOUNDS)
+    kv[key] = "abc"
+    block, name = key.split(".", 1)
+    with pytest.raises(ConfigError) as info:
+        build_config(kv, tmp_path)
+    message = str(info.value)
+    assert message.startswith(f"{block} block: {name} must be")
+    assert message.count("block") == 1

@@ -170,10 +170,11 @@ def test_derivative_linearity():
 
 
 @pytest.mark.parametrize("n", [16, 2048])
-@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("rows", [1, 2, 4])
 def test_derivative_bitwise_equals_roll_reference(n, rows):
     # the ghost-padded stencil must give the np.roll formula bit for bit,
-    # on one field and, row by row, on a (2, n) stack such as the solver's
+    # on one field and, row by row, on a stack such as the solver's (z, u)
+    # or riccati.diagnostics' (u, z, u + m z, u - m z)
     grid = fields.Grid(0.0, 1.0, n)
     rng = np.random.default_rng(n + rows)
     f = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-8, 9, size=(rows, n))
@@ -184,6 +185,25 @@ def test_derivative_bitwise_equals_roll_reference(n, rows):
     out = fields.derivative(f, grid)
     assert out.shape == f.shape
     assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("n", [16, 2048])
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_derivative_of_ghost_padded_values_equals_unpadded(n, rows):
+    # values that carry two periodic ghost cells per side are used as they
+    # are; the result is the nodes' derivative, bit for bit
+    grid = fields.Grid(0.0, 1.0, n)
+    rng = np.random.default_rng(n + rows)
+    f = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-8, 9, size=(rows, n))
+    if rows == 1:
+        f = f[0]
+    padded = np.pad(f, [(0, 0)] * (f.ndim - 1) + [(2, 2)], mode="wrap")
+    out = fields.derivative(padded, grid)
+    assert out.shape == f.shape
+    assert np.array_equal(out, fields.derivative(f, grid))
+    for extra in (1, 2):
+        with pytest.raises(ValueError, match="grid size"):
+            fields.derivative(padded[..., : n + extra], grid)
 
 
 # --- assumption checking ------------------------------------------------------

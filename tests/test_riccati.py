@@ -13,6 +13,19 @@ def _state(expr_u, expr_m, expr_z, gamma=5.0 / 3.0, K=1.0 / 15.0, n=256, L=1.0):
     return state
 
 
+def test_gradients_equal_one_derivative_call_per_field():
+    # diagnostics differentiates (u, z, u + m z, u - m z) in one stacked call;
+    # each gradient must be the one-field call's, bit for bit
+    state = _state("0.3*sin(2*pi*x) + 0.1*cos(4*pi*x)", "1 + 0.25*cos(2*pi*x)", "1 + 0.2*sin(4*pi*x)")
+    d = riccati.diagnostics(state)
+    m = state.m_arrays()[0]
+    u, z, grid = state.u, state.z, state.grid
+    assert np.array_equal(d.u_x, fields.derivative(u, grid))
+    assert np.array_equal(d.z_x, fields.derivative(z, grid))
+    assert np.array_equal(d.s_x, fields.derivative(u + m * z, grid))
+    assert np.array_equal(d.r_x, fields.derivative(u - m * z, grid))
+
+
 # --- alpha, beta --------------------------------------------------------------
 
 

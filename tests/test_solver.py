@@ -111,6 +111,84 @@ def test_step_reduces_to_p_system_when_entropy_constant(gas3):
     assert np.array_equal(stepped.u, u_ref)
 
 
+def _reference_run(state, cfg):
+    """evolve's loop on unpadded ``(z, u)`` rows, every operation in the order
+    of rhs and _rk4: (snapshots, int_u log, int_tau log, termination)."""
+    gc, grid = state.gc, state.grid
+    g = gc.gamma
+    e_c = (g + 1.0) / (g - 1.0)
+    m, m_x, _ = state.m_arrays()
+    mc_coeff = gc.K_c * m * m
+    forcing = 2.0 * gc.K_p * m * m_x
+
+    def rhs(w):
+        z, u = w
+        zc = z**e_c
+        z_x, u_x = fields.derivative(z, grid), fields.derivative(u, grid)
+        return np.stack(((zc * -gc.K_c) * u_x, -((mc_coeff * zc) * z_x + (zc * forcing) * z)))
+
+    def steepness(z, u):
+        dz = np.abs(np.roll(z, -1) - z)
+        mags = np.maximum(np.abs(np.roll(u, -1) - u), m * dz) / grid.h
+        i = int(mags.argmax())
+        return mags[i] * grid.length, grid.x[i]
+
+    def conserved(z, u):
+        tau = gc.K_tau * z ** (-2.0 / (g - 1.0))
+        return grid.h * float(np.sum(u)), grid.h * float(np.sum(tau))
+
+    t, steps = 0.0, 0
+    w = np.stack((state.z, state.u))
+    snapshots, log = [(t, w)], [conserved(*w)]
+    while True:
+        steep, x_peak = steepness(*w)
+        if steep > cfg.gradient_cap:
+            termination = ("gradient_blowup", t, x_peak)
+            break
+        if t >= cfg.t_end - 1e-14 * max(1.0, cfg.t_end):
+            termination = ("reached_t_end", t, None)
+            break
+        dt = cfg.cfl * grid.h / (gc.K_c * float(np.max(m * w[0] ** e_c)))
+        dt = min(dt, cfg.t_end - t)
+        k1 = rhs(w)
+        k2 = rhs(w + 0.5 * dt * k1)
+        k3 = rhs(w + 0.5 * dt * k2)
+        k4 = rhs(w + dt * k3)
+        w = w + (((k1 + 2.0 * k2) + 2.0 * k3) + k4) * (dt / 6.0)
+        t += dt
+        steps += 1
+        log.append(conserved(*w))
+        if steps % cfg.snapshot_stride == 0:
+            snapshots.append((t, w))
+    if snapshots[-1][0] < t:
+        snapshots.append((t, w))
+    return snapshots, np.array(log), termination
+
+
+@pytest.mark.parametrize("t_end, kind", [(0.2, "reached_t_end"), (1.0, "gradient_blowup")])
+def test_evolve_with_entropy_forcing_equals_unpadded_reference(t_end, kind):
+    """About 20 steps with m varying, so the forcing term is not zero."""
+    gc = make_gas(5.0 / 3.0, 1.0 / 15.0)
+    grid = fields.Grid(0.0, 1.0, 64)
+    state, _ = fields.build_initial(
+        "-0.35*sin(2*pi*x)", grid, gc, m0="1 + 0.2*sin(2*pi*x)", z0="1 + 0.1*cos(2*pi*x)"
+    )
+    assert np.max(np.abs(state.m_arrays()[1])) > 1.0
+    cfg = solver.SolverConfig(cfl=0.4, t_end=t_end, snapshot_stride=3, gradient_cap=2.3)
+    traj = solver.evolve(state, cfg)
+    snapshots, log, termination = _reference_run(state, cfg)
+    assert traj.termination.kind == kind == termination[0]
+    assert 15 <= traj.steps_taken <= 30
+    assert traj.termination.t_stop == termination[1]
+    assert traj.termination.x_loc == termination[2]
+    assert [s.t for s in traj.snapshots] == [t for t, _ in snapshots]
+    for snap, (_, w) in zip(traj.snapshots, snapshots):
+        assert np.array_equal(snap.z, w[0])
+        assert np.array_equal(snap.u, w[1])
+    assert np.array_equal(traj.conserved.int_u, log[:, 0])
+    assert np.array_equal(traj.conserved.int_tau, log[:, 1])
+
+
 def test_stationary_state_stays_stationary_under_refinement():
     """u growth per unit time at the discretization floor for gentle data."""
     g = 5.0 / 3.0
