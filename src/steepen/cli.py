@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from steepen import charpath, detector, fields, riccati, solver, svg
+from steepen import _g16, charpath, detector, fields, riccati, solver, svg
 from steepen.config import (
     ConfigError,
     RunConfig,
@@ -66,11 +66,35 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 FIELDS_COLUMNS = ("t", "x", "z", "u", "m", "p", "c", "alpha", "beta", "y", "q")
-# fields.csv rows formatted by one ``%``: a whole snapshot's block is about
-# 200 kB at n = 1024, past glibc's mmap threshold, and making and freeing
-# it once per snapshot let the heap shrink and grow back each time (8.5k
-# more page faults on one_sided_profile); blocks of 256 rows stay below
-_ROWS_PER_FORMAT = 256
+# values formatted per block of rows (128 rows of fields.csv, 256 of
+# curves.csv): a block's slots and the formatter's temporaries stay near
+# 150 kB whatever n, below the peak that sampling the curves sets
+_VALUES_PER_BLOCK = 1024
+
+
+def _write_fields_rows(fh, fmt: _g16.Formatter, snap, d, t, x_m) -> None:
+    """Write fields.csv's rows of one snapshot, ``d`` its diagnostics and
+    ``t``, ``x_m`` the slots of its time and of ``x`` and ``m``.  The rows
+    are assembled per block in one buffer of slots: ``t``, ``x``, ``m``
+    copied in and the other 8 columns formatted."""
+    n = snap.grid.n
+    p, c = snap.thermo()
+    columns = (snap.z, snap.u, p, c, d.alpha, d.beta, d.y, d.q)
+    # z, u and p ... q, each followed by a comma but q, which ends the row
+    tails = np.full(8, _g16.tail(","))
+    tails[-1] = _g16.tail("\n")
+    step = min(n, _VALUES_PER_BLOCK // 8)
+    values = np.empty((step, 8))
+    rows = np.empty((step, len(FIELDS_COLUMNS), 4), _g16.WORD)
+    rows[:, 0] = t
+    for lo in range(0, n, step):
+        block = rows[:min(step, n - lo)]
+        np.stack([col[lo:lo + step] for col in columns], axis=1, out=values[:len(block)])
+        cells = fmt.slots(values[:len(block)], tails)
+        block[:, (1, 4)] = x_m[lo:lo + step]
+        block[:, 2:4] = cells[:, :2]
+        block[:, 5:] = cells[:, 2:]
+        fh.write(_g16.text(block))
 
 
 def _snapshot_pass(fh, traj: solver.Trajectory, names, extrema: np.ndarray):
@@ -80,35 +104,26 @@ def _snapshot_pass(fh, traj: solver.Trajectory, names, extrema: np.ndarray):
     ``fh``, record its ``min y``, ``min q`` and
     :func:`detector.gradient_peak` in ``extrema[:, k]``, and yield its
     grid rows of ``names`` (a :func:`charpath.sample_along` row source).
-    The diagnostics are dropped before the next snapshot.
+    The diagnostics are dropped before the yield, but for those rows.
 
     fields.csv has one row per (snapshot, node), every value as
-    ``%.16g``.  ``x`` and ``m`` (frozen by :func:`solver.evolve`) are
-    formatted once per run into a row template per node, and ``t`` once
-    per snapshot; the other 8 columns are formatted by one ``%`` per
-    ``_ROWS_PER_FORMAT`` flattened rows.
+    ``%.16g`` (by :mod:`steepen._g16`).  ``t``, ``x`` and ``m`` (frozen
+    by :func:`solver.evolve`) are formatted once per run; the other 8
+    columns are formatted per block of rows.
     """
+    fmt = _g16.Formatter()
     first = traj.snapshots[0]
-    m = first.m_arrays()[0]
-    # node j's row after its t: ",x,%.16g,%.16g,m,%.16g,...\n"; joined with a
-    # snapshot's t as separator behind an empty piece, they give the format
-    # of a block of rows
-    templates = [
-        ",%.16g,%%.16g,%%.16g,%.16g" % (x, mj) + ",%.16g" * 6 + "\n"
-        for x, mj in zip(first.grid.x.tolist(), m.tolist())
-    ]
-    step = _ROWS_PER_FORMAT
-    blocks = [[""] + templates[lo:lo + step] for lo in range(0, len(templates), step)]
+    comma = _g16.tail(",")
+    t = fmt.slots(traj.times, comma)
+    x_m = fmt.slots(np.column_stack((first.grid.x, first.m_arrays()[0])), comma)
     fh.write(",".join(FIELDS_COLUMNS) + "\n")
     for k, snap in enumerate(traj.snapshots):
         d = riccati.diagnostics(snap)
-        p, c = snap.thermo()
-        table = np.column_stack((snap.z, snap.u, p, c, d.alpha, d.beta, d.y, d.q))
-        t = "%.16g" % snap.t
-        for lo, pieces in zip(range(0, len(table), step), blocks):
-            fh.write(t.join(pieces) % tuple(table[lo:lo + step].ravel().tolist()))
+        _write_fields_rows(fh, fmt, snap, d, t[k], x_m)
         extrema[:, k] = np.min(d.y), np.min(d.q), detector.gradient_peak(d)
-        yield riccati.grid_quantities(snap, names, d)
+        rows = riccati.grid_quantities(snap, names, d)
+        del d
+        yield rows
 
 
 def _curve_pairs(cfg: RunConfig, traj: solver.Trajectory) -> list:
@@ -156,14 +171,24 @@ def _residuals(cfg: RunConfig, bundle, pairs, t_resolved: float):
 
 
 def _write_curves_csv(path: Path, blocks) -> None:
-    """One row per curve node of each block, the numbers as ``%.16g``,
-    each block formatted by one ``%`` over its columns."""
+    """One row per curve node of each block, the numbers as ``%.16g`` (by
+    :mod:`steepen._g16`), formatted per block of rows behind the block's
+    ``curve_id,direction,`` words."""
+    fmt = _g16.Formatter()
+    tails = np.array([_g16.tail(sep) for sep in ",,,\n"])
+    step = _VALUES_PER_BLOCK // 4
     with open(path, "w") as fh:
         fh.write("curve_id,direction,t,x,value,residual\n")
         for cid, direction, curve, values, res in blocks:
-            row = f"{cid},{direction}," + "%.16g,%.16g,%.16g,%.16g\n"
-            table = np.column_stack((curve.t, curve.x, values, res))
-            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+            head = _g16.words_of(f"{cid},{direction},")
+            columns = (curve.t, curve.x, values, res)
+            rows = np.empty((min(len(curve.t), step), len(head) + 16), _g16.WORD)
+            rows[:, :len(head)] = head
+            for lo in range(0, len(curve.t), step):
+                block = rows[:min(step, len(curve.t) - lo)]
+                table = np.stack([col[lo:lo + step] for col in columns], axis=1)
+                block[:, len(head):] = fmt.slots(table, tails).reshape(len(block), 16)
+                fh.write(_g16.text(block))
 
 
 def _certificates(cfg: RunConfig, state0):

@@ -335,6 +335,17 @@ def test_curves_csv_matches_per_row_reference(tmp_path):
     ):
         curve = charpath.CharacteristicCurve(direction, t, np.array(x), np.array(x))
         blocks.append((cid, direction, curve, np.array(values), np.array(res)))
+    # a curve longer than one block of rows (the last block partial), with
+    # nan, infinities and signed zeros among its values and residuals
+    rng = np.random.default_rng(3)
+    n = 2 * cli._VALUES_PER_BLOCK // 4 + 37
+    tl = np.linspace(0.0, 1.5, n)
+    xl = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
+    specials = np.resize([np.nan, np.inf, -np.inf, 0.0, -0.0], n)
+    values = np.where(rng.random(n) < 0.1, specials, rng.standard_normal(n))
+    res = np.where(rng.random(n) < 0.1, specials[::-1], rng.standard_normal(n) * 1e-7)
+    curve = charpath.CharacteristicCurve("forward", tl, xl, xl)
+    blocks.append(("seed2_rem1", "forward", curve, values, res))
     path = tmp_path / "curves.csv"
     cli._write_curves_csv(path, blocks)
     # the writer it replaced: one tuple of numpy scalars per row, then one f-string per row
@@ -346,6 +357,7 @@ def test_curves_csv_matches_per_row_reference(tmp_path):
     assert path.read_text() == expect
     assert "seed0_ode_y,forward,0.3333333333333333,-0,4.940656458412465e-324,0\n" in expect
     assert ",nan\n" in expect and ",-inf\n" in expect
+    assert expect.count("seed2_rem1,") == n and ",-0," in expect
 
 
 def test_diagnose_traces_every_seed_and_direction_in_one_call(cfg_path, monkeypatch):

@@ -1,0 +1,131 @@
+"""The block formatter behind fields.csv and curves.csv: exactly ``'%.16g' % v``."""
+
+import math
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from steepen import _g16, cli, riccati, solver
+from steepen.config import build_config, make_initial, parse_kv
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+COMMA = _g16.tail(",")
+FMT = _g16.Formatter()
+
+
+def formatted(values) -> str:
+    return _g16.text(FMT.slots(np.asarray(values, dtype=float), COMMA))
+
+
+def reference(values) -> str:
+    return "".join("%.16g," % v for v in np.asarray(values, dtype=float).tolist())
+
+
+def carries():
+    """Doubles just below a power of ten that ``%.16g`` rounds up to it."""
+    out = []
+    for k in range(-249, 250):
+        a = float(f"1e{k}")
+        for _ in range(2):
+            num, den = a.as_integer_ratio()
+            below = num * 10 ** max(-k, 0) < den * 10 ** max(k, 0)
+            if below and "%.15e" % a == "1.000000000000000e%+03d" % k:
+                out.append(a)
+            a = math.nextafter(a, 0.0)
+    return out
+
+
+def edge_values():
+    powers = [float(f"1e{k}") for k in range(-5, 18)]
+    near = [math.nextafter(p, d) for p in powers for d in (0.0, math.inf)]
+    tiny = [5e-324, 2.5e-323, 1e-310, 2.2250738585072014e-308, 2.2250738585072009e-308]
+    fast_edges = [e * s for e in (1e-250, 1e250) for s in (1.0 - 2**-52, 1.0, 1.0 + 2**-52)]
+    values = (
+        [0.0, 9.3, 99999.99999999999, 2.0**50 + 0.5, 2.0**50 + 1.5, 9999999999999999.0,
+         1e-5, 1e-4, 1e16, 1e100, 1e-100, 1.5e100, 1.5e-100, 0.1, 1.0 / 3.0, 1200.0,
+         0.00012, 1e15, 123456789012345.6, math.nan, math.inf]
+        + powers + near + tiny + fast_edges + carries()
+    )
+    return np.array(values + [-v for v in values])
+
+
+def test_edge_values_match_percent_format():
+    values = edge_values()
+    assert formatted(values) == reference(values)
+    # the carry to 10**16 (read as 1 and zeros, one decade up) is taken on
+    # the fast path for the carries inside the fast range
+    halves, _, undecided = FMT.decide(np.array(carries()))
+    assert np.any((halves[:, 0] == 1e8) & ~undecided)
+
+
+def test_random_bit_patterns_match_percent_format():
+    # every class of double: nan and inf, subnormals, both signs, all decades
+    bits = np.random.default_rng(20260419).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    # and the infinities and nans of both signs, a payload nan among them
+    specials = np.array([0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48, (0x7FF << 52) + 1],
+                        dtype=np.uint64)
+    values = np.concatenate((bits, specials)).view(np.float64)
+    assert np.isnan(values).sum() > 5 and np.isinf(values).sum() == 2
+    for lo in range(0, values.size, 2**16):
+        block = values[lo:lo + 2**16]
+        assert formatted(block) == reference(block)
+
+
+def test_scaled_normals_match_percent_format():
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(2 * 10**5) * 10.0 ** rng.integers(-30, 30, 2 * 10**5)
+    assert formatted(values) == reference(values)
+
+
+def test_slots_take_the_shape_of_values_and_their_tails():
+    values = np.array([[1.5, -0.0, np.nan], [1e300, 2.0**-1074, 1e-7]])
+    tails = np.array([COMMA, COMMA, _g16.tail("\n")])
+    slots = FMT.slots(values, tails)
+    assert slots.shape == (2, 3, 4)
+    assert _g16.text(slots) == "1.5,-0,nan\n1e+300,4.940656458412465e-324,1e-07\n"
+    assert _g16.text(_g16.words_of("seed0,forward,")) == "seed0,forward,"
+
+
+@pytest.mark.parametrize("name", ["lax_blowup", "one_sided_profile", "stationary"])
+def test_fast_path_decides_every_value_of_the_demo_runs(name, tmp_path):
+    kv = parse_kv((CONFIGS / f"{name}.cfg").read_text())
+    kv["grid.n"] = "128"
+    kv["output.directory"] = str(tmp_path)
+    cfg = build_config(kv, CONFIGS)
+    traj = solver.evolve(make_initial(cfg)[0], cfg.solver)
+    first = traj.snapshots[0]
+    columns = [first.grid.x, first.m_arrays()[0], traj.times]
+    for snap in traj.snapshots:
+        d = riccati.diagnostics(snap)
+        columns += [snap.z, snap.u, *snap.thermo(), d.alpha, d.beta, d.y, d.q]
+    undecided = FMT.decide(np.concatenate(columns))[2]
+    assert not undecided.any(), np.concatenate(columns)[undecided][:5]
+
+
+def test_snapshot_pass_memory_stays_near_the_diagnostics(tmp_path):
+    kv = parse_kv((CONFIGS / "one_sided_profile.cfg").read_text())
+    kv["grid.n"] = "4096"
+    kv["output.directory"] = str(tmp_path)
+    cfg = build_config(kv, CONFIGS)
+    snap = make_initial(cfg)[0]
+    traj = solver.Trajectory([snap], None, None)
+    extrema = np.empty((3, 1))
+
+    tracemalloc.start()
+    riccati.diagnostics(snap)
+    diagnostics = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    with open(tmp_path / "fields.csv", "w") as fh:
+        for _ in cli._snapshot_pass(fh, traj, ("y",), extrema):
+            pass
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the diagnostics are 18 arrays of n doubles (576 kB, 960 kB at their
+    # peak); on top of them sit the x and m slots (256 kB), the formatter's
+    # tables (80 kB) and one block's buffers, temporaries and text, freed
+    # before the next block.  Row templates and whole-snapshot tables would
+    # add about 700 kB at this n.
+    assert diagnostics > 18 * 4096 * 8
+    assert peak < diagnostics + 480 * 1024, (peak, diagnostics)
