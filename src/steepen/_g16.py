@@ -210,7 +210,7 @@ class Formatter:
         ``tails`` (from :func:`tail`, broadcast against ``values``) puts each
         value's separator at the end of its slot.
         """
-        v = values.reshape(-1)
+        v = np.asarray(values, dtype=np.float64).reshape(-1)
         n = v.size
         halves, xi, undecided = self.decide(v)
 
@@ -273,6 +273,6 @@ class Formatter:
         for i in np.flatnonzero(undecided).tolist():
             raw = ("%.16g" % float(v[i])).encode("ascii")
             out[i] = np.frombuffer(bytes(8) + raw + bytes(24 - len(raw)), WORD)
-        out = out.reshape(values.shape + (4,))
+        out = out.reshape(np.shape(values) + (4,))
         out[..., 3] += tails
         return out
