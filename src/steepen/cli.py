@@ -66,60 +66,67 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 FIELDS_COLUMNS = ("t", "x", "z", "u", "m", "p", "c", "alpha", "beta", "y", "q")
-# values formatted per block of rows (128 rows of fields.csv, 256 of
-# curves.csv): a block's slots and the formatter's temporaries stay near
-# 150 kB whatever n, below the peak that sampling the curves sets
-_VALUES_PER_BLOCK = 1024
+# values the run's formatter takes per step, whole rows at a time: 320 rows
+# of fields.csv (9 values each, z to q) and 720 of curves.csv.  Its scratch
+# is 76 B a value (219 kB), which sets the largest block whose snapshot pass
+# stays within 480 kB over a snapshot's diagnostics at n = 4096 (3204
+# values reach it; this leaves 5%)
+_VALUES_PER_BLOCK = 2880
+# rows turned into bytes per write: bytes.translate allocates its output at
+# its input's size, so a write's bytes stay near 2 x 45 kB
+_ROWS_PER_WRITE = 128
 
 
-def _write_fields_rows(fh, fmt: _g16.Formatter, snap, d, t, x_m) -> None:
+def _write_rows(fh, rows: np.ndarray) -> None:
+    """Write the text of a block of rows of slots and words."""
+    for lo in range(0, len(rows), _ROWS_PER_WRITE):
+        fh.write(_g16.text(rows[lo:lo + _ROWS_PER_WRITE]))
+
+
+def _write_fields_rows(fh, fmt: _g16.Formatter, snap, d, t, x) -> None:
     """Write fields.csv's rows of one snapshot, ``d`` its diagnostics and
-    ``t``, ``x_m`` the slots of its time and of ``x`` and ``m``.  The rows
-    are assembled per block in one buffer of slots: ``t``, ``x``, ``m``
-    copied in and the other 8 columns formatted."""
+    ``t``, ``x`` the slots of its time and of the grid nodes.  The rows are
+    assembled per block in one buffer of slots: ``t`` and ``x`` copied in,
+    the other 9 columns formatted into it."""
     n = snap.grid.n
     p, c = snap.thermo()
-    columns = (snap.z, snap.u, p, c, d.alpha, d.beta, d.y, d.q)
-    # z, u and p ... q, each followed by a comma but q, which ends the row
-    tails = np.full(8, _g16.tail(","))
+    columns = (snap.z, snap.u, snap.m_arrays()[0], p, c, d.alpha, d.beta, d.y, d.q)
+    # z to q, each followed by a comma but q, which ends the row
+    tails = np.full(len(columns), _g16.tail(","))
     tails[-1] = _g16.tail("\n")
-    step = min(n, _VALUES_PER_BLOCK // 8)
-    values = np.empty((step, 8))
+    step = min(n, fmt.size // len(columns))
+    values = np.empty((step, len(columns)))
     rows = np.empty((step, len(FIELDS_COLUMNS), 4), _g16.WORD)
     rows[:, 0] = t
     for lo in range(0, n, step):
         block = rows[:min(step, n - lo)]
         np.stack([col[lo:lo + step] for col in columns], axis=1, out=values[:len(block)])
-        cells = fmt.slots(values[:len(block)], tails)
-        block[:, (1, 4)] = x_m[lo:lo + step]
-        block[:, 2:4] = cells[:, :2]
-        block[:, 5:] = cells[:, 2:]
-        fh.write(_g16.text(block))
+        block[:, 1] = x[lo:lo + step]
+        fmt.slots(values[:len(block)], tails, out=block[:, 2:])
+        _write_rows(fh, block)
 
 
-def _snapshot_pass(fh, traj: solver.Trajectory, names, extrema: np.ndarray):
+def _snapshot_pass(fh, fmt: _g16.Formatter, traj: solver.Trajectory, names, extrema: np.ndarray):
     """Walk the snapshots once, computing each one's diagnostics once.
 
-    For each snapshot ``k`` in turn: write its block of fields.csv to
-    ``fh``, record its ``min y``, ``min q`` and
+    For each snapshot ``k`` in turn: write its block of fields.csv to the
+    binary file ``fh``, record its ``min y``, ``min q`` and
     :func:`detector.gradient_peak` in ``extrema[:, k]``, and yield its
     grid rows of ``names`` (a :func:`charpath.sample_along` row source).
     The diagnostics are dropped before the yield, but for those rows.
 
     fields.csv has one row per (snapshot, node), every value as
-    ``%.16g`` (by :mod:`steepen._g16`).  ``t``, ``x`` and ``m`` (frozen
-    by :func:`solver.evolve`) are formatted once per run; the other 8
-    columns are formatted per block of rows.
+    ``%.16g`` (by ``fmt``).  ``t`` and ``x`` are formatted once per run;
+    the other 9 columns are formatted per block of rows.
     """
-    fmt = _g16.Formatter()
     first = traj.snapshots[0]
     comma = _g16.tail(",")
     t = fmt.slots(traj.times, comma)
-    x_m = fmt.slots(np.column_stack((first.grid.x, first.m_arrays()[0])), comma)
-    fh.write(",".join(FIELDS_COLUMNS) + "\n")
+    x = fmt.slots(first.grid.x, comma)
+    fh.write(",".join(FIELDS_COLUMNS).encode("ascii") + b"\n")
     for k, snap in enumerate(traj.snapshots):
         d = riccati.diagnostics(snap)
-        _write_fields_rows(fh, fmt, snap, d, t[k], x_m)
+        _write_fields_rows(fh, fmt, snap, d, t[k], x)
         extrema[:, k] = np.min(d.y), np.min(d.q), detector.gradient_peak(d)
         rows = riccati.grid_quantities(snap, names, d)
         del d
@@ -170,25 +177,26 @@ def _residuals(cfg: RunConfig, bundle, pairs, t_resolved: float):
     return curves, blocks, residual_max
 
 
-def _write_curves_csv(path: Path, blocks) -> None:
+def _write_curves_csv(path: Path, blocks, fmt: _g16.Formatter) -> None:
     """One row per curve node of each block, the numbers as ``%.16g`` (by
-    :mod:`steepen._g16`), formatted per block of rows behind the block's
+    ``fmt``), formatted per block of rows behind the block's
     ``curve_id,direction,`` words."""
-    fmt = _g16.Formatter()
     tails = np.array([_g16.tail(sep) for sep in ",,,\n"])
-    step = _VALUES_PER_BLOCK // 4
-    with open(path, "w") as fh:
-        fh.write("curve_id,direction,t,x,value,residual\n")
+    step = fmt.size // 4
+    with open(path, "wb") as fh:
+        fh.write(b"curve_id,direction,t,x,value,residual\n")
         for cid, direction, curve, values, res in blocks:
             head = _g16.words_of(f"{cid},{direction},")
             columns = (curve.t, curve.x, values, res)
             rows = np.empty((min(len(curve.t), step), len(head) + 16), _g16.WORD)
             rows[:, :len(head)] = head
+            cells = rows[:, len(head):].reshape(len(rows), 4, 4)
+            table = np.empty((len(rows), 4))
             for lo in range(0, len(curve.t), step):
-                block = rows[:min(step, len(curve.t) - lo)]
-                table = np.stack([col[lo:lo + step] for col in columns], axis=1)
-                block[:, len(head):] = fmt.slots(table, tails).reshape(len(block), 16)
-                fh.write(_g16.text(block))
+                k = min(step, len(curve.t) - lo)
+                np.stack([col[lo:lo + step] for col in columns], axis=1, out=table[:k])
+                fmt.slots(table[:k], tails, out=cells[:k])
+                _write_rows(fh, rows[:k])
 
 
 def _certificates(cfg: RunConfig, state0):
@@ -288,6 +296,9 @@ def _run(cfg: RunConfig):
         print(f"stage build: {exc}", file=sys.stderr)
         return 3, []
 
+    # the one formatter of both CSVs, made before the run's big allocations
+    # and dropped once curves.csv is written
+    fmt = _g16.Formatter(_VALUES_PER_BLOCK)
     traj = solver.evolve(state0, cfg.solver)
     # past 0.8 t_stop of a blowup run the fields leave the grid's
     # resolution; residuals and drift are reported on the window before it
@@ -306,8 +317,8 @@ def _run(cfg: RunConfig):
         if pairs:
             seeds = cfg.diagnostics.seeds
             bundle = charpath.trace(traj, [seeds[si] for si, _ in pairs], [d for _, d in pairs])
-        with open(out / "fields.csv", "w") as fh:
-            rows = _snapshot_pass(fh, traj, names, extrema)
+        with open(out / "fields.csv", "wb") as fh:
+            rows = _snapshot_pass(fh, fmt, traj, names, extrema)
             if bundle is not None:
                 charpath.sample_along(bundle, traj, names, rows)
             for _ in rows:  # the snapshots no curve node needs
@@ -316,6 +327,8 @@ def _run(cfg: RunConfig):
     except ValueError as exc:
         print(f"stage diagnostics: {exc}", file=sys.stderr)
         return 3, []
+    _write_curves_csv(out / "curves.csv", blocks, fmt)
+    del fmt, blocks
     min_y, min_q, peak = extrema
 
     ths, cert14, cert15 = _certificates(cfg, state0)
@@ -324,7 +337,6 @@ def _run(cfg: RunConfig):
     if cfg.certify.bounds is not None:
         report = fields.validate_assumptions(traj.snapshots, cfg.certify.bounds)
 
-    _write_curves_csv(out / "curves.csv", blocks)
     _write_kv(out / "certificate.txt", "certificate report",
               _certificate_pairs(cfg, state0, ths, cert14, cert15))
     if report is not None:
@@ -471,7 +483,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             cfg = load_config(args.config)
             return certify_only(cfg)
-        values = [v for v in args.values.split(",") if v.strip()]
+        values = [v.strip() for v in args.values.split(",") if v.strip()]
         return sweep(args.config, args.axis, values)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import steepen
-from steepen import charpath, cli, eos, fields, riccati, solver
+from steepen import _g16, charpath, cli, eos, fields, riccati, solver
 
 
 RUN_CFG = """\
@@ -299,9 +299,12 @@ def _fields_csv_reference(traj):
 
 def test_fields_csv_matches_per_row_reference(tmp_path):
     gc = eos.make_constants(3.0, 1.0 / 3.0)
+    fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
+    # the rows of one block: the columns from z on are formatted per block
+    block = cli._VALUES_PER_BLOCK // (len(cli.FIELDS_COLUMNS) - 2)
     # the unit grid, one with x0 = -10 and a non-dyadic h, and one whose
     # rows are formatted in two blocks, the second one partial
-    for x0, x1, n in ((0.0, 1.0, 16), (-10.0, 3.7, 24), (0.0, 1.0, 300)):
+    for x0, x1, n in ((0.0, 1.0, 16), (-10.0, 3.7, 24), (0.0, 1.0, block + block // 2 + 1)):
         grid = fields.Grid(x0, x1, n)
         state, profile = fields.build_initial(
             "-0.2*sin(2*pi*x)", grid, gc, m0="1 + 0.1*cos(2*pi*x)", z0=1.0
@@ -313,17 +316,18 @@ def test_fields_csv_matches_per_row_reference(tmp_path):
         traj.snapshots.append(fields.StateField(grid=grid, t=1.0 / 3.0, z=z, u=u, profile=profile, gc=gc))
         path = tmp_path / "fields.csv"
         extrema = np.empty((3, len(traj.snapshots)))
-        with open(path, "w") as fh:
-            for rows in cli._snapshot_pass(fh, traj, ("y",), extrema):
+        with open(path, "wb") as fh:
+            for rows in cli._snapshot_pass(fh, fmt, traj, ("y",), extrema):
                 assert set(rows) == {"y"}
-        text = path.read_text()
-        assert text == _fields_csv_reference(traj)
+        data = path.read_bytes()
+        assert data == _fields_csv_reference(traj).encode("ascii")
+        assert b"\r" not in data
         for k, snap in enumerate(traj.snapshots):
             d = riccati.diagnostics(snap)
             peak = max(float(np.max(np.abs(d.y))), float(np.max(np.abs(d.q))))
             assert tuple(extrema[:, k]) == (np.min(d.y), np.min(d.q), peak)
-        assert f"\n0.3333333333333333,{x0:.16g},1e-09,-0," in text
-        assert ",1e+290," in text and ",4.940656458412465e-324," in text
+        assert f"\n0.3333333333333333,{x0:.16g},1e-09,-0,".encode("ascii") in data
+        assert b",1e+290," in data and b",4.940656458412465e-324," in data
 
 
 def test_curves_csv_matches_per_row_reference(tmp_path):
@@ -347,14 +351,14 @@ def test_curves_csv_matches_per_row_reference(tmp_path):
     curve = charpath.CharacteristicCurve("forward", tl, xl, xl)
     blocks.append(("seed2_rem1", "forward", curve, values, res))
     path = tmp_path / "curves.csv"
-    cli._write_curves_csv(path, blocks)
+    cli._write_curves_csv(path, blocks, _g16.Formatter(cli._VALUES_PER_BLOCK))
     # the writer it replaced: one tuple of numpy scalars per row, then one f-string per row
     rows = [(cid, direction, curve.t[i], curve.x[i], values[i], res[i])
             for cid, direction, curve, values, res in blocks for i in range(len(curve.t))]
     expect = "curve_id,direction,t,x,value,residual\n" + "".join(
         f"{cid},{direction},{t:.16g},{x:.16g},{v:.16g},{r:.16g}\n" for cid, direction, t, x, v, r in rows
     )
-    assert path.read_text() == expect
+    assert path.read_bytes() == expect.encode("ascii")
     assert "seed0_ode_y,forward,0.3333333333333333,-0,4.940656458412465e-324,0\n" in expect
     assert ",nan\n" in expect and ",-inf\n" in expect
     assert expect.count("seed2_rem1,") == n and ",-0," in expect
@@ -526,6 +530,13 @@ def test_sweep_summary_rows(cfg_path, tmp_path, capsys):
     assert (tmp_path / "out" / "grid_n=64" / "summary.txt").exists()
     out = capsys.readouterr().out
     assert "grid.n,32" in out
+
+
+def test_sweep_strips_the_spaces_around_values(cfg_path, tmp_path):
+    assert cli.main(["sweep", str(cfg_path), "--axis", "params.amp", "--values", "0.1, 0.2"]) == 0
+    rows = (tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in rows[1:]] == [["params.amp", "0.1", "ok"], ["params.amp", "0.2", "ok"]]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir() if p.is_dir()) == ["params_amp=0.1", "params_amp=0.2"]
 
 
 def test_sweep_empty_values(cfg_path, tmp_path):

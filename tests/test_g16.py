@@ -12,15 +12,15 @@ from steepen.config import build_config, make_initial, parse_kv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 COMMA = _g16.tail(",")
-FMT = _g16.Formatter()
+FMT = _g16.Formatter(cli._VALUES_PER_BLOCK)
 
 
-def formatted(values) -> str:
+def formatted(values) -> bytes:
     return _g16.text(FMT.slots(np.asarray(values, dtype=float), COMMA))
 
 
-def reference(values) -> str:
-    return "".join("%.16g," % v for v in np.asarray(values, dtype=float).tolist())
+def reference(values) -> bytes:
+    return "".join("%.16g," % v for v in np.asarray(values, dtype=float).tolist()).encode("ascii")
 
 
 def carries():
@@ -57,7 +57,7 @@ def test_edge_values_match_percent_format():
     # the carry to 10**16 (read as 1 and zeros, one decade up) is taken on
     # the fast path for the carries inside the fast range
     halves, _, undecided = FMT.decide(np.array(carries()))
-    assert np.any((halves[:, 0] == 1e8) & ~undecided)
+    assert np.any((halves[0] == 10**8) & ~undecided)
 
 
 def test_random_bit_patterns_match_percent_format():
@@ -84,8 +84,8 @@ def test_slots_take_the_shape_of_values_and_their_tails():
     tails = np.array([COMMA, COMMA, _g16.tail("\n")])
     slots = FMT.slots(values, tails)
     assert slots.shape == (2, 3, 4)
-    assert _g16.text(slots) == "1.5,-0,nan\n1e+300,4.940656458412465e-324,1e-07\n"
-    assert _g16.text(_g16.words_of("seed0,forward,")) == "seed0,forward,"
+    assert _g16.text(slots) == b"1.5,-0,nan\n1e+300,4.940656458412465e-324,1e-07\n"
+    assert _g16.text(_g16.words_of("seed0,forward,")) == b"seed0,forward,"
 
 
 @pytest.mark.parametrize("name", ["lax_blowup", "one_sided_profile", "stationary"])
@@ -100,8 +100,10 @@ def test_fast_path_decides_every_value_of_the_demo_runs(name, tmp_path):
     for snap in traj.snapshots:
         d = riccati.diagnostics(snap)
         columns += [snap.z, snap.u, *snap.thermo(), d.alpha, d.beta, d.y, d.q]
-    undecided = FMT.decide(np.concatenate(columns))[2]
-    assert not undecided.any(), np.concatenate(columns)[undecided][:5]
+    values = np.concatenate(columns)
+    for lo in range(0, values.size, FMT.size):
+        undecided = FMT.decide(values[lo:lo + FMT.size])[2]
+        assert not undecided.any(), values[lo:lo + FMT.size][undecided][:5]
 
 
 def test_snapshot_pass_memory_stays_near_the_diagnostics(tmp_path):
@@ -117,15 +119,41 @@ def test_snapshot_pass_memory_stays_near_the_diagnostics(tmp_path):
     riccati.diagnostics(snap)
     diagnostics = tracemalloc.get_traced_memory()[1]
     tracemalloc.reset_peak()
-    with open(tmp_path / "fields.csv", "w") as fh:
-        for _ in cli._snapshot_pass(fh, traj, ("y",), extrema):
+    fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
+    with open(tmp_path / "fields.csv", "wb") as fh:
+        for _ in cli._snapshot_pass(fh, fmt, traj, ("y",), extrema):
             pass
-    peak = tracemalloc.get_traced_memory()[1]
+    # the formatter's tables and scratch are a mapping of their own, which
+    # tracemalloc does not see
+    peak = tracemalloc.get_traced_memory()[1] + fmt.nbytes
     tracemalloc.stop()
     # the diagnostics are 18 arrays of n doubles (576 kB, 960 kB at their
-    # peak); on top of them sit the x and m slots (256 kB), the formatter's
-    # tables (80 kB) and one block's buffers, temporaries and text, freed
+    # peak); on top of them sit the x slots (128 kB), the formatter's tables
+    # (100 kB) and scratch (175 kB), and one block's rows and bytes, freed
     # before the next block.  Row templates and whole-snapshot tables would
     # add about 700 kB at this n.
     assert diagnostics > 18 * 4096 * 8
     assert peak < diagnostics + 480 * 1024, (peak, diagnostics)
+
+
+def test_one_block_stays_within_its_bytes_per_value():
+    # a full fields.csv block, formatted into its row buffer and turned
+    # into bytes, as cli._write_fields_rows does
+    fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
+    cols = len(cli.FIELDS_COLUMNS) - 2
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((cli._VALUES_PER_BLOCK // cols, cols))
+    rows = np.zeros((len(values), len(cli.FIELDS_COLUMNS), 4), _g16.WORD)
+    tails = np.full(cols, COMMA)
+    tracemalloc.start()
+    fmt.slots(values, tails, out=rows[:, 2:])
+    text = _g16.text(rows)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert text.count(b",") == values.size
+    # the scratch the formatter owns, and what one block allocates on top
+    # of it: the row buffer's bytes (39 B a value) and their text, which
+    # bytes.translate allocates at its input's size before cutting it down
+    assert (fmt._pool.nbytes + fmt._flags.nbytes) / fmt.size <= 76
+    assert fmt.nbytes <= 110 * 1024 + 76 * fmt.size
+    assert peak / values.size <= 80, peak / values.size
