@@ -229,6 +229,19 @@ def gradient_peak(d: riccati.DiagnosticFields) -> float:
     return max(float(np.max(np.abs(d.y))), float(np.max(np.abs(d.q))))
 
 
+def _fit_line(t: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """Least-squares ``(slope, intercept)`` of ``g`` against ``t``.
+
+    The closed form on centred sums, so that no LAPACK routine is loaded
+    for a straight line.
+    """
+    t_mean = t.mean()
+    g_mean = g.mean()
+    dt = t - t_mean
+    slope = float((dt * (g - g_mean)).sum() / (dt * dt).sum())
+    return slope, float(g_mean - slope * t_mean)
+
+
 def detect_blowup(traj: Trajectory, peak: np.ndarray) -> BlowupEstimate | None:
     """Extrapolate the gradient-blowup time from the growth of |y|, |q|.
 
@@ -258,7 +271,7 @@ def detect_blowup(traj: Trajectory, peak: np.ndarray) -> BlowupEstimate | None:
     tw = t[sel]
     gw = g_recip[sel]
 
-    slope, intercept = np.polyfit(tw, gw, 1)
+    slope, intercept = _fit_line(tw, gw)
     if slope >= 0.0:
         return None
     root_lin = -intercept / slope
@@ -267,11 +280,11 @@ def detect_blowup(traj: Trajectory, peak: np.ndarray) -> BlowupEstimate | None:
     roots = []
     for sl in (slice(None, half), slice(half, None)):
         if len(tw[sl]) >= 3:
-            b, a = np.polyfit(tw[sl], gw[sl], 1)
+            b, a = _fit_line(tw[sl], gw[sl])
             if b < 0.0:
                 roots.append(-a / b)
     spread = max(abs(r - root_lin) for r in roots) if roots else 0.0
-    rms = float(np.sqrt(np.mean((np.polyval((slope, intercept), tw) - gw) ** 2)))
+    rms = float(np.sqrt(np.mean((slope * tw + intercept - gw) ** 2)))
     uncertainty = max(spread, 3.0 * rms / abs(slope))
     return BlowupEstimate(
         t_blow=float(root_lin),

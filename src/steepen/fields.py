@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from steepen import eos
 from steepen.eos import GasConstants, VacuumError
@@ -246,7 +247,29 @@ def fill_ghosts(padded) -> None:
     padded[..., -2:] = padded[..., 2:4]
 
 
-def derivative(values, grid: Grid) -> np.ndarray:
+def ghost_views(padded):
+    """``(ghosts, nodes)``: the columns :func:`fill_ghosts` writes and the
+    ones it reads, as two ``(..., 2, 2)`` views of ``padded``, for a caller
+    that refills the same buffer many times with one ``ghosts[...] = nodes``.
+
+    Side 0 is ghost columns 0, 1 and nodes n - 2, n - 1; side 1 is ghost
+    columns n + 2, n + 3 and nodes 0, 1.  The node side steps back by
+    n - 2 columns, which no slice can, hence the strided views.
+    """
+    n = padded.shape[-1] - 4
+    *row_strides, step = padded.strides
+    shape = (*padded.shape[:-1], 2, 2)
+    ghosts = as_strided(padded, shape, (*row_strides, (n + 2) * step, step))
+    nodes = as_strided(padded[..., n:], shape, (*row_strides, (2 - n) * step, step))
+    return ghosts, nodes
+
+
+def _holds(buf, f) -> bool:
+    """Whether ``buf`` can take ``derivative``'s flat passes over ``f`` (float64) in place."""
+    return buf.shape == f.shape and buf.dtype == f.dtype and buf.flags.c_contiguous
+
+
+def derivative(values, grid: Grid, out=None, scratch=None) -> np.ndarray:
     """First derivative by the 4th-order central difference on the periodic grid.
 
     The stencil is exact for polynomials of degree <= 4 (away from the
@@ -256,26 +279,40 @@ def derivative(values, grid: Grid) -> np.ndarray:
     ``n`` nodes, which are then padded by one copy, or ``n + 4`` columns
     that already carry two periodic ghost cells on each side (node i in
     column i + 2).  The result is ``(..., n)``.
+
+    ``out`` and ``scratch``, if given, are C-contiguous float64 arrays of
+    the padded shape ``(..., n + 4)`` that share no memory with ``values``
+    or each other.  The result is written into ``out``'s node columns and
+    returned as the view ``out[..., 2:n + 2]``; ``scratch`` takes the
+    stencil's ``8 f``.  The other columns of both are overwritten.  On
+    ghost-padded values with both given, the call allocates no array, and
+    its result equals the allocating call's bit for bit.
     """
     n = grid.n
     f = np.asarray(values, dtype=float)
-    if f.ndim == 0 or f.shape[-1] not in (n, n + 4):
-        raise ValueError("values must match the grid size")
-    if f.shape[-1] == n:
+    width = f.shape[-1] if f.ndim else None
+    if width == n:
         f = np.concatenate((f[..., -2:], f, f[..., :2]), axis=-1)
+    elif width != n + 4:
+        raise ValueError("values must match the grid size")
+    if out is None:
+        out = np.empty(f.shape)
+    elif not _holds(out, f):
+        raise ValueError("out must be a C-contiguous float64 array of the padded shape")
+    if scratch is not None and not _holds(scratch, f):
+        raise ValueError("scratch must be a C-contiguous float64 array of the padded shape")
     flat = f.ravel()
     # out[c] = (-f[c+2] + 8 f[c+1] - 8 f[c-1] + f[c-2]) / (12 h) at every flat
     # centre c, summed in that order in place from one product 8 f; the
     # centres whose stencil reaches into the next row are ghosts, and are
     # dropped
-    f8 = flat * 8.0
-    out = np.empty_like(flat)
-    body = out[2:-2]
+    f8 = np.multiply(flat, 8.0, out=None if scratch is None else scratch.ravel())
+    body = out.ravel()[2:-2]
     np.subtract(f8[3:-1], flat[4:], out=body)
     body -= f8[1:-3]
     body += flat[:-4]
     body /= 12.0 * grid.h
-    return out.reshape(f.shape)[..., 2:n + 2]
+    return out[..., 2:n + 2]
 
 
 # --- a-priori bound checking ---------------------------------------------

@@ -10,14 +10,16 @@ advanced with the classical 4-stage Runge-Kutta scheme under a CFL time
 step.  The state is held as one ``(2, n + 4)`` array with rows ``(z, u)``:
 node i sits in column i + 2, and two periodic ghost cells pad each end.
 Each stage takes one :func:`~steepen.fields.derivative` call for both
-gradients, which reads the padded buffer as it is.  The stage sums, the
-RK4 combination and the finiteness check each run once over the whole
-buffers, in preallocated storage; a ghost gets the same operations as its
-node, so only a slope's ghosts are refilled, and every node value is bit
-for bit that of the unpadded formulas.  The energy equation is not
-evolved; smooth solutions carry it via the stationarity of the entropy.
-The integrals of u and tau (momentum and volume) are logged at every step
-as a conservation check.
+gradients, which reads the padded buffer as it is and writes into the
+workspace's result rows.  The stage sums, the RK4 combination and the
+finiteness check each run once over the whole buffers; a ghost gets the
+same operations as its node, so only a slope's ghosts are refilled, and
+every node value is bit for bit that of the unpadded formulas.  Every
+buffer and view a step uses is made once per run (:class:`_Workspace`),
+so a step makes no array of its own.  The energy equation is not evolved;
+smooth solutions carry it via the stationarity of the entropy.  The
+integrals of u and tau (momentum and volume) are logged at every step as
+a conservation check.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from steepen import eos
 from steepen.eos import VacuumError
-from steepen.fields import Grid, StateField, derivative, fill_ghosts
+from steepen.fields import Grid, StateField, derivative, ghost_views
 
 
 @dataclass
@@ -95,78 +97,137 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
 
-class _Workspace:
-    """Profile-derived constants and the RK stage buffers, reused across steps.
+def _power(z, e: float, out):
+    """``z ** e`` into ``out``, bit for bit.
 
-    A state is a ``(2, n + 4)`` array, rows ``(z, u)``: node i sits in
-    column i + 2, and columns 0, 1 and n + 2, n + 3 hold periodic ghost
-    copies of nodes n - 2, n - 1 and 0, 1.
+    For ``e = 2`` and ``e = -1`` (``e_c`` and ``tau``'s exponent of a
+    ``gamma = 3`` gas) numpy's ``**`` computes ``z * z`` and ``1 / z``:
+    numpy 1 by ``square`` and ``reciprocal``, numpy 2 in its power loop,
+    which tests the exponent at every element.  Here they run as those
+    operations directly.
+    """
+    if e == 2.0:
+        return np.multiply(z, z, out=out)
+    if e == -1.0:
+        return np.divide(1.0, z, out=out)
+    return np.power(z, e, out=out)
+
+
+class _Rows:
+    """A ``(2, n + 4)`` buffer, rows ``(z, u)``, and the views of it a step takes.
+
+    Node i sits in column i + 2, and columns 0, 1 and n + 2, n + 3 hold
+    periodic ghost copies of nodes n - 2, n - 1 and 0, 1.
+    """
+
+    def __init__(self, n: int):
+        self.a = np.empty((2, n + 4))
+        self.flat = self.a.reshape(-1)
+        self.ahead, self.behind = self.flat[1:], self.flat[:-1]
+        self.z, self.u = self.a[:, 2:-2]
+        self.z_padded = self.a[0]
+        self.ghosts, self.ghost_nodes = ghost_views(self.a)
+
+    def fill_ghosts(self) -> None:
+        self.ghosts[...] = self.ghost_nodes
+
+
+class _Workspace:
+    """Every buffer and view a step uses, made once per run.
+
+    It holds the profile-derived constants and these :class:`_Rows`
+    buffers: the two ``states`` a step reads and writes in turn (the first
+    holds ``state``), the RK stage, one stage's slope, the slope sum and
+    ``_steepness``'s forward differences.  Beside them sit the stencil's
+    result rows and its ``8 f`` scratch, ``z**e_c``, ``tau`` and the
+    finiteness mask.  A step then makes no array and no view of its own;
+    :func:`~steepen.fields.derivative` makes a few views of the buffers
+    it is given.
     """
 
     def __init__(self, state: StateField):
         gc = state.gc
         g = gc.gamma
         m, m_x, _ = state.m_arrays()
+        n = state.grid.n
         self.grid = state.grid
-        self.gc = gc
         self.m = m
         self.e_c = (g + 1.0) / (g - 1.0)
+        self.e_tau = -2.0 / (g - 1.0)
         self.K_c = gc.K_c
+        # the constant operands of a step as 0-d arrays: numpy converts a
+        # Python float operand anew on every call
+        self.minus_K_c, self.two, self.K_tau, self.h = map(
+            np.array, (-gc.K_c, 2.0, gc.K_tau, state.grid.h)
+        )
         self.mc_coeff = gc.K_c * m * m  # m*c = coeff * z**e_c
         self.forcing = 2.0 * gc.K_p * m * m_x  # 2(p/m)m_x = forcing * z**(e_c+1)
-        # padded buffers: the stage state, one stage's slope, the slope sum,
-        # and _steepness's forward differences
-        self.stage, self.k, self.acc, self.diff = np.empty((4, 2, len(m) + 4))
+        self.states = (_Rows(n), _Rows(n))
+        self.stage, self.k, self.acc, self.diff = (_Rows(n) for _ in range(4))
+        first = self.states[0]
+        first.z[...] = state.z
+        first.u[...] = state.u
+        first.fill_ghosts()
+        # derivative's result rows (nodes in columns 2 .. n + 1) and its 8 f
+        self.dx, self.f8 = np.empty((2, 2, n + 4))
+        self.z_x, self.u_x = self.dx[:, 2:-2]
+        self.zc, self.tau = np.empty((2, n))
+        self.finite = np.empty(2 * (n + 4), dtype=bool)
 
     def max_wavespeed(self, z) -> float:
         """max_x c = K_c max(m z^e_c) over the nodes ``z``, the speed a step
         is bounded by (not finite when z is not)."""
-        return self.K_c * float(np.max(self.m * z**self.e_c))
+        mc = _power(z, self.e_c, self.zc)
+        mc *= self.m
+        return self.K_c * float(np.maximum.reduce(mc))
 
-    def rhs(self, w, out):
+    def rhs(self, w: _Rows, out: _Rows) -> None:
         """Write (z_t, u_t) of the padded state ``w``, ghosts included, into ``out``."""
-        z_x, u_x = derivative(w, self.grid)
-        z = w[0, 2:-2]
-        zc = z**self.e_c
-        z_t, u_t = out[:, 2:-2]
+        derivative(w.a, self.grid, out=self.dx, scratch=self.f8)
+        z = w.z
+        zc = _power(z, self.e_c, self.zc)
+        z_t, u_t = out.z, out.u
         # z_t = -K_c zc u_x and u_t = -(mc_coeff zc z_x + forcing zc z),
         # each product in that order
-        np.multiply(zc, -self.K_c, out=z_t)
-        z_t *= u_x
+        np.multiply(zc, self.minus_K_c, out=z_t)
+        z_t *= self.u_x
         np.multiply(self.mc_coeff, zc, out=u_t)
-        u_t *= z_x
+        u_t *= self.z_x
         zc *= self.forcing
         zc *= z
         u_t += zc
         np.negative(u_t, out=u_t)
-        fill_ghosts(out)
+        out.fill_ghosts()
+
+    def all_finite(self, w: _Rows) -> bool:
+        return bool(np.logical_and.reduce(np.isfinite(w.flat, out=self.finite)))
 
 
-def _check_floor(w):
+def _check_floor(w: _Rows):
     # fmin ignores NaN, as the comparison z <= Z_FLOOR does
-    if np.fmin.reduce(w[0]) <= eos.Z_FLOOR:
+    if np.fmin.reduce(w.z_padded) <= eos.Z_FLOOR:
         raise VacuumError("z fell to the vacuum floor during a step")
 
 
-def _steepness(ws: _Workspace, w):
+def _steepness(ws: _Workspace, w: _Rows):
     # one-sided differences: unlike the centered stencil they cannot alias
     # away a two-cell sawtooth, so the cap also catches lost resolution.
     # One pass over the flat state gives both rows' differences; ghost
     # column n + 2 is node 0, so the last node's is the periodic wrap.
-    flat = w.reshape(-1)
-    d = ws.diff.reshape(-1)[:-1]
-    np.subtract(flat[1:], flat[:-1], out=d)
+    diff = ws.diff
+    d = diff.behind
+    np.subtract(w.ahead, w.behind, out=d)
     np.abs(d, out=d)
-    dz, du = ws.diff[:, 2:-2]
+    dz = diff.z
     np.multiply(ws.m, dz, out=dz)
-    mags = np.maximum(du, dz, out=dz)
+    mags = np.maximum(diff.u, dz, out=dz)
+    mags /= ws.h
     grid = ws.grid
-    mags /= grid.h
     i = int(mags.argmax())
     return float(mags[i] * grid.length), float(grid.x[i])
 
 
-def _rk4(ws: _Workspace, w, dt, out):
+def _rk4(ws: _Workspace, w: _Rows, dt, out: _Rows):
     """One RK4 step of the padded state ``w``, written into ``out``.
 
     Every element, ghosts included, is computed as
@@ -175,32 +236,31 @@ def _rk4(ws: _Workspace, w, dt, out):
     same operations on exact copies, so it stays its node's copy.  ``w``
     itself is above the vacuum floor: every state the run keeps is checked.
     """
-    stage, k, acc = ws.stage, ws.k, ws.acc
+    stage, k, acc = ws.stage.a, ws.k.a, ws.acc.a
     half = 0.5 * dt
-    ws.rhs(w, acc)  # k1
+    ws.rhs(w, ws.acc)  # k1
     np.multiply(acc, half, out=stage)
-    stage += w
+    stage += w.a
     for stage_dt in (half, dt):  # k2, then k3
-        _check_floor(stage)
-        ws.rhs(stage, k)
+        _check_floor(ws.stage)
+        ws.rhs(ws.stage, ws.k)
         np.multiply(k, stage_dt, out=stage)
-        stage += w
-        k *= 2.0
+        stage += w.a
+        k *= ws.two
         acc += k
-    _check_floor(stage)
-    ws.rhs(stage, k)  # k4
+    _check_floor(ws.stage)
+    ws.rhs(ws.stage, ws.k)  # k4
     acc += k
     acc *= dt / 6.0
-    np.add(w, acc, out=out)
+    np.add(w.a, acc, out=out.a)
     _check_floor(out)
 
 
-def _conserved(ws: _Workspace, w):
-    gc = ws.gc
+def _conserved(ws: _Workspace, w: _Rows):
     h = ws.grid.h
-    z, u = w[:, 2:-2]
-    tau = gc.K_tau * z ** (-2.0 / (gc.gamma - 1.0))
-    return h * float(u.sum()), h * float(tau.sum())
+    tau = _power(w.z, ws.e_tau, ws.tau)
+    np.multiply(ws.K_tau, tau, out=tau)
+    return h * float(np.add.reduce(w.u)), h * float(np.add.reduce(tau))
 
 
 def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
@@ -214,13 +274,12 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
     """
     ws = _Workspace(state0)
     grid = state0.grid
-    w = np.pad(np.stack((state0.z, state0.u)), ((0, 0), (2, 2)), mode="wrap")
-    w_new = np.empty_like(w)
+    w, w_new = ws.states
     t = 0.0
 
     def make_state(tv, wv):
         return StateField(
-            grid=grid, t=tv, z=wv[0, 2:-2], u=wv[1, 2:-2],  # StateField copies them
+            grid=grid, t=tv, z=wv.z, u=wv.u,  # StateField copies them
             profile=state0.profile, gc=state0.gc,
         )
 
@@ -246,8 +305,8 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
             termination = Termination("reached_t_end", t)
             break
 
-        c_max = ws.max_wavespeed(w[0, 2:-2])
-        if not np.isfinite(c_max) or c_max <= 0.0:
+        c_max = ws.max_wavespeed(w.z)
+        if not math.isfinite(c_max) or c_max <= 0.0:
             termination = Termination("vacuum_guard", t)
             break
         dt = cfg.cfl * grid.h / c_max
@@ -262,7 +321,7 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
         except VacuumError:
             termination = Termination("vacuum_guard", t)
             break
-        if not np.isfinite(w_new).all():
+        if not ws.all_finite(w_new):
             termination = Termination("non_finite", t)
             break
         w, w_new = w_new, w

@@ -203,10 +203,15 @@ def test_non_finite_without_certificate_writes_outputs_exit_3(tmp_path, monkeypa
     real = solver.derivative
     calls = 0
 
-    def derivative_then_nan(values, grid):
+    def derivative_then_nan(values, grid, **buffers):
+        # the solver reads the result from the buffers it passes, so the NaN
+        # goes into them
         nonlocal calls
         calls += 1
-        return real(values, grid) if calls <= 4 * 10 else np.full((*np.shape(values)[:-1], grid.n), np.nan)
+        result = real(values, grid, **buffers)
+        if calls > 4 * 10:
+            result.fill(np.nan)
+        return result
 
     monkeypatch.setattr(solver, "derivative", derivative_then_nan)
     assert cli.main(["run", str(path)]) == 3
@@ -475,9 +480,14 @@ def test_run_memory_above_the_snapshots_does_not_grow_with_their_count(tmp_path,
 def test_run_stopped_at_its_first_state_writes_every_output(tmp_path, monkeypatch, poison, kind, code):
     if poison:  # the first step is not finite, and no certificate: exit 3
         text = "".join(line + "\n" for line in RUN_CFG.splitlines() if not line.startswith("certify."))
-        monkeypatch.setattr(
-            solver, "derivative", lambda values, grid: np.full((*np.shape(values)[:-1], grid.n), np.nan)
-        )
+        real = solver.derivative
+
+        def nan_derivative(values, grid, **buffers):
+            result = real(values, grid, **buffers)
+            result.fill(np.nan)
+            return result
+
+        monkeypatch.setattr(solver, "derivative", nan_derivative)
     else:  # the initial gradient is already past the cap
         text = RUN_CFG.replace("solver.gradient_cap = 30", "solver.gradient_cap = 1")
     path = tmp_path / "first.cfg"

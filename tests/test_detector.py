@@ -3,9 +3,25 @@ import dataclasses
 import numpy as np
 import pytest
 
-from steepen import detector, fields, riccati, solver
+from steepen import cli, config, detector, fields, riccati, solver
 
 from conftest import gradient_peaks, make_gas
+
+
+LAX_CFG = """\
+gas.gamma = 3
+gas.K = 0.3333333333333333
+grid.x0 = 0
+grid.x1 = 1
+grid.n = 128
+initial.u0 = -0.2*sin(2*pi*x)
+initial.z0 = 1
+solver.t_end = 1.5
+solver.gradient_cap = 30
+diagnostics.seeds = 0.0
+diagnostics.residuals = ode_y
+output.directory = out
+"""
 
 
 def _bounds(**kw):
@@ -328,16 +344,53 @@ def test_detect_blowup_none_when_too_few_snapshots(gas3):
     assert detector.detect_blowup(traj, gradient_peaks(traj)) is None
 
 
-def test_detect_blowup_none_when_reciprocal_grows(gas3):
+def _decaying_amplitude_traj(gas3):
+    """Snapshots whose gradient peak falls with time, tagged as a blowup."""
     grid = fields.Grid(0.0, 1.0, 64)
     snapshots = []
     for k, amp in enumerate((0.2, 0.18, 0.16, 0.14, 0.12, 0.1)):
         state, _ = fields.build_initial(f"-{amp}*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
         snapshots.append(dataclasses.replace(state, t=0.1 * k))
     n = len(snapshots)
-    traj = solver.Trajectory(
+    return solver.Trajectory(
         snapshots=snapshots,
         termination=solver.Termination("gradient_blowup", snapshots[-1].t, 0.25),
         conserved=solver.ConservedLog(np.zeros(n), np.zeros(n), np.zeros(n)),
     )
+
+
+def test_detect_blowup_none_when_reciprocal_grows(gas3):
+    traj = _decaying_amplitude_traj(gas3)
     assert detector.detect_blowup(traj, gradient_peaks(traj)) is None
+
+
+def test_line_fit_matches_polyfit(gas3):
+    # the closed-form fit against np.polyfit's least squares, on the
+    # reciprocal peaks of a blowup run and of the decaying fixture, over the
+    # whole series and each half, as detect_blowup fits its window
+    grid = fields.Grid(0.0, 1.0, 256)
+    state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
+    cfg = solver.SolverConfig(cfl=0.4, t_end=1.5, snapshot_stride=10, gradient_cap=30.0)
+    for traj in (solver.evolve(state, cfg), _decaying_amplitude_traj(gas3)):
+        t = traj.times
+        g = 1.0 / gradient_peaks(traj)
+        half = len(t) // 2
+        for sl in (slice(None), slice(None, half), slice(half, None)):
+            expect = np.polyfit(t[sl], g[sl], 1)
+            assert detector._fit_line(t[sl], g[sl]) == pytest.approx(tuple(expect), rel=1e-12)
+
+
+def test_blowup_run_calls_no_lapack_least_squares(tmp_path, monkeypatch):
+    def no_least_squares(*args, **kwargs):
+        raise AssertionError("a LAPACK least-squares fit was called")
+
+    # np.polyfit holds its own reference to lstsq, so both are replaced
+    monkeypatch.setattr(np.linalg, "lstsq", no_least_squares)
+    monkeypatch.setattr(np, "polyfit", no_least_squares)
+    path = tmp_path / "run.cfg"
+    path.write_text(LAX_CFG)
+    assert cli.run_pipeline(config.load_config(path)) == 0
+    lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ") for line in lines if " = " in line)
+    assert summary["termination"] == "gradient_blowup"
+    assert summary["t_blow"] != "none"

@@ -169,15 +169,41 @@ def test_derivative_linearity():
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-11 * np.max(np.abs(lhs)) + 1e-13)
 
 
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=lambda s: f"lead{s}")
+def test_ghost_views_copy_what_fill_ghosts_copies(lead):
+    n = 16
+    rng = np.random.default_rng(5)
+    expect = rng.normal(size=(*lead, n + 4))
+    got = expect.copy()
+    fields.fill_ghosts(expect)
+    ghosts, nodes = fields.ghost_views(got)
+    ghosts[...] = nodes
+    assert np.array_equal(got, expect)
+
+
+def _assert_into_buffers_equals(f, grid, expect):
+    # out= and scratch= change where the result and the 8 f product live,
+    # not one bit of the result
+    padded_shape = (*np.shape(f)[:-1], grid.n + 4)
+    for given in (("out",), ("scratch",), ("out", "scratch")):
+        buffers = {name: np.full(padded_shape, np.nan) for name in given}
+        got = fields.derivative(f, grid, **buffers)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+        if "out" in buffers:
+            assert np.shares_memory(got, buffers["out"])
+
+
 @pytest.mark.parametrize("n", [16, 2048])
-@pytest.mark.parametrize("rows", [1, 2, 4])
+@pytest.mark.parametrize("rows", [1, 2, 4, (2, 3)])
 def test_derivative_bitwise_equals_roll_reference(n, rows):
     # the ghost-padded stencil must give the np.roll formula bit for bit,
     # on one field and, row by row, on a stack such as the solver's (z, u)
     # or riccati.diagnostics' (u, z, u + m z, u - m z)
     grid = fields.Grid(0.0, 1.0, n)
-    rng = np.random.default_rng(n + rows)
-    f = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-8, 9, size=(rows, n))
+    rng = np.random.default_rng(n + int(np.prod(rows)))
+    shape = (*np.atleast_1d(rows), n)
+    f = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
     fp1, fp2, fm1, fm2 = (np.roll(f, shift, axis=-1) for shift in (-1, -2, 1, 2))
     ref = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * grid.h)
     if rows == 1:
@@ -185,25 +211,37 @@ def test_derivative_bitwise_equals_roll_reference(n, rows):
     out = fields.derivative(f, grid)
     assert out.shape == f.shape
     assert np.array_equal(out, ref)
+    _assert_into_buffers_equals(f, grid, ref)
 
 
 @pytest.mark.parametrize("n", [16, 2048])
-@pytest.mark.parametrize("rows", [1, 2, 4])
+@pytest.mark.parametrize("rows", [1, 2, 4, (2, 3)])
 def test_derivative_of_ghost_padded_values_equals_unpadded(n, rows):
     # values that carry two periodic ghost cells per side are used as they
     # are; the result is the nodes' derivative, bit for bit
     grid = fields.Grid(0.0, 1.0, n)
-    rng = np.random.default_rng(n + rows)
-    f = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-8, 9, size=(rows, n))
+    rng = np.random.default_rng(n + int(np.prod(rows)))
+    shape = (*np.atleast_1d(rows), n)
+    f = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
     if rows == 1:
         f = f[0]
     padded = np.pad(f, [(0, 0)] * (f.ndim - 1) + [(2, 2)], mode="wrap")
     out = fields.derivative(padded, grid)
     assert out.shape == f.shape
     assert np.array_equal(out, fields.derivative(f, grid))
+    _assert_into_buffers_equals(padded, grid, out)
     for extra in (1, 2):
         with pytest.raises(ValueError, match="grid size"):
             fields.derivative(padded[..., : n + extra], grid)
+
+
+def test_derivative_rejects_buffers_it_cannot_write_in_place():
+    grid = fields.Grid(0.0, 1.0, 16)
+    f = np.zeros((2, 20))
+    for bad in (np.empty((2, 16)), np.empty((20, 2)).T, np.empty((2, 20), dtype=np.float32)):
+        for name in ("out", "scratch"):
+            with pytest.raises(ValueError, match="padded shape"):
+                fields.derivative(f, grid, **{name: bad})
 
 
 # --- assumption checking ------------------------------------------------------

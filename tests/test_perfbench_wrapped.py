@@ -63,4 +63,6 @@ def test_traced_child_run_accounts_for_its_time(tmp_path):
     layers = json.loads(result_path.read_text())["layers"]
     assert layers["charpath.trace.calls"][0] >= 1
     assert layers["charpath.curve_nodes"][0] >= 1
+    # the solver still calls the stencil through its name, once per RK4 stage
+    assert layers["fields.derivative.calls_per_step"][0] == 4.0
     assert abs(layers["trace.unaccounted_s"][0]) <= 1e-6

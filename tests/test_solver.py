@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -258,9 +260,9 @@ def test_evolve_cfl_collapse_tag(gas3):
 
 @pytest.mark.parametrize("poisoned_row", [1, 0], ids=["nan_in_z", "nan_in_u"])
 def test_evolve_non_finite_stops_at_last_finite_state(gas3, monkeypatch, poisoned_row):
-    # 4 derivative calls per step, one per stage, each returning the stacked
-    # (z_x, u_x): row 1 of the last stage's result (u_x) spoils only z, row 0
-    # (z_x) only u
+    # 4 derivative calls per step, one per stage, each writing the stacked
+    # (z_x, u_x) into the workspace's result rows, which rhs reads: row 1 of
+    # the last stage's result (u_x) spoils only z, row 0 (z_x) only u
     grid = fields.Grid(0.0, 1.0, 64)
     state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
     cfg = solver.SolverConfig(cfl=0.4, t_end=0.3, snapshot_stride=3)
@@ -269,10 +271,10 @@ def test_evolve_non_finite_stops_at_last_finite_state(gas3, monkeypatch, poisone
     real = solver.derivative
     calls = 0
 
-    def derivative_then_nan(values, grid):
+    def derivative_then_nan(values, grid, **buffers):
         nonlocal calls
         calls += 1
-        out = real(values, grid)
+        out = real(values, grid, **buffers)
         if calls >= 4 * good_steps + 4:
             out[poisoned_row] = np.nan
         return out
@@ -287,6 +289,49 @@ def test_evolve_non_finite_stops_at_last_finite_state(gas3, monkeypatch, poisone
     assert np.all(np.isfinite(last.z)) and np.all(np.isfinite(last.u))
     assert np.array_equal(traj.conserved.int_u, clean.conserved.int_u[: good_steps + 1])
     assert np.array_equal(traj.conserved.int_tau, clean.conserved.int_tau[: good_steps + 1])
+
+
+@pytest.mark.parametrize("e", [2.0, -1.0, 4.0, -3.0, 6.0, -5.0, 1.5])
+def test_power_equals_the_operator_bit_for_bit(e):
+    # e_c and tau's exponent of gamma = 3, 5/3 and 1.4 gases, and one that
+    # is not an integer
+    rng = np.random.default_rng(7)
+    z = np.concatenate((rng.uniform(1e-3, 10.0, 4096), 10.0 ** rng.uniform(-300.0, 300.0, 4096)))
+    out = np.empty_like(z)
+    with np.errstate(over="ignore", under="ignore"):
+        assert solver._power(z, e, out) is out
+        assert np.array_equal(out, z**e)
+
+
+def test_a_step_allocates_no_state_sized_array(gas3):
+    # evolve's step on a workspace built beforehand: the steepness, the wave
+    # speed, the RK4 step with its four derivative calls, the finiteness
+    # check and the conserved integrals all run in the workspace's buffers,
+    # so the step raises the traced peak by less than one (n,) row
+    n = 4096
+    grid = fields.Grid(0.0, 1.0, n)
+    state, _ = fields.build_initial(
+        "-0.2*sin(2*pi*x)", grid, gas3, m0="1 + 0.2*sin(2*pi*x)", z0=1.0
+    )
+    ws = solver._Workspace(state)
+
+    def step(w, w_new):
+        solver._steepness(ws, w)
+        dt = 0.4 * grid.h / ws.max_wavespeed(w.z)
+        solver._rk4(ws, w, dt, w_new)
+        assert ws.all_finite(w_new)
+        solver._conserved(ws, w_new)
+
+    w, w_new = ws.states
+    step(w, w_new)  # numpy's first calls may set up caches of their own
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step(w_new, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < n * 8
 
 
 def test_evolve_entropy_arrays_bit_identical(varying_traj):
