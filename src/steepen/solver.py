@@ -16,7 +16,10 @@ finiteness check each run once over the whole buffers; a ghost gets the
 same operations as its node, so only a slope's ghosts are refilled, and
 every node value is bit for bit that of the unpadded formulas.  Every
 buffer and view a step uses is made once per run (:class:`_Workspace`),
-so a step makes no array of its own.  The energy equation is not evolved;
+so a step makes no array of its own.  With a constant entropy profile
+(``m_x`` zero at every node) the system is the p-system, and a stage drops
+the forcing term: ``z_x`` is never ``-0``, so the values are bit for bit
+those with its zeros added.  The energy equation is not evolved;
 smooth solutions carry it via the stationarity of the entropy.  The
 integrals of u and tau (momentum and volume) are logged at every step as
 a conservation check.
@@ -160,8 +163,10 @@ class _Workspace:
         self.minus_K_c, self.two, self.K_tau, self.h = map(
             np.array, (-gc.K_c, 2.0, gc.K_tau, state.grid.h)
         )
-        self.mc_coeff = gc.K_c * m * m  # m*c = coeff * z**e_c
-        self.forcing = 2.0 * gc.K_p * m * m_x  # 2(p/m)m_x = forcing * z**(e_c+1)
+        self.minus_mc_coeff = -gc.K_c * m * m  # -m*c = minus_mc_coeff * z**e_c
+        # 2(p/m)m_x = forcing * z**(e_c+1); None for a constant profile, whose
+        # u_t is then that of the p-system
+        self.forcing = 2.0 * gc.K_p * m * m_x if np.any(m_x) else None
         self.states = (_Rows(n), _Rows(n))
         self.stage, self.k, self.acc, self.diff = (_Rows(n) for _ in range(4))
         first = self.states[0]
@@ -187,16 +192,17 @@ class _Workspace:
         z = w.z
         zc = _power(z, self.e_c, self.zc)
         z_t, u_t = out.z, out.u
-        # z_t = -K_c zc u_x and u_t = -(mc_coeff zc z_x + forcing zc z),
-        # each product in that order
+        # z_t = -K_c zc u_x and u_t = minus_mc_coeff zc z_x - forcing zc z,
+        # each product in that order (with forcing, only the sign of an
+        # exactly zero u_t can differ from the negated sum's)
         np.multiply(zc, self.minus_K_c, out=z_t)
         z_t *= self.u_x
-        np.multiply(self.mc_coeff, zc, out=u_t)
+        np.multiply(self.minus_mc_coeff, zc, out=u_t)
         u_t *= self.z_x
-        zc *= self.forcing
-        zc *= z
-        u_t += zc
-        np.negative(u_t, out=u_t)
+        if self.forcing is not None:
+            zc *= self.forcing
+            zc *= z
+            u_t -= zc
         out.fill_ghosts()
 
     def all_finite(self, w: _Rows) -> bool:

@@ -80,12 +80,14 @@ def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "")
             f'transform="rotate(-90 18 {_H / 2:.1f})">{ylabel}</text>'
         )
 
-    for idx, (label, x, y) in enumerate(series):
+    for idx, ((label, _, _), x, y) in enumerate(zip(series, xs, ys)):
         color = _PALETTE[idx % len(_PALETTE)]
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         ok = np.isfinite(x) & np.isfinite(y)
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x[ok], y[ok]))
+        # the pixel coordinates of all points in one array pass each, the
+        # same float64 operations as px and py on a single value
+        pts = " ".join(
+            f"{a:.2f},{b:.2f}" for a, b in zip(px(x[ok]).tolist(), py(y[ok]).tolist())
+        )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>'
         )

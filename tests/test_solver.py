@@ -167,15 +167,34 @@ def _reference_run(state, cfg):
     return snapshots, np.array(log), termination
 
 
-@pytest.mark.parametrize("t_end, kind", [(0.2, "reached_t_end"), (1.0, "gradient_blowup")])
-def test_evolve_with_entropy_forcing_equals_unpadded_reference(t_end, kind):
-    """About 20 steps with m varying, so the forcing term is not zero."""
-    gc = make_gas(5.0 / 3.0, 1.0 / 15.0)
+_VARYING_M0 = "1 + 0.2*sin(2*pi*x)"
+
+
+@pytest.mark.parametrize(
+    "gas, m0, t_end, kind",
+    [
+        pytest.param((5.0 / 3.0, 1.0 / 15.0), _VARYING_M0, 0.2, "reached_t_end",
+                     id="0.2-reached_t_end"),
+        pytest.param((5.0 / 3.0, 1.0 / 15.0), _VARYING_M0, 1.0, "gradient_blowup",
+                     id="1.0-gradient_blowup"),
+        pytest.param((3.0, 1.0 / 3.0), "1", 0.1, "reached_t_end",
+                     id="p_system_gamma3-0.1-reached_t_end"),
+        pytest.param((5.0 / 3.0, 1.0 / 15.0), "1.3", 1.0, "gradient_blowup",
+                     id="p_system_m1.3-1.0-gradient_blowup"),
+    ],
+)
+def test_evolve_with_entropy_forcing_equals_unpadded_reference(gas, m0, t_end, kind):
+    """About 20 steps.  With m varying the forcing term is not zero; with m
+    constant evolve drops it, and the reference still adds its zeros and
+    negates the sum, so the forcing-free stage is pinned to it bit for bit."""
+    gc = make_gas(*gas)
     grid = fields.Grid(0.0, 1.0, 64)
     state, _ = fields.build_initial(
-        "-0.35*sin(2*pi*x)", grid, gc, m0="1 + 0.2*sin(2*pi*x)", z0="1 + 0.1*cos(2*pi*x)"
+        "-0.35*sin(2*pi*x)", grid, gc, m0=m0, z0="1 + 0.1*cos(2*pi*x)"
     )
-    assert np.max(np.abs(state.m_arrays()[1])) > 1.0
+    m_x_max = np.max(np.abs(state.m_arrays()[1]))
+    assert m_x_max > 1.0 if m0 == _VARYING_M0 else m_x_max == 0.0
+    assert (solver._Workspace(state).forcing is None) == (m_x_max == 0.0)
     cfg = solver.SolverConfig(cfl=0.4, t_end=t_end, snapshot_stride=3, gradient_cap=2.3)
     traj = solver.evolve(state, cfg)
     snapshots, log, termination = _reference_run(state, cfg)
@@ -258,13 +277,22 @@ def test_evolve_cfl_collapse_tag(gas3):
     assert traj.termination.t_stop == 0.0
 
 
-@pytest.mark.parametrize("poisoned_row", [1, 0], ids=["nan_in_z", "nan_in_u"])
-def test_evolve_non_finite_stops_at_last_finite_state(gas3, monkeypatch, poisoned_row):
-    # 4 derivative calls per step, one per stage, each writing the stacked
-    # (z_x, u_x) into the workspace's result rows, which rhs reads: row 1 of
-    # the last stage's result (u_x) spoils only z, row 0 (z_x) only u
+@pytest.mark.parametrize(
+    "m0, poisoned_row",
+    [
+        pytest.param(1.0, 1, id="nan_in_z"),
+        pytest.param(1.0, 0, id="nan_in_u"),
+        pytest.param(_VARYING_M0, 1, id="varying_m-nan_in_z"),
+        pytest.param(_VARYING_M0, 0, id="varying_m-nan_in_u"),
+    ],
+)
+def test_evolve_non_finite_stops_at_last_finite_state(gas3, monkeypatch, m0, poisoned_row):
+    # 4 calls through the name solver.derivative per step, one per stage,
+    # with the forcing term or without it; each writes the stacked (z_x, u_x)
+    # into the workspace's result rows, which rhs reads: row 1 of the last
+    # stage's result (u_x) spoils only z, row 0 (z_x) only u
     grid = fields.Grid(0.0, 1.0, 64)
-    state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
+    state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=m0, z0=1.0)
     cfg = solver.SolverConfig(cfl=0.4, t_end=0.3, snapshot_stride=3)
     clean = solver.evolve(state, cfg)
     good_steps = 5
