@@ -2,8 +2,7 @@
 
 Evolves smooth states of the compressible Euler equations with a frozen
 entropy profile, traces characteristics, verifies the directional Riccati
-identities numerically, classifies rarefactive/compressive wave character,
-and certifies finite-time gradient blowup.
+identities numerically, and certifies finite-time gradient blowup.
 """
 
 from steepen.eos import GasConstants, VacuumError, make_constants

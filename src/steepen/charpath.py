@@ -10,10 +10,11 @@ grid rows, at most 4 snapshots per quantity: a row is computed when its
 snapshot enters the window and overwritten once it has left, so its memory
 does not grow with the number of snapshots.  A trace and a sample both
 walk the snapshots forward in time, so each call computes each row once,
-and a sample of several quantities computes each snapshot's diagnostics
-once for all of them.  :func:`sample_along` may instead take its rows from
-the caller's own pass over the snapshots (the run computes each
-snapshot's diagnostics once for every output).  Derived quantities are
+and a sample of several quantities computes a snapshot's rows of all of
+them with one :func:`riccati.diagnostics` call, which computes only the
+fields those rows are made from.  :func:`sample_along` may instead take
+its rows from the caller's own pass over the snapshots (the run computes
+each snapshot's fields once for every output).  Derived quantities are
 always computed on the grid first (see :mod:`steepen.riccati`) and only
 then interpolated onto curves.
 """
@@ -85,11 +86,11 @@ class FieldSampler:
     The held rows form one ``(quantities, width, n)`` array; snapshot
     ``k``'s rows sit in slot ``k % width``, ``width`` being the snapshots
     of one time window (4, or all of them when there are fewer), and one
-    gather serves every quantity at once.  By default a row is computed
-    from its snapshot by :func:`riccati.grid_quantities`; ``rows``, if
-    given, is an iterator over every snapshot's rows ``{name: row}`` in
-    snapshot order, from which the sampler takes them instead (stepping
-    over the snapshots no window uses).
+    gather serves every quantity at once.  By default a snapshot's rows of
+    every held quantity come from one :func:`riccati.diagnostics` call on
+    it; ``rows``, if given, is an iterator over every snapshot's rows
+    ``{name: row}`` in snapshot order, from which the sampler takes them
+    instead (stepping over the snapshots no window uses).
     """
 
     def __init__(self, traj: Trajectory, rows=None):
@@ -106,7 +107,7 @@ class FieldSampler:
 
     def _fetch(self, k: int) -> dict:
         if self._source is None:
-            return riccati.grid_quantities(self.traj.snapshots[k], self._names)
+            return riccati.diagnostics(self.traj.snapshots[k], self._names)
         if k < self._next:
             raise ValueError(f"the rows of snapshot {k} were already taken from the source")
         for _ in range(k - self._next):
@@ -277,8 +278,9 @@ def sample_along(curve: CharacteristicCurve, traj: Trajectory, quantity, rows=No
     """Interpolate named derived fields onto a curve's nodes (and keep them in ``curve.samples``).
 
     ``quantity`` is one name, whose values are returned, or a sequence of
-    names, sampled in one pass that computes each snapshot's diagnostics
-    once for all of them, and returned as ``{name: values}``.  Every seed
+    names, sampled in one pass that computes each snapshot's grid rows of
+    all of them with one :func:`riccati.diagnostics` call, and returned as
+    ``{name: values}``.  A name is any that call resolves.  Every seed
     of a bundle is sampled in the same pass.  ``rows`` is a row source for
     :class:`FieldSampler`: an iterator over every snapshot's grid rows of
     these names, in snapshot order.

@@ -83,14 +83,13 @@ def _write_rows(fh, rows: np.ndarray) -> None:
         fh.write(_g16.text(rows[lo:lo + _ROWS_PER_WRITE]))
 
 
-def _write_fields_rows(fh, fmt: _g16.Formatter, snap, d, t, x) -> None:
-    """Write fields.csv's rows of one snapshot, ``d`` its diagnostics and
-    ``t``, ``x`` the slots of its time and of the grid nodes.  The rows are
-    assembled per block in one buffer of slots: ``t`` and ``x`` copied in,
-    the other 9 columns formatted into it."""
-    n = snap.grid.n
-    p, c = snap.thermo()
-    columns = (snap.z, snap.u, snap.m_arrays()[0], p, c, d.alpha, d.beta, d.y, d.q)
+def _write_fields_rows(fh, fmt: _g16.Formatter, d: dict, t, x) -> None:
+    """Write fields.csv's rows of one snapshot, ``d`` its grid fields by
+    name and ``t``, ``x`` the slots of its time and of the grid nodes.  The
+    rows are assembled per block in one buffer of slots: ``t`` and ``x``
+    copied in, the other 9 columns formatted into it."""
+    columns = [d[name] for name in FIELDS_COLUMNS[2:]]
+    n = len(x)
     # z to q, each followed by a comma but q, which ends the row
     tails = np.full(len(columns), _g16.tail(","))
     tails[-1] = _g16.tail("\n")
@@ -106,14 +105,15 @@ def _write_fields_rows(fh, fmt: _g16.Formatter, snap, d, t, x) -> None:
         _write_rows(fh, block)
 
 
-def _snapshot_pass(fh, fmt: _g16.Formatter, traj: solver.Trajectory, names, extrema: np.ndarray):
-    """Walk the snapshots once, computing each one's diagnostics once.
+def _snapshot_pass(fh, fmt: _g16.Formatter, traj: solver.Trajectory, names: tuple, extrema: np.ndarray):
+    """Walk the snapshots once, computing each one's grid fields once.
 
-    For each snapshot ``k`` in turn: write its block of fields.csv to the
-    binary file ``fh``, record its ``min y``, ``min q`` and
-    :func:`detector.gradient_peak` in ``extrema[:, k]``, and yield its
+    For each snapshot ``k`` in turn, one :func:`riccati.diagnostics` call
+    computes fields.csv's columns and ``names``; then write its block of
+    fields.csv to the binary file ``fh``, record its ``min y``, ``min q``
+    and :func:`detector.gradient_peak` in ``extrema[:, k]``, and yield its
     grid rows of ``names`` (a :func:`charpath.sample_along` row source).
-    The diagnostics are dropped before the yield, but for those rows.
+    The other fields are dropped before the yield.
 
     fields.csv has one row per (snapshot, node), every value as
     ``%.16g`` (by ``fmt``).  ``t`` and ``x`` are formatted once per run;
@@ -125,10 +125,10 @@ def _snapshot_pass(fh, fmt: _g16.Formatter, traj: solver.Trajectory, names, extr
     x = fmt.slots(first.grid.x, comma)
     fh.write(",".join(FIELDS_COLUMNS).encode("ascii") + b"\n")
     for k, snap in enumerate(traj.snapshots):
-        d = riccati.diagnostics(snap)
-        _write_fields_rows(fh, fmt, snap, d, t[k], x)
-        extrema[:, k] = np.min(d.y), np.min(d.q), detector.gradient_peak(d)
-        rows = riccati.grid_quantities(snap, names, d)
+        d = riccati.diagnostics(snap, FIELDS_COLUMNS[2:] + names)
+        _write_fields_rows(fh, fmt, d, t[k], x)
+        extrema[:, k] = np.min(d["y"]), np.min(d["q"]), detector.gradient_peak(d)
+        rows = {name: d[name] for name in names}
         del d
         yield rows
 

@@ -1,4 +1,4 @@
-"""Wave-character classification and finite-time blowup certificates.
+"""Finite-time blowup certificates and the measured blowup time.
 
 A certificate is a machine-checked instance of a singularity-formation
 hypothesis on the *initial* data: either a threshold violation of the
@@ -19,45 +19,6 @@ from steepen import riccati
 from steepen.fields import AssumptionBounds, EntropyProfile, Grid, StateField
 from steepen.riccati import Exponents
 from steepen.solver import Trajectory
-
-
-# --- R/C classification -----------------------------------------------------
-
-
-@dataclass
-class RCMap:
-    """Per-cell rarefactive/compressive labels with a sign dead-band."""
-
-    forward: np.ndarray  # 'R' | 'C' | 'neutral'
-    backward: np.ndarray
-    delta_rc: float
-
-
-def _labels(values: np.ndarray, delta: float) -> np.ndarray:
-    out = np.full(values.shape, "neutral", dtype="<U7")
-    out[values > delta] = "R"
-    out[values < -delta] = "C"
-    return out
-
-
-def classify_rc(state: StateField, delta_rc: float | None = None) -> RCMap:
-    """Label each cell forward/backward R or C by the sign of alpha/beta.
-
-    The default dead-band is 1e-8 of the current peak |alpha|, |beta|,
-    floored at 1e-12, so that machine-noise-level diagnostics classify as
-    neutral.
-    """
-    d = riccati.diagnostics(state)
-    alpha, beta = d.alpha, d.beta
-    if delta_rc is None:
-        peak = max(float(np.max(np.abs(alpha))), float(np.max(np.abs(beta))))
-        delta_rc = max(1e-8 * peak, 1e-12)
-    return RCMap(
-        forward=_labels(alpha, delta_rc),
-        backward=_labels(beta, delta_rc),
-        delta_rc=delta_rc,
-    )
-
 
 # --- thresholds -------------------------------------------------------------
 
@@ -127,13 +88,13 @@ def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float) 
     """
     gamma = state0.gc.gamma
     th = thresholds(bounds, gamma, epsilon)
-    d = riccati.diagnostics(state0)
+    d = riccati.diagnostics(state0, ("y", "q", "y_tilde", "q_tilde"))
     x = state0.grid.x
     for arr, kind, limit in (
-        (d.y, "thm14_y", th.N),
-        (d.q, "thm14_q", th.N),
-        (d.y_tilde, "thm14_ytilde", th.N_tilde),
-        (d.q_tilde, "thm14_qtilde", th.N_tilde),
+        (d["y"], "thm14_y", th.N),
+        (d["q"], "thm14_q", th.N),
+        (d["y_tilde"], "thm14_ytilde", th.N_tilde),
+        (d["q_tilde"], "thm14_qtilde", th.N_tilde),
     ):
         i = int(np.argmin(arr))
         if arr[i] < -limit:
@@ -197,7 +158,7 @@ def certify_thm15(
     if float(np.min(w_xx[region])) < -delta_cond:
         return none_cert
 
-    arr = getattr(riccati.diagnostics(state0), variable)
+    arr = riccati.diagnostics(state0, (variable,))[variable]
     masked = np.where(region, arr, np.inf)
     i = int(np.argmin(masked))
     v0 = float(masked[i])
@@ -224,9 +185,11 @@ class BlowupEstimate:
     window: tuple[float, float]
 
 
-def gradient_peak(d: riccati.DiagnosticFields) -> float:
-    """max(|y|, |q|) over the grid: the size whose growth :func:`detect_blowup` extrapolates."""
-    return max(float(np.max(np.abs(d.y))), float(np.max(np.abs(d.q))))
+def gradient_peak(d: dict) -> float:
+    """max(|y|, |q|) over the grid, from a state's fields ``d`` (see
+    :func:`riccati.diagnostics`): the size whose growth :func:`detect_blowup`
+    extrapolates."""
+    return max(float(np.max(np.abs(d["y"]))), float(np.max(np.abs(d["q"]))))
 
 
 def _fit_line(t: np.ndarray, g: np.ndarray) -> tuple[float, float]:

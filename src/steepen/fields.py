@@ -166,11 +166,6 @@ class StateField:
     def m_arrays(self):
         return self.profile.on_grid(self.grid)
 
-    def thermo(self):
-        """(p, c) arrays on the grid."""
-        m = self.m_arrays()[0]
-        return eos.thermo(self.z, m, self.gc)
-
 
 def _as_function(f, constants=None) -> Callable:
     if isinstance(f, str):

@@ -22,21 +22,22 @@ q` = a0 + a2 q^2; ``residual`` measures both numerically along traced
 characteristics, from samples taken along them, by
 :func:`directional_derivative`.
 
-:func:`diagnostics` is the one way to reach these fields.  It computes
-them and returns them, with no cache: a caller that needs a state's
-fields more than once keeps the result, and a run computes each stored
-snapshot's diagnostics once, in one pass over the snapshots.
-:func:`grid_quantities` resolves several named fields of a state with
-one call of :func:`diagnostics`.
+:func:`diagnostics` is the one way to reach a grid field: the state's
+z, u and m arrays, p, c and the other diagnostics, by name, from one
+table of formulas.  It computes only the fields asked for and those they
+are made from, each once, and keeps no cache: a caller that needs a
+state's fields more than once keeps the result, and a run computes each
+stored snapshot's fields once, in one pass over the snapshots.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from steepen import eos
 from steepen.fields import StateField, derivative, fill_ghosts
 
 
@@ -61,116 +62,92 @@ class Exponents:
         )
 
 
-@dataclass
-class DiagnosticFields:
-    u_x: np.ndarray
-    z_x: np.ndarray
-    s_x: np.ndarray
-    r_x: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    y: np.ndarray
-    q: np.ndarray
-    y_tilde: np.ndarray
-    q_tilde: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    a0: np.ndarray
-    a2: np.ndarray
-    a0_t: np.ndarray
-    a1_t: np.ndarray
-    a2_t: np.ndarray
-    mu_bar: np.ndarray
-
-
-def diagnostics(state: StateField) -> DiagnosticFields:
-    """Every diagnostic field of the state, computed on the grid."""
-    gc = state.gc
-    g = gc.gamma
-    ex = Exponents.of(g)
-    grid = state.grid
-    z = state.z
-    u = state.u
-    m, m_x, m_xx = state.m_arrays()
-
+def _gradients(f, s, ex) -> np.ndarray:
+    """u_x, z_x, s_x, r_x as the rows of one array."""
     # one stencil call on (u, z, u + m z, u - m z), built with its ghost cells
     # in place rather than stacked and then padded by a second copy
-    rows = np.empty((4, grid.n + 4))
+    rows = np.empty((4, s.grid.n + 4))
     nodes = rows[:, 2:-2]
-    nodes[0] = u
-    nodes[1] = z
-    np.multiply(m, z, out=nodes[3])
-    np.add(u, nodes[3], out=nodes[2])
-    np.subtract(u, nodes[3], out=nodes[3])
+    nodes[0] = f("u")
+    nodes[1] = f("z")
+    np.multiply(f("m"), f("z"), out=nodes[3])
+    np.add(f("u"), nodes[3], out=nodes[2])
+    np.subtract(f("u"), nodes[3], out=nodes[3])
     fill_ghosts(rows)
-    u_x, z_x, s_x, r_x = derivative(rows, grid)
-
-    ent = ((g - 1.0) / g) * m_x * z
-    alpha = u_x + m * z_x + ent
-    beta = u_x - m * z_x - ent
-
-    zE1 = z**ex.E1
-    mu_bar = m ** (-ex.E2)
-    gy = s_x - ex.G * m_x * z
-    gq = r_x + ex.G * m_x * z
-    y = mu_bar * zE1 * gy
-    q = mu_bar * zE1 * gq
-    y_tilde = zE1 * gy
-    q_tilde = zE1 * gq
-
-    K_c = gc.K_c
-    k1 = (g + 1.0) * K_c / (2.0 * (g - 1.0)) * z ** (2.0 / (g - 1.0))
-    k2 = (g - 1.0) / (g * (g + 1.0)) * z * m_x
-
-    bracket = ((g - 1.0) / (3.0 * g - 1.0)) * m * m_xx - (
-        (3.0 * g + 1.0) * (g - 1.0) / (3.0 * g - 1.0) ** 2
-    ) * m_x**2
-    z_a0 = z ** (3.0 * ex.E1 + 1.0)
-    a0_t = (K_c / g) * bracket * z_a0
-    a0 = (K_c / g) * mu_bar * bracket * z_a0
-    a2_t = -K_c * (g + 1.0) / (2.0 * (g - 1.0)) * z ** (ex.E1 - 1.0)
-    a2 = -K_c * (g + 1.0) / (2.0 * (g - 1.0)) * m**ex.E2 * z ** (ex.E1 - 1.0)
-    a1_t = K_c * ex.E2 * m_x * z**ex.E_c
-
-    return DiagnosticFields(
-        u_x=u_x, z_x=z_x, s_x=s_x, r_x=r_x,
-        alpha=alpha, beta=beta,
-        y=y, q=q, y_tilde=y_tilde, q_tilde=q_tilde,
-        k1=k1, k2=k2,
-        a0=a0, a2=a2, a0_t=a0_t, a1_t=a1_t, a2_t=a2_t,
-        mu_bar=mu_bar,
-    )
+    return derivative(rows, s.grid)
 
 
-#: names resolvable by :func:`grid_quantities` beyond the raw state arrays
-_DIAG_NAMES = tuple(f.name for f in dataclasses.fields(DiagnosticFields))
+#: name -> the formula of that grid field of state ``s``, in ``f``, which
+#: gives the state's other fields by name, and ``ex``, its exponents.  The
+#: names that start with ``_`` are intermediates that several fields share.
+_FORMULAS = {
+    "z": lambda f, s, ex: s.z,
+    "u": lambda f, s, ex: s.u,
+    "m": lambda f, s, ex: s.m_arrays()[0],
+    "m_x": lambda f, s, ex: s.m_arrays()[1],
+    "m_xx": lambda f, s, ex: s.m_arrays()[2],
+    "_thermo": lambda f, s, ex: eos.thermo(f("z"), f("m"), s.gc),
+    "p": lambda f, s, ex: f("_thermo")[0],
+    "c": lambda f, s, ex: f("_thermo")[1],
+    "s": lambda f, s, ex: f("u") + f("m") * f("z"),
+    "r": lambda f, s, ex: f("u") - f("m") * f("z"),
+    "_grad": _gradients,
+    "u_x": lambda f, s, ex: f("_grad")[0],
+    "z_x": lambda f, s, ex: f("_grad")[1],
+    "s_x": lambda f, s, ex: f("_grad")[2],
+    "r_x": lambda f, s, ex: f("_grad")[3],
+    "_ent": lambda f, s, ex: ((ex.gamma - 1.0) / ex.gamma) * f("m_x") * f("z"),
+    "alpha": lambda f, s, ex: f("u_x") + f("m") * f("z_x") + f("_ent"),
+    "beta": lambda f, s, ex: f("u_x") - f("m") * f("z_x") - f("_ent"),
+    "_zE1": lambda f, s, ex: f("z") ** ex.E1,
+    "mu_bar": lambda f, s, ex: f("m") ** (-ex.E2),
+    "_gy": lambda f, s, ex: f("s_x") - ex.G * f("m_x") * f("z"),
+    "_gq": lambda f, s, ex: f("r_x") + ex.G * f("m_x") * f("z"),
+    "y": lambda f, s, ex: f("mu_bar") * f("_zE1") * f("_gy"),
+    "q": lambda f, s, ex: f("mu_bar") * f("_zE1") * f("_gq"),
+    "y_tilde": lambda f, s, ex: f("_zE1") * f("_gy"),
+    "q_tilde": lambda f, s, ex: f("_zE1") * f("_gq"),
+    "k1": lambda f, s, ex: (
+        (ex.gamma + 1.0) * s.gc.K_c / (2.0 * (ex.gamma - 1.0)) * f("z") ** (2.0 / (ex.gamma - 1.0))
+    ),
+    "k2": lambda f, s, ex: (ex.gamma - 1.0) / (ex.gamma * (ex.gamma + 1.0)) * f("z") * f("m_x"),
+    "_bracket": lambda f, s, ex: ((ex.gamma - 1.0) / (3.0 * ex.gamma - 1.0)) * f("m") * f("m_xx") - (
+        (3.0 * ex.gamma + 1.0) * (ex.gamma - 1.0) / (3.0 * ex.gamma - 1.0) ** 2
+    ) * f("m_x") ** 2,
+    "_z_a0": lambda f, s, ex: f("z") ** (3.0 * ex.E1 + 1.0),
+    "a0_t": lambda f, s, ex: (s.gc.K_c / ex.gamma) * f("_bracket") * f("_z_a0"),
+    "a0": lambda f, s, ex: (s.gc.K_c / ex.gamma) * f("mu_bar") * f("_bracket") * f("_z_a0"),
+    "a2_t": lambda f, s, ex: -s.gc.K_c * (ex.gamma + 1.0) / (2.0 * (ex.gamma - 1.0)) * f("z") ** (ex.E1 - 1.0),
+    "a2": lambda f, s, ex: (
+        -s.gc.K_c * (ex.gamma + 1.0) / (2.0 * (ex.gamma - 1.0)) * f("m") ** ex.E2 * f("z") ** (ex.E1 - 1.0)
+    ),
+    "a1_t": lambda f, s, ex: s.gc.K_c * ex.E2 * f("m_x") * f("z") ** ex.E_c,
+}
 
 
-def grid_quantities(state: StateField, names, diag: DiagnosticFields | None = None) -> dict:
-    """Named primitive or derived fields evaluated on the grid, ``{name: array}``.
+def _field(memo: dict, state: StateField, ex: Exponents, name: str) -> np.ndarray:
+    """The grid field ``name`` of ``state``, computed once per ``memo``."""
+    if name not in memo:
+        memo[name] = _FORMULAS[name](functools.partial(_field, memo, state, ex), state, ex)
+    return memo[name]
 
-    The state's diagnostics are computed at most once, for all the names
-    that need them, and not at all when ``diag`` gives them.
+
+def diagnostics(state: StateField, names) -> dict:
+    """The grid fields of ``names`` of the state, ``{name: array}``.
+
+    A name is one of ``z u m m_x m_xx p c s r`` (s = u + m z and
+    r = u - m z) or a diagnostic: ``u_x z_x s_x r_x alpha beta y q
+    y_tilde q_tilde k1 k2 a0 a2 a0_t a1_t a2_t mu_bar``.  Only the named
+    fields and those they are made from are computed, each once; the four
+    gradients come from one stencil call.
     """
-    out = {}
     for name in names:
-        if name in ("z", "u"):
-            out[name] = state.z if name == "z" else state.u
-        elif name in ("m", "m_x", "m_xx"):
-            out[name] = state.m_arrays()[("m", "m_x", "m_xx").index(name)]
-        elif name in ("p", "c"):
-            p, c = state.thermo()
-            out[name] = p if name == "p" else c
-        elif name in ("s", "r"):
-            m = state.m_arrays()[0]
-            out[name] = state.u + m * state.z if name == "s" else state.u - m * state.z
-        elif name in _DIAG_NAMES:
-            if diag is None:
-                diag = diagnostics(state)
-            out[name] = getattr(diag, name)
-        else:
+        if name.startswith("_") or name not in _FORMULAS:
             raise ValueError(f"unknown quantity {name!r}")
-    return out
+    # the memo lives in the partial alone, so the fields it holds are freed
+    # with the call and not by the cyclic garbage collector
+    field = functools.partial(_field, {}, state, Exponents.of(state.gc.gamma))
+    return {name: field(name) for name in names}
 
 
 # --- phase-line classification -------------------------------------------

@@ -79,8 +79,8 @@ class ConservedLog:
 class Trajectory:
     """The stored snapshots of a run, why it stopped and its conservation log.
 
-    It holds no derived data: a snapshot is its ``(z, u)`` arrays, and its
-    diagnostics are computed by whoever needs them
+    It holds no derived data: a snapshot is its ``(z, u)`` arrays, and
+    whoever needs its other grid fields computes just those, by name
     (:func:`steepen.riccati.diagnostics`).  The grid rows that
     characteristic tracing and sampling need are held by a
     :class:`steepen.charpath.FieldSampler`, a few snapshots at a time.

@@ -16,7 +16,7 @@ def sampled_residual(traj, curve, kind):
 
 def gradient_peaks(traj):
     """The ``detector.gradient_peak`` of every snapshot, as a run's snapshot pass records it."""
-    return np.array([detector.gradient_peak(riccati.diagnostics(s)) for s in traj.snapshots])
+    return np.array([detector.gradient_peak(riccati.diagnostics(s, ("y", "q"))) for s in traj.snapshots])
 
 
 @pytest.fixture(scope="session")

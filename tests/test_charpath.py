@@ -101,7 +101,7 @@ def _lagrange_reference(traj, name, tq, xq):
         for ii in range(len(tw)):
             if ii != jj:
                 w *= (tq - tw[ii]) / (tw[jj] - tw[ii])
-        arr = riccati.grid_quantities(traj.snapshots[j0 + jj], (name,))[name]
+        arr = riccati.diagnostics(traj.snapshots[j0 + jj], (name,))[name]
         at_snapshot = None
         for o in offsets:
             wx = 1.0
@@ -181,24 +181,28 @@ def test_space_interpolation_is_sixth_order(gas3):
 def test_residual_computes_each_snapshot_diagnostics_once(varying_traj, monkeypatch):
     traj = varying_traj
     real = riccati.diagnostics
-    states = []  # the state of every diagnostics call
-    alive = []  # weak references to every result
+    calls = []  # the state and names of every diagnostics call
+    alive = []  # weak references to one array of every result
 
-    def spy(state):
+    def spy(state, names):
         # the sampler holds rows for one time window, 4 snapshots
         assert sum(ref() is not None for ref in alive) <= 4
-        states.append(state)
-        result = real(state)
-        alive.append(weakref.ref(result))
+        calls.append((state, tuple(names)))
+        result = real(state, names)
+        alive.append(weakref.ref(result[names[-1]]))  # a computed field, not the state's own
         return result
 
     monkeypatch.setattr(riccati, "diagnostics", spy)
+    snapshot_ids = [id(s) for s in traj.snapshots]
     curve = charpath.trace(traj, 0.3, "forward")
-    assert states == []  # tracing needs the wave speed only
+    assert {names for _, names in calls} == {("c",)}  # tracing needs the wave speed only
+    assert [id(s) for s, _ in calls] == snapshot_ids
+    calls.clear()
     charpath.sample_along(curve, traj, riccati.RESIDUAL_KINDS["ode_y"][2])  # y, a0, a2 in one pass
-    assert [id(s) for s in states] == [id(s) for s in traj.snapshots]
+    assert [id(s) for s, _ in calls] == snapshot_ids
+    assert {names for _, names in calls} == {("y", "a0", "a2")}
     riccati.residual(curve, "ode_y")  # every sample is on the curve already
-    assert len(states) == len(traj.snapshots)
+    assert len(calls) == len(traj.snapshots)
 
 
 def test_residual_names_a_missing_sample(constant_traj):
@@ -410,7 +414,7 @@ def test_operator_identity_recovers_partial_derivatives():
         m = state.m_arrays()[0]
         u_x = fields.derivative(state.u, grid)
         z_x = fields.derivative(state.z, grid)
-        _, c = state.thermo()
+        c = riccati.diagnostics(state, ("c",))["c"]
         worst_t = worst_x = 0.0
         for seed in (0.12, 0.42, 0.77):
             fw = charpath.trace(traj, seed, "forward")

@@ -294,10 +294,10 @@ def _fields_csv_reference(traj):
     for snap in traj.snapshots:
         m = snap.m_arrays()[0]
         p, c = eos.thermo(snap.z, m, snap.gc)
-        d = riccati.diagnostics(snap)
+        d = riccati.diagnostics(snap, ("alpha", "beta", "y", "q"))
         for j in range(snap.grid.n):
             row = (snap.t, snap.grid.x[j], snap.z[j], snap.u[j], m[j], p[j], c[j],
-                   d.alpha[j], d.beta[j], d.y[j], d.q[j])
+                   d["alpha"][j], d["beta"][j], d["y"][j], d["q"][j])
             lines.append(",".join(f"{v:.16g}" for v in row) + "\n")
     return "".join(lines)
 
@@ -328,9 +328,9 @@ def test_fields_csv_matches_per_row_reference(tmp_path):
         assert data == _fields_csv_reference(traj).encode("ascii")
         assert b"\r" not in data
         for k, snap in enumerate(traj.snapshots):
-            d = riccati.diagnostics(snap)
-            peak = max(float(np.max(np.abs(d.y))), float(np.max(np.abs(d.q))))
-            assert tuple(extrema[:, k]) == (np.min(d.y), np.min(d.q), peak)
+            d = riccati.diagnostics(snap, ("y", "q"))
+            peak = max(float(np.max(np.abs(d["y"]))), float(np.max(np.abs(d["q"]))))
+            assert tuple(extrema[:, k]) == (np.min(d["y"]), np.min(d["q"]), peak)
         assert f"\n0.3333333333333333,{x0:.16g},1e-09,-0,".encode("ascii") in data
         assert b",1e+290," in data and b",4.940656458412465e-324," in data
 
@@ -393,19 +393,19 @@ def test_run_computes_each_snapshot_diagnostics_once_in_a_window(cfg_path, monke
     cfg = cli.load_config(path)
     real_evolve, real_diagnostics = solver.evolve, riccati.diagnostics
     trajs = []
-    states = []  # the state of every diagnostics call
-    alive = []  # weak references to every result
+    calls = []  # the state and names of every diagnostics call
+    alive = []  # weak references to one array of every result
 
     def spy_evolve(state0, solver_cfg):
         trajs.append(real_evolve(state0, solver_cfg))
         return trajs[-1]
 
-    def spy_diagnostics(state):
+    def spy_diagnostics(state, names):
         # no more than a window of 4 snapshots is held at a time
         assert sum(ref() is not None for ref in alive) <= 4
-        states.append(state)
-        result = real_diagnostics(state)
-        alive.append(weakref.ref(result))
+        calls.append((state, tuple(names)))
+        result = real_diagnostics(state, names)
+        alive.append(weakref.ref(result[names[-1]]))  # a computed field, not the state's own
         return result
 
     monkeypatch.setattr(solver, "evolve", spy_evolve)
@@ -413,8 +413,12 @@ def test_run_computes_each_snapshot_diagnostics_once_in_a_window(cfg_path, monke
     assert cli.run_pipeline(cfg) == 0
     [traj] = trajs
     snapshot_ids = [id(s) for s in traj.snapshots]
+    # the trace asks for the wave speed only, each snapshot's once; every
+    # other call computes a snapshot's fields once, in one forward pass
+    assert [id(s) for s, names in calls if names == ("c",)] == snapshot_ids
+    states = [s for s, names in calls if names != ("c",)]
     on_snapshots = [id(s) for s in states if id(s) in snapshot_ids]
-    assert on_snapshots == snapshot_ids  # each once, in one forward pass
+    assert on_snapshots == snapshot_ids
     others = [s for s in states if id(s) not in snapshot_ids]
     assert len(others) == 2 and others[0] is others[1]  # the two certificates on state0
     assert others[0].t == 0.0

@@ -96,7 +96,7 @@ def test_build_initial_stationary_pressure():
     p_bar = 2.0
     z_expr = f"({p_bar}/({gc.K_p}*({m_expr})^2))^({(g - 1.0) / (2.0 * g)})"
     state, _ = fields.build_initial(0.0, grid, gc, m0=m_expr, z0=z_expr)
-    p, _ = state.thermo()
+    p, _ = eos.thermo(state.z, state.m_arrays()[0], gc)
     assert np.max(np.abs(p / p_bar - 1.0)) <= 1e-10
 
 

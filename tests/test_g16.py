@@ -98,12 +98,17 @@ def test_fast_path_decides_every_value_of_the_demo_runs(name, tmp_path):
     first = traj.snapshots[0]
     columns = [first.grid.x, first.m_arrays()[0], traj.times]
     for snap in traj.snapshots:
-        d = riccati.diagnostics(snap)
-        columns += [snap.z, snap.u, *snap.thermo(), d.alpha, d.beta, d.y, d.q]
+        d = riccati.diagnostics(snap, cli.FIELDS_COLUMNS[2:])
+        columns += list(d.values())
     values = np.concatenate(columns)
     for lo in range(0, values.size, FMT.size):
         undecided = FMT.decide(values[lo:lo + FMT.size])[2]
         assert not undecided.any(), values[lo:lo + FMT.size][undecided][:5]
+
+
+#: the 18 gradient diagnostics of :func:`riccati.diagnostics`
+DIAGNOSTIC_NAMES = ("u_x", "z_x", "s_x", "r_x", "alpha", "beta", "y", "q", "y_tilde", "q_tilde",
+                    "k1", "k2", "a0", "a2", "a0_t", "a1_t", "a2_t", "mu_bar")
 
 
 def test_snapshot_pass_memory_stays_near_the_diagnostics(tmp_path):
@@ -116,7 +121,7 @@ def test_snapshot_pass_memory_stays_near_the_diagnostics(tmp_path):
     extrema = np.empty((3, 1))
 
     tracemalloc.start()
-    riccati.diagnostics(snap)
+    riccati.diagnostics(snap, DIAGNOSTIC_NAMES)
     diagnostics = tracemalloc.get_traced_memory()[1]
     tracemalloc.reset_peak()
     fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
@@ -125,15 +130,20 @@ def test_snapshot_pass_memory_stays_near_the_diagnostics(tmp_path):
             pass
     # the formatter's tables and scratch are a mapping of their own, which
     # tracemalloc does not see
-    peak = tracemalloc.get_traced_memory()[1] + fmt.nbytes
+    traced = tracemalloc.get_traced_memory()[1]
+    peak = traced + fmt.nbytes
     tracemalloc.stop()
-    # the diagnostics are 18 arrays of n doubles (576 kB, 960 kB at their
-    # peak); on top of them sit the x slots (128 kB), the formatter's tables
-    # (100 kB) and scratch (175 kB), and one block's rows and bytes, freed
-    # before the next block.  Row templates and whole-snapshot tables would
-    # add about 700 kB at this n.
+    # the 18 diagnostics are 18 arrays of n doubles (576 kB, 805 kB at their
+    # peak).  The pass computes only the fields it writes and samples; on
+    # top of them sit the x slots (128 kB), the formatter's tables (100 kB)
+    # and scratch (175 kB), and one block's rows and bytes, freed before the
+    # next block.  Row templates and whole-snapshot tables would add about
+    # 700 kB at this n.
     assert diagnostics > 18 * 4096 * 8
     assert peak < diagnostics + 480 * 1024, (peak, diagnostics)
+    # what the pass allocates stays below the 18 diagnostics: fields.csv's
+    # columns and y need fewer fields than all of them
+    assert traced < diagnostics, (traced, diagnostics)
 
 
 def test_one_block_stays_within_its_bytes_per_value():

@@ -63,6 +63,9 @@ def test_traced_child_run_accounts_for_its_time(tmp_path):
     layers = json.loads(result_path.read_text())["layers"]
     assert layers["charpath.trace.calls"][0] >= 1
     assert layers["charpath.curve_nodes"][0] >= 1
+    # the tracer counts the states of riccati.diagnostics from its first
+    # argument: each snapshot's fields are computed in the run's one pass
+    assert layers["riccati.diagnostics.states"][0] == layers["solver.snapshots"][0]
     # the solver still calls the stencil through its name, once per RK4 stage
     assert layers["fields.derivative.calls_per_step"][0] == 4.0
     assert abs(layers["trace.unaccounted_s"][0]) <= 1e-6

@@ -240,7 +240,7 @@ def test_evolve_constant_state_conserves_everything(constant_traj):
 def test_evolve_compressive_blowup_matches_riccati_oracle(gas3):
     grid = fields.Grid(0.0, 1.0, 256)
     state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
-    y0 = riccati.diagnostics(state).y
+    y0 = riccati.diagnostics(state, ("y",))["y"]
     oracle = 1.0 / abs(float(np.min(y0)))  # a0 = 0, a2 = -K_c = -1
     cfg = solver.SolverConfig(cfl=0.4, t_end=1.5, snapshot_stride=10, gradient_cap=30.0)
     traj = solver.evolve(state, cfg)
