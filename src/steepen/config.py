@@ -92,133 +92,101 @@ def parse_kv(text: str) -> dict:
     return out
 
 
-def _take(kv: dict, block: str) -> dict:
-    prefix = block + "."
-    return {k[len(prefix):]: v for k, v in kv.items() if k.startswith(prefix)}
+#: every config key and the type of its value: a number, an integer, a
+#: boolean, a string, or a comma list of numbers or strings; a
+#: ``params.<name>`` key is a number.  Defaults live in the dataclasses.
+_KEYS = {
+    "gas.gamma": float, "gas.K": float,
+    "grid.x0": float, "grid.x1": float, "grid.n": int,
+    "initial.u0": str, "initial.z0": str, "initial.tau0": str, "initial.m0": str,
+    "solver.cfl": float, "solver.t_end": float, "solver.gradient_cap": float,
+    "solver.snapshot_stride": int, "solver.dt_min": float,
+    "diagnostics.seeds": [float], "diagnostics.directions": [str], "diagnostics.residuals": [str],
+    "certify.Z_L": float, "certify.Z_U": float, "certify.M1": float, "certify.M2": float,
+    "certify.M3": float, "certify.M4": float, "certify.epsilon": float, "certify.A": float,
+    "output.directory": str, "output.emit_svg": bool,
+}
+_REQUIRED = ("gas.gamma", "gas.K", "grid.x0", "grid.x1", "grid.n", "initial.u0", "solver.t_end",
+             "output.directory")
+_BLOCKS = {key.split(".", 1)[0] for key in _KEYS} | {"params"}
+_BOUNDS = ("Z_L", "Z_U", "M1", "M2", "M3", "M4")
+_MUST_BE = {float: "a number", int: "an integer", bool: "true or false"}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 @contextmanager
 def _in_block(block: str):
-    """Report a ValueError raised inside as a ConfigError naming ``block``;
-    a ConfigError names its block already and passes through as it is."""
+    """Report a ValueError raised inside as a ConfigError naming ``block``."""
     try:
         yield
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{block} block: {exc}") from None
 
 
-def _float(block: str, name: str, raw: str) -> float:
+def _value(key: str, raw: str):
+    """``raw`` read as the type ``_KEYS`` gives ``key``."""
+    kind = _KEYS.get(key, float)
+    if isinstance(kind, list):
+        return [_item(key, kind[0], v.strip()) for v in raw.split(",") if v.strip()]
+    return _item(key, kind, raw)
+
+
+def _item(key: str, kind: type, raw: str):
+    """One value of ``key`` as ``kind``; a number must be finite."""
+    block, name = key.split(".", 1)
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{block} block: {name} must be a number, got {raw!r}") from None
-
-
-def _int(block: str, name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{block} block: {name} must be an integer, got {raw!r}") from None
-
-
-def _bool(block: str, name: str, raw: str) -> bool:
-    if raw.lower() in ("true", "yes", "1"):
-        return True
-    if raw.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{block} block: {name} must be true or false, got {raw!r}")
-
-
-_KNOWN = {
-    "gas": {"gamma", "K"},
-    "grid": {"x0", "x1", "n"},
-    "initial": {"u0", "z0", "tau0", "m0"},
-    "solver": {"cfl", "t_end", "gradient_cap", "snapshot_stride", "dt_min"},
-    "diagnostics": {"seeds", "directions", "residuals"},
-    "certify": {"Z_L", "Z_U", "M1", "M2", "M3", "M4", "epsilon", "A"},
-    "output": {"directory", "emit_svg"},
-    "params": None,  # free-form numeric leaves
-}
+        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{block} block: {name} must be {_MUST_BE[kind]}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{block} block: {name} must be finite")
+    return value
 
 
 def is_config_leaf(key: str, kv: dict) -> bool:
     """A key present in ``kv``, a params leaf, or a key of the schema."""
-    if key in kv or key.startswith("params."):
-        return True
-    if "." not in key:
-        return False
-    block, leaf = key.split(".", 1)
-    known = _KNOWN.get(block)
-    return known is not None and leaf in known
+    return key in kv or key in _KEYS or key.startswith("params.")
 
 
 def build_config(kv: dict, base_dir: Path) -> RunConfig:
     """Materialize a :class:`RunConfig`, re-validating all numeric constraints."""
     for key in kv:
         block = key.split(".", 1)[0]
-        if block not in _KNOWN:
+        if block not in _BLOCKS:
             raise ConfigError(f"unknown config block {block!r} (key {key!r})")
-        known = _KNOWN[block]
-        if known is not None and key.split(".", 1)[1] not in known:
+        if block != "params" and key not in _KEYS:
             raise ConfigError(f"{block} block: unknown key {key!r}")
+    for key in _REQUIRED:
+        if key not in kv:
+            block, name = key.split(".", 1)
+            raise ConfigError(f"{block} block: missing required key {name!r}")
+    values = {block: {} for block in _BLOCKS}
+    for key, raw in kv.items():
+        block, name = key.split(".", 1)
+        values[block][name] = _value(key, raw)
 
-    gas_kv = _take(kv, "gas")
-    for req in ("gamma", "K"):
-        if req not in gas_kv:
-            raise ConfigError(f"gas block: missing required key {req!r}")
     with _in_block("gas"):
-        gas = eos.make_constants(
-            _float("gas", "gamma", gas_kv["gamma"]),
-            _float("gas", "K", gas_kv["K"]),
-        )
-
-    grid_kv = _take(kv, "grid")
-    for req in ("x0", "x1", "n"):
-        if req not in grid_kv:
-            raise ConfigError(f"grid block: missing required key {req!r}")
+        gas = eos.make_constants(**values["gas"])
     with _in_block("grid"):
-        grid = Grid(
-            _float("grid", "x0", grid_kv["x0"]),
-            _float("grid", "x1", grid_kv["x1"]),
-            _int("grid", "n", grid_kv["n"]),
-        )
+        grid = Grid(**values["grid"])
 
-    params = {name: _float("params", name, raw) for name, raw in _take(kv, "params").items()}
-
-    ini_kv = _take(kv, "initial")
-    if "u0" not in ini_kv:
-        raise ConfigError("initial block: missing required key 'u0'")
-    if ("z0" in ini_kv) == ("tau0" in ini_kv):
+    ini = values["initial"]
+    if ("z0" in ini) == ("tau0" in ini):
         raise ConfigError("initial block: provide exactly one of z0 or tau0")
-    initial = InitialSpec(**ini_kv)
-    for name in ("u0", "z0", "tau0", "m0"):
-        raw = getattr(initial, name)
-        if raw is not None and raw.startswith("file:"):
+    initial = InitialSpec(**ini)
+    for name, raw in ini.items():
+        if raw.startswith("file:"):
             ref = base_dir / raw[len("file:"):]
             if not ref.exists():
                 raise ConfigError(f"initial block: {name} file {ref} does not exist")
 
-    sol_kv = _take(kv, "solver")
-    if "t_end" not in sol_kv:
-        raise ConfigError("solver block: missing required key 't_end'")
     with _in_block("solver"):
-        solver_cfg = SolverConfig(**{
-            name: (_int if name == "snapshot_stride" else _float)("solver", name, raw)
-            for name, raw in sol_kv.items()
-        })
+        solver_cfg = SolverConfig(**values["solver"])
 
-    dia_kv = {name: [v.strip() for v in raw.split(",") if v.strip()]
-              for name, raw in _take(kv, "diagnostics").items()}
-    if "seeds" in dia_kv:
-        dia_kv["seeds"] = [_float("diagnostics", "seeds", s) for s in dia_kv["seeds"]]
-        if not all(map(math.isfinite, dia_kv["seeds"])):
-            raise ConfigError("diagnostics block: seeds must be finite")
-    for d in dia_kv.get("directions", ()):
+    diagnostics = DiagnosticsSpec(**values["diagnostics"])
+    for d in diagnostics.directions:
         if d not in ("forward", "backward"):
             raise ConfigError(f"diagnostics block: unknown direction {d!r}")
-    diagnostics = DiagnosticsSpec(**dia_kv)
     for r in diagnostics.residuals:
         if r not in RESIDUAL_KINDS:
             raise ConfigError(f"diagnostics block: unknown residual {r!r}")
@@ -227,36 +195,21 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
                 f"diagnostics block: residual {r!r} needs {RESIDUAL_KINDS[r][0]} in directions"
             )
 
-    cert_kv = _take(kv, "certify")
-    certify = CertifySpec()
-    bound_names = ("Z_L", "Z_U", "M1", "M2", "M3", "M4")
-    present = [b for b in bound_names if b in cert_kv]
-    if present and len(present) != len(bound_names):
-        missing = sorted(set(bound_names) - set(present))
+    cert = values["certify"]
+    bounds = {b: cert.pop(b) for b in _BOUNDS if b in cert}
+    if bounds and len(bounds) != len(_BOUNDS):
+        missing = sorted(set(_BOUNDS) - set(bounds))
         raise ConfigError(f"certify block: incomplete bounds, missing {missing}")
-    if present:
-        with _in_block("certify"):
-            certify.bounds = AssumptionBounds(
-                **{b: _float("certify", b, cert_kv[b]) for b in bound_names}
-            )
-    if "epsilon" in cert_kv:
-        certify.epsilon = _float("certify", "epsilon", cert_kv["epsilon"])
-        if not 0.0 <= certify.epsilon < math.inf:
-            raise ConfigError("certify block: epsilon must be finite and nonnegative")
-    if "A" in cert_kv:
-        certify.A = _float("certify", "A", cert_kv["A"])
-        if not math.isfinite(certify.A):
-            raise ConfigError("certify block: A must be finite")
-        if certify.bounds is None and gas.gamma != 3.0:  # Theorem 15's T* bound needs them
-            raise ConfigError("certify block: A needs the bounds Z_L ... M4 unless gas.gamma = 3")
+    with _in_block("certify"):
+        certify = CertifySpec(bounds=AssumptionBounds(**bounds) if bounds else None, **cert)
+    if certify.epsilon < 0.0:
+        raise ConfigError("certify block: epsilon must be nonnegative")
+    if certify.A is not None and certify.bounds is None and gas.gamma != 3.0:
+        # Theorem 15's T* bound needs them
+        raise ConfigError("certify block: A needs the bounds Z_L ... M4 unless gas.gamma = 3")
 
-    out_kv = _take(kv, "output")
-    if "directory" not in out_kv:
-        raise ConfigError("output block: missing required key 'directory'")
-    output = OutputSpec(
-        directory=(base_dir / out_kv["directory"]).resolve(),
-        **{name: _bool("output", name, raw) for name, raw in out_kv.items() if name != "directory"},
-    )
+    out = values["output"]
+    output = OutputSpec(directory=(base_dir / out.pop("directory")).resolve(), **out)
 
     return RunConfig(
         gas=gas,
@@ -266,7 +219,7 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
         diagnostics=diagnostics,
         certify=certify,
         output=output,
-        params=params,
+        params=values["params"],
         base_dir=base_dir,
         raw=dict(kv),
     )

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from steepen import riccati
+from steepen.eos import Exponents
 from steepen.fields import AssumptionBounds, EntropyProfile, Grid, StateField
-from steepen.riccati import Exponents
 from steepen.solver import Trajectory
 
 # --- thresholds -------------------------------------------------------------
@@ -111,14 +111,14 @@ def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float) 
 def profile_condition_curvature(profile: EntropyProfile, gamma: float, grid: Grid) -> np.ndarray:
     """(m**(-2/(3 gamma - 1)))_xx on the grid; >= 0 is the one-sided condition."""
     m, m_x, m_xx = profile.on_grid(grid)
-    kappa = 2.0 / (3.0 * gamma - 1.0)
+    kappa = Exponents.of(gamma).G
     return m ** (-kappa) * (kappa * (kappa + 1.0) * (m_x / m) ** 2 - kappa * m_xx / m)
 
 
 def min_neg_a2(bounds: AssumptionBounds | None, gc) -> float:
     """Lower bound of -a2 from the a-priori constants (exact for gamma = 3)."""
     g = gc.gamma
-    ex = Exponents.of(g)
+    ex = gc.exponents
     lead = gc.K_c * (g + 1.0) / (2.0 * (g - 1.0))
     if g == 3.0:
         return float(lead)
@@ -148,8 +148,7 @@ def certify_thm15(
     gamma = state0.gc.gamma
     grid = state0.grid
     w_xx = profile_condition_curvature(state0.profile, gamma, grid)
-    kappa = 2.0 / (3.0 * gamma - 1.0)
-    delta_cond = 1e-10 * float(np.max(state0.m_arrays()[0] ** (-kappa)))
+    delta_cond = 1e-10 * float(np.max(state0.m_arrays()[0] ** (-state0.gc.exponents.G)))
 
     region = grid.x > A if variable == "y" else grid.x < A
     none_cert = Certificate(kind="none", conditional=gamma != 3.0)

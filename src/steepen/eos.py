@@ -34,11 +34,36 @@ class VacuumError(ValueError):
 
 
 @dataclass(frozen=True)
+class Exponents:
+    """The gamma-dependent exponents of the power laws and the diagnostics."""
+
+    gamma: float
+    E1: float  # (gamma+1)/(2(gamma-1)), the z exponent of y, q
+    E2: float  # 3(3-gamma)/(2(3gamma-1)), mu_bar = m**(-E2)
+    G: float  # 2/(3gamma-1), the entropy-gradient coupling
+    E_c: float  # (gamma+1)/(gamma-1), the z exponent of the wave speed
+    E_tau: float  # -2/(gamma-1), the z exponent of tau
+    E_p: float  # 2gamma/(gamma-1), the z exponent of p
+
+    @classmethod
+    def of(cls, gamma: float) -> "Exponents":
+        return cls(
+            gamma=gamma,
+            E1=(gamma + 1.0) / (2.0 * (gamma - 1.0)),
+            E2=3.0 * (3.0 - gamma) / (2.0 * (3.0 * gamma - 1.0)),
+            G=2.0 / (3.0 * gamma - 1.0),
+            E_c=(gamma + 1.0) / (gamma - 1.0),
+            E_tau=-2.0 / (gamma - 1.0),
+            E_p=2.0 * gamma / (gamma - 1.0),
+        )
+
+
+@dataclass(frozen=True)
 class GasConstants:
     """Gas law parameters plus the derived power-law coefficients.
 
-    K_tau, K_p, K_c are fixed by (gamma, K); they always satisfy
-    K_p = (gamma-1)/(2*gamma) * K_c.
+    K_tau, K_p, K_c and the exponents are fixed by (gamma, K); they always
+    satisfy K_p = (gamma-1)/(2*gamma) * K_c.
     """
 
     gamma: float
@@ -46,6 +71,7 @@ class GasConstants:
     K_tau: float
     K_p: float
     K_c: float
+    exponents: Exponents
 
 
 def make_constants(gamma: float, K: float) -> GasConstants:
@@ -60,7 +86,9 @@ def make_constants(gamma: float, K: float) -> GasConstants:
     K_tau = (2.0 * np.sqrt(K * gamma) / (gamma - 1.0)) ** (2.0 / (gamma - 1.0))
     K_p = K * K_tau ** (-gamma)
     K_c = np.sqrt(K * gamma) * K_tau ** (-(gamma + 1.0) / 2.0)
-    return GasConstants(gamma=gamma, K=K, K_tau=K_tau, K_p=K_p, K_c=K_c)
+    return GasConstants(
+        gamma=gamma, K=K, K_tau=K_tau, K_p=K_p, K_c=K_c, exponents=Exponents.of(gamma)
+    )
 
 
 def z_of_tau(tau, gc: GasConstants):
@@ -84,9 +112,9 @@ def thermo(z, m, gc: GasConstants):
         raise VacuumError(f"z must exceed the vacuum floor {Z_FLOOR:g}")
     if np.any(m <= 0.0):
         raise ValueError("entropy variable m must be positive")
-    g = gc.gamma
-    p = gc.K_p * m**2 * z ** (2.0 * g / (g - 1.0))
-    c = gc.K_c * m * z ** ((g + 1.0) / (g - 1.0))
+    ex = gc.exponents
+    p = gc.K_p * m**2 * z**ex.E_p
+    c = gc.K_c * m * z**ex.E_c
     if p.ndim:
         return p, c
     return float(p), float(c)

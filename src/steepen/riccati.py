@@ -38,28 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from steepen import eos
+from steepen.eos import Exponents
 from steepen.fields import StateField, derivative, fill_ghosts
-
-
-@dataclass(frozen=True)
-class Exponents:
-    """The gamma-dependent exponent pack shared by all diagnostics."""
-
-    gamma: float
-    E1: float
-    E2: float
-    G: float
-    E_c: float  # (gamma+1)/(gamma-1), the z exponent of the wave speed
-
-    @classmethod
-    def of(cls, gamma: float) -> "Exponents":
-        return cls(
-            gamma=gamma,
-            E1=(gamma + 1.0) / (2.0 * (gamma - 1.0)),
-            E2=3.0 * (3.0 - gamma) / (2.0 * (3.0 * gamma - 1.0)),
-            G=2.0 / (3.0 * gamma - 1.0),
-            E_c=(gamma + 1.0) / (gamma - 1.0),
-        )
 
 
 def _gradients(f, s, ex) -> np.ndarray:
@@ -146,7 +126,7 @@ def diagnostics(state: StateField, names) -> dict:
             raise ValueError(f"unknown quantity {name!r}")
     # the memo lives in the partial alone, so the fields it holds are freed
     # with the call and not by the cyclic garbage collector
-    field = functools.partial(_field, {}, state, Exponents.of(state.gc.gamma))
+    field = functools.partial(_field, {}, state, state.gc.exponents)
     return {name: field(name) for name in names}
 
 

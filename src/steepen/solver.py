@@ -150,13 +150,12 @@ class _Workspace:
 
     def __init__(self, state: StateField):
         gc = state.gc
-        g = gc.gamma
         m, m_x, _ = state.m_arrays()
         n = state.grid.n
         self.grid = state.grid
         self.m = m
-        self.e_c = (g + 1.0) / (g - 1.0)
-        self.e_tau = -2.0 / (g - 1.0)
+        self.e_c = gc.exponents.E_c
+        self.e_tau = gc.exponents.E_tau
         self.K_c = gc.K_c
         # the constant operands of a step as 0-d arrays: numpy converts a
         # Python float operand anew on every call

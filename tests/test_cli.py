@@ -154,6 +154,15 @@ def test_config_error_exit_2_and_no_outputs(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_param_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "nan.cfg"
+    path.write_text(RUN_CFG.replace("params.amp = 0.2", "params.amp = nan"))
+    assert cli.main([command, str(path)]) == 2
+    assert "config error: params block: amp must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exit_2(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 2
 

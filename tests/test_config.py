@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from steepen import config
 from steepen.cli import run_pipeline
 from steepen.config import ConfigError, build_config, load_config, make_initial, parse_kv
 from steepen.riccati import RESIDUAL_KINDS
@@ -195,6 +199,7 @@ certify.M4 = 0
     ("certify.epsilon", "inf"),
     ("certify.A", "nan"),
     ("diagnostics.seeds", "0.1, nan"),
+    ("params.amp", "nan"),
 ])
 def test_non_finite_numbers_name_the_block(tmp_path, key, value):
     kv = parse_kv(BASE + BOUNDS)
@@ -223,3 +228,13 @@ def test_malformed_number_names_its_block_once(tmp_path, key):
     message = str(info.value)
     assert message.startswith(f"{block} block: {name} must be")
     assert message.count("block") == 1
+
+
+def test_readme_configuration_reference_matches_the_key_table():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Configuration reference", 1)[1].split("\n#", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| `")]
+    table = [(re.findall(r"`([^`]+)`", row[0]), row[-1].strip()) for row in rows]
+    assert sorted(k for keys, _ in table for k in keys) == sorted([*config._KEYS, "params.<name>"])
+    required = {k for keys, default in table if default == "required" for k in keys}
+    assert required == {*config._REQUIRED, "initial.z0", "initial.tau0"}
