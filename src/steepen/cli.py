@@ -1,7 +1,7 @@
 """Command surface: validate / run / certify / sweep.
 
-A run executes validate -> build -> evolve -> diagnostics -> certify ->
-export and writes fields.csv, curves.csv, certificate.txt,
+A run executes load (which validates) -> build -> evolve -> diagnostics
+-> certify -> export and writes fields.csv, curves.csv, certificate.txt,
 assumptions.txt, summary.txt (and SVG plots when enabled) into the
 configured output directory.  Runs are deterministic: identical configs
 produce byte-identical CSV outputs.
@@ -30,7 +30,6 @@ from steepen.config import (
     make_initial,
 )
 from steepen.eos import VacuumError
-from steepen.expressions import parse_expression
 from steepen.riccati import RESIDUAL_KINDS
 
 
@@ -49,20 +48,6 @@ def _write_kv(path: Path, title: str, pairs) -> None:
         fh.write(f"# {title}\n")
         for key, value in pairs:
             fh.write(f"{key} = {_fmt(value)}\n")
-
-
-def _expressions_of(cfg: RunConfig):
-    ini = cfg.initial
-    return [v for v in (ini.u0, ini.z0, ini.tau0, ini.m0) if v is not None and not v.startswith("file:")]
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Static checks beyond schema: expression syntax and identifiers."""
-    for text in _expressions_of(cfg):
-        try:
-            parse_expression(text, cfg.params)
-        except ValueError as exc:
-            raise ConfigError(f"initial block: bad expression {text!r}: {exc}") from None
 
 
 FIELDS_COLUMNS = ("t", "x", "z", "u", "m", "p", "c", "alpha", "beta", "y", "q")
@@ -199,17 +184,6 @@ def _write_curves_csv(path: Path, blocks, fmt: _g16.Formatter) -> None:
                 _write_rows(fh, rows[:k])
 
 
-def _certificates(cfg: RunConfig, state0):
-    cert14 = cert15 = None
-    ths = None
-    if cfg.certify.bounds is not None:
-        ths = detector.thresholds(cfg.certify.bounds, cfg.gas.gamma, cfg.certify.epsilon)
-        cert14 = detector.certify_thm14(state0, cfg.certify.bounds, cfg.certify.epsilon)
-    if cfg.certify.A is not None:
-        cert15 = detector.certify_thm15(state0, cfg.certify.A, cfg.certify.bounds)
-    return ths, cert14, cert15
-
-
 def _primary_certificate(cert14, cert15):
     """The certificate a run reports first: thm15 when it certifies, else
     thm14 when it was checked, else thm15 (None when neither was)."""
@@ -261,9 +235,9 @@ def _certificate_pairs(cfg: RunConfig, state0, ths, cert14, cert15):
     return pairs
 
 
-def _assumption_pairs(report: fields.AssumptionReport):
+def _assumption_pairs(checks: list):
     pairs = []
-    for check in report:
+    for check in checks:
         pairs.append((f"{check.name}.observed", check.observed))
         pairs.append((f"{check.name}.bound", check.bound))
         pairs.append((f"{check.name}.passed", check.passed))
@@ -271,8 +245,39 @@ def _assumption_pairs(report: fields.AssumptionReport):
             pairs.append((f"{check.name}.t", check.t))
         if check.x is not None:
             pairs.append((f"{check.name}.x", check.x))
-    pairs.append(("all_passed", report.all_passed))
+    pairs.append(("all_passed", all(check.passed for check in checks)))
     return pairs
+
+
+def _initial_state(cfg: RunConfig):
+    """Make the output directory and build the t = 0 state; None, after a
+    ``stage build`` message, when the initial data cannot be built."""
+    cfg.output.directory.mkdir(parents=True, exist_ok=True)
+    try:
+        return make_initial(cfg)[0]
+    except (VacuumError, ValueError) as exc:
+        print(f"stage build: {exc}", file=sys.stderr)
+        return None
+
+
+def _write_reports(cfg: RunConfig, state0, states, title: str):
+    """Write certificate.txt for ``state0`` and, when the config has bounds,
+    assumptions.txt (headed ``title``) over ``states``; returns the
+    ``(cert14, cert15)`` certificates (None where not checked)."""
+    bounds = cfg.certify.bounds
+    ths = cert14 = cert15 = None
+    if bounds is not None:
+        ths = detector.thresholds(bounds, cfg.gas.gamma, cfg.certify.epsilon)
+        cert14 = detector.certify_thm14(state0, bounds, cfg.certify.epsilon)
+    if cfg.certify.A is not None:
+        cert15 = detector.certify_thm15(state0, cfg.certify.A, bounds)
+    out = cfg.output.directory
+    _write_kv(out / "certificate.txt", "certificate report",
+              _certificate_pairs(cfg, state0, ths, cert14, cert15))
+    if bounds is not None:
+        checks = fields.validate_assumptions(states, bounds)
+        _write_kv(out / "assumptions.txt", title, _assumption_pairs(checks))
+    return cert14, cert15
 
 
 def run_pipeline(cfg: RunConfig) -> int:
@@ -286,15 +291,10 @@ def _run(cfg: RunConfig):
     The pairs are those written to summary.txt, and empty when the run
     stops before writing it.
     """
-    validate_config(cfg)
-    out = cfg.output.directory
-    out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        state0 = make_initial(cfg)[0]
-    except (VacuumError, ValueError) as exc:
-        print(f"stage build: {exc}", file=sys.stderr)
+    state0 = _initial_state(cfg)
+    if state0 is None:
         return 3, []
+    out = cfg.output.directory
 
     # the one formatter of both CSVs, made before the run's big allocations
     # and dropped once curves.csv is written
@@ -331,16 +331,8 @@ def _run(cfg: RunConfig):
     del fmt, blocks
     min_y, min_q, peak = extrema
 
-    ths, cert14, cert15 = _certificates(cfg, state0)
     estimate = detector.detect_blowup(traj, peak)
-    report = None
-    if cfg.certify.bounds is not None:
-        report = fields.validate_assumptions(traj.snapshots, cfg.certify.bounds)
-
-    _write_kv(out / "certificate.txt", "certificate report",
-              _certificate_pairs(cfg, state0, ths, cert14, cert15))
-    if report is not None:
-        _write_kv(out / "assumptions.txt", "assumption report", _assumption_pairs(report))
+    cert14, cert15 = _write_reports(cfg, state0, traj.snapshots, "assumption report")
 
     primary = _primary_certificate(cert14, cert15)
     primary_kind = "none" if primary is None else primary.kind
@@ -388,24 +380,14 @@ def _run(cfg: RunConfig):
 
 
 def certify_only(cfg: RunConfig) -> int:
-    validate_config(cfg)
+    """Certify the initial data of ``cfg`` without a run; the exit code."""
     if cfg.certify.bounds is None and cfg.certify.A is None:
         print("certify: config has no certify block", file=sys.stderr)
         return 2
-    out = cfg.output.directory
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        state0 = make_initial(cfg)[0]
-    except (VacuumError, ValueError) as exc:
-        print(f"stage build: {exc}", file=sys.stderr)
+    state0 = _initial_state(cfg)
+    if state0 is None:
         return 3
-    ths, cert14, cert15 = _certificates(cfg, state0)
-    _write_kv(out / "certificate.txt", "certificate report",
-              _certificate_pairs(cfg, state0, ths, cert14, cert15))
-    if cfg.certify.bounds is not None:
-        report = fields.validate_assumptions([state0], cfg.certify.bounds)
-        _write_kv(out / "assumptions.txt", "assumption report (initial data only)",
-                  _assumption_pairs(report))
+    _write_reports(cfg, state0, [state0], "assumption report (initial data only)")
     return 0
 
 
@@ -473,8 +455,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "validate":
-            cfg = load_config(args.config)
-            validate_config(cfg)
+            load_config(args.config)
             print("config ok")
             return 0
         if args.command == "run":

@@ -17,7 +17,8 @@ from pathlib import Path
 
 from steepen import eos
 from steepen.eos import GasConstants
-from steepen.fields import AssumptionBounds, EntropyProfile, Grid, StateField, build_initial, read_samples
+from steepen.expressions import parse_expression
+from steepen.fields import AssumptionBounds, EntropyProfile, Grid, StateField, build_initial, read_spline
 from steepen.riccati import RESIDUAL_KINDS
 from steepen.solver import SolverConfig
 
@@ -179,6 +180,11 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
             ref = base_dir / raw[len("file:"):]
             if not ref.exists():
                 raise ConfigError(f"initial block: {name} file {ref} does not exist")
+            continue
+        try:
+            parse_expression(raw, values["params"])
+        except ValueError as exc:
+            raise ConfigError(f"initial block: bad expression {raw!r}: {exc}") from None
 
     with _in_block("solver"):
         solver_cfg = SolverConfig(**values["solver"])
@@ -236,27 +242,20 @@ def make_initial(cfg: RunConfig) -> tuple[StateField, EntropyProfile]:
     """Build the t=0 state from a loaded configuration."""
 
     def resolve(raw: str | None):
-        if raw is None:
-            return None
-        if raw.startswith("file:"):
-            from scipy.interpolate import CubicSpline  # only sampled inputs need scipy
-
-            return CubicSpline(*read_samples(cfg.base_dir / raw[len("file:"):]))
+        if raw is not None and raw.startswith("file:"):
+            return read_spline(cfg.base_dir / raw[len("file:"):])
         return raw
 
     m0 = cfg.initial.m0
     if m0.startswith("file:"):
-        profile = EntropyProfile.from_file(cfg.base_dir / m0[len("file:"):])
-    else:
-        profile = EntropyProfile.from_expression(m0, cfg.params)
+        m0 = EntropyProfile.from_file(cfg.base_dir / m0[len("file:"):])
 
     return build_initial(
         resolve(cfg.initial.u0),
         cfg.grid,
         cfg.gas,
-        m0=profile,
+        m0=m0,
         z0=resolve(cfg.initial.z0),
         tau0=resolve(cfg.initial.tau0),
         constants=cfg.params,
     )
-

@@ -17,7 +17,7 @@ import numpy as np
 
 from steepen import riccati
 from steepen.eos import Exponents
-from steepen.fields import AssumptionBounds, EntropyProfile, Grid, StateField
+from steepen.fields import AssumptionBounds, StateField
 from steepen.solver import Trajectory
 
 # --- thresholds -------------------------------------------------------------
@@ -108,9 +108,10 @@ def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float) 
     return Certificate(kind="none", conditional=True)
 
 
-def profile_condition_curvature(profile: EntropyProfile, gamma: float, grid: Grid) -> np.ndarray:
-    """(m**(-2/(3 gamma - 1)))_xx on the grid; >= 0 is the one-sided condition."""
-    m, m_x, m_xx = profile.on_grid(grid)
+def profile_condition_curvature(entropy, gamma: float) -> np.ndarray:
+    """(m**(-2/(3 gamma - 1)))_xx from the grid arrays ``entropy = (m, m_x,
+    m_xx)`` (:meth:`StateField.m_arrays`); >= 0 is the one-sided condition."""
+    m, m_x, m_xx = entropy
     kappa = Exponents.of(gamma).G
     return m ** (-kappa) * (kappa * (kappa + 1.0) * (m_x / m) ** 2 - kappa * m_xx / m)
 
@@ -119,7 +120,7 @@ def min_neg_a2(bounds: AssumptionBounds | None, gc) -> float:
     """Lower bound of -a2 from the a-priori constants (exact for gamma = 3)."""
     g = gc.gamma
     ex = gc.exponents
-    lead = gc.K_c * (g + 1.0) / (2.0 * (g - 1.0))
+    lead = gc.K_a2
     if g == 3.0:
         return float(lead)
     if bounds is None:
@@ -147,7 +148,7 @@ def certify_thm15(
         raise ValueError("variable must be 'y' or 'q'")
     gamma = state0.gc.gamma
     grid = state0.grid
-    w_xx = profile_condition_curvature(state0.profile, gamma, grid)
+    w_xx = profile_condition_curvature(state0.m_arrays(), gamma)
     delta_cond = 1e-10 * float(np.max(state0.m_arrays()[0] ** (-state0.gc.exponents.G)))
 
     region = grid.x > A if variable == "y" else grid.x < A

@@ -62,8 +62,10 @@ class Exponents:
 class GasConstants:
     """Gas law parameters plus the derived power-law coefficients.
 
-    K_tau, K_p, K_c and the exponents are fixed by (gamma, K); they always
-    satisfy K_p = (gamma-1)/(2*gamma) * K_c.
+    K_tau, K_p, K_c, K_a2 and the exponents are fixed by (gamma, K); they
+    always satisfy K_p = (gamma-1)/(2*gamma) * K_c.  K_a2 =
+    K_c (gamma+1)/(2(gamma-1)) is the coefficient of the Riccati equations:
+    a2 = -K_a2 m**E2 z**(E1-1).
     """
 
     gamma: float
@@ -71,23 +73,33 @@ class GasConstants:
     K_tau: float
     K_p: float
     K_c: float
+    K_a2: float
     exponents: Exponents
 
 
 def make_constants(gamma: float, K: float) -> GasConstants:
-    """Build a :class:`GasConstants` record, deriving K_tau, K_p, K_c.
+    """Build a :class:`GasConstants` record, deriving K_tau, K_p, K_c, K_a2.
 
-    Raises ValueError unless gamma > 1 and K > 0, both finite.
+    Raises ValueError unless gamma > 1 and K > 0, both finite, and unless
+    K_tau, K_p and K_c come out finite and positive (a gamma near 1 makes
+    K_tau overflow).
     """
     if not 1.0 < gamma < np.inf:
         raise ValueError(f"adiabatic exponent must be finite and exceed 1, got gamma={gamma}")
     if not 0.0 < K < np.inf:
         raise ValueError(f"pressure-law constant must be finite and positive, got K={K}")
-    K_tau = (2.0 * np.sqrt(K * gamma) / (gamma - 1.0)) ** (2.0 / (gamma - 1.0))
-    K_p = K * K_tau ** (-gamma)
-    K_c = np.sqrt(K * gamma) * K_tau ** (-(gamma + 1.0) / 2.0)
+    with np.errstate(all="ignore"):
+        K_tau = (2.0 * np.sqrt(K * gamma) / (gamma - 1.0)) ** (2.0 / (gamma - 1.0))
+        K_p = K * K_tau ** (-gamma)
+        K_c = np.sqrt(K * gamma) * K_tau ** (-(gamma + 1.0) / 2.0)
+    if not all(0.0 < k < np.inf for k in (K_tau, K_p, K_c)):
+        raise ValueError(
+            f"gamma={gamma}, K={K} give gas constants out of floating-point range"
+            f" (K_tau={K_tau:g}, K_p={K_p:g}, K_c={K_c:g})"
+        )
     return GasConstants(
-        gamma=gamma, K=K, K_tau=K_tau, K_p=K_p, K_c=K_c, exponents=Exponents.of(gamma)
+        gamma=gamma, K=K, K_tau=K_tau, K_p=K_p, K_c=K_c,
+        K_a2=K_c * (gamma + 1.0) / (2.0 * (gamma - 1.0)), exponents=Exponents.of(gamma),
     )
 
 

@@ -7,7 +7,7 @@ x1 is identified with x0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -47,11 +47,15 @@ class Grid:
         return self.x0 + np.mod(np.asarray(x, dtype=float) - self.x0, self.length)
 
 
-def read_samples(path) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(x, value)`` columns of a ``# profile`` file.
+def read_spline(path, positive: bool = False):
+    """The not-a-knot cubic spline through the samples of a ``# profile``
+    file: the one route of every ``file:`` input.
 
     The format: a first line starting ``# profile``, then one ``x,value``
-    row per sample; blank lines and ``#`` comment lines are skipped.
+    row of two numbers per sample; blank lines and ``#`` comment lines are
+    skipped.  The file needs at least 4 finite samples at strictly
+    increasing x and, with ``positive``, positive values; each error names
+    the file.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -62,12 +66,24 @@ def read_samples(path) -> tuple[np.ndarray, np.ndarray]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: expected 'x,value' rows, got {line!r}")
-        xs.append(float(parts[0]))
-        vs.append(float(parts[1]))
-    return np.array(xs), np.array(vs)
+        try:
+            x, v = map(float, line.split(","))
+        except ValueError:
+            raise ValueError(f"{path}: expected 'x,value' rows, got {line!r}") from None
+        xs.append(x)
+        vs.append(v)
+    x, values = np.array(xs), np.array(vs)
+    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: samples must be finite")
+    if x.size < 4:
+        raise ValueError(f"{path}: a sampled profile needs at least 4 samples, got {x.size}")
+    if np.any(np.diff(x) <= 0.0):
+        raise ValueError(f"{path}: sample x values must be strictly increasing")
+    if positive and np.any(values <= 0.0):
+        raise ValueError(f"{path}: sample values must be positive")
+    from scipy.interpolate import CubicSpline  # only sampled inputs need scipy
+
+    return CubicSpline(x, values)
 
 
 class EntropyProfile:
@@ -83,7 +99,6 @@ class EntropyProfile:
         self.m = m
         self.m_x = m_x
         self.m_xx = m_xx
-        self._grid_cache: dict = {}
 
     @classmethod
     def from_expression(cls, text: str, constants=None) -> "EntropyProfile":
@@ -93,24 +108,10 @@ class EntropyProfile:
         return cls(ast, d1, d2)
 
     @classmethod
-    def from_samples(cls, x: np.ndarray, values: np.ndarray) -> "EntropyProfile":
-        x = np.asarray(x, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if x.ndim != 1 or x.shape != values.shape or x.size < 4:
-            raise ValueError("sampled profile needs matching 1-D arrays, >= 4 points")
-        if np.any(np.diff(x) <= 0.0):
-            raise ValueError("sampled profile abscissae must be strictly increasing")
-        if np.any(values <= 0.0):
-            raise ValueError("entropy profile must be positive everywhere")
-        from scipy.interpolate import CubicSpline  # only sampled inputs need scipy
-
-        spline = CubicSpline(x, values)  # not-a-knot ends
-        return cls(spline, spline.derivative(1), spline.derivative(2))
-
-    @classmethod
     def from_file(cls, path) -> "EntropyProfile":
-        """Load a ``# profile`` file (see :func:`read_samples`)."""
-        return cls.from_samples(*read_samples(path))
+        """Load a ``# profile`` file of positive samples (see :func:`read_spline`)."""
+        spline = read_spline(path, positive=True)
+        return cls(spline, spline.derivative(1), spline.derivative(2))
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "EntropyProfile":
@@ -126,22 +127,24 @@ class EntropyProfile:
         return cls(const, zero, zero)
 
     def on_grid(self, grid: Grid):
-        """Arrays (m, m_x, m_xx) on the grid nodes, cached per grid."""
-        key = (grid.x0, grid.x1, grid.n)
-        if key not in self._grid_cache:
-            arrays = tuple(
-                np.array(np.broadcast_to(np.asarray(f(grid.x), dtype=float), grid.x.shape))
-                for f in (self.m, self.m_x, self.m_xx)
-            )
-            for a in arrays:
-                a.flags.writeable = False
-            self._grid_cache[key] = arrays
-        return self._grid_cache[key]
+        """Read-only arrays (m, m_x, m_xx) on the grid nodes."""
+        arrays = tuple(
+            np.array(np.broadcast_to(np.asarray(f(grid.x), dtype=float), grid.x.shape))
+            for f in (self.m, self.m_x, self.m_xx)
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(eq=False)
 class StateField:
-    """Grid sample of (z, u) at one time instant, plus frozen profile and gas."""
+    """Grid sample of (z, u) at one time instant, plus frozen profile and gas.
+
+    ``entropy`` is the profile's read-only ``(m, m_x, m_xx)`` on the grid
+    nodes, evaluated once when the initial state is built and shared by
+    every state of its run.
+    """
 
     grid: Grid
     t: float
@@ -149,6 +152,7 @@ class StateField:
     u: np.ndarray
     profile: EntropyProfile
     gc: GasConstants
+    entropy: tuple
 
     def __post_init__(self):
         # a state owns its arrays: np.array copies whatever it is given
@@ -164,7 +168,7 @@ class StateField:
         self.u.flags.writeable = False
 
     def m_arrays(self):
-        return self.profile.on_grid(self.grid)
+        return self.entropy
 
 
 def _as_function(f, constants=None) -> Callable:
@@ -223,11 +227,12 @@ def build_initial(
     if not np.all(np.isfinite(z)) or np.any(z <= eos.Z_FLOOR):
         raise VacuumError(f"initial z at/below the vacuum floor {eos.Z_FLOOR:g}")
 
-    m, _, _ = profile.on_grid(grid)
+    entropy = profile.on_grid(grid)
+    m = entropy[0]
     if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
         raise ValueError("entropy profile must be positive and finite on the grid")
 
-    state = StateField(grid=grid, t=0.0, z=z, u=u, profile=profile, gc=gc)
+    state = StateField(grid=grid, t=0.0, z=z, u=u, profile=profile, gc=gc, entropy=entropy)
     return state, profile
 
 
@@ -315,7 +320,7 @@ def derivative(values, grid: Grid, out=None, scratch=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AssumptionBounds:
-    """User-supplied constants: Z_L < z < Z_U, M1 < m < M2, |m_x| < M3, |m_xx| < M4."""
+    """User-supplied constants: Z_L < z < Z_U, M1 < m < M2, |m_x| <= M3, |m_xx| <= M4."""
 
     Z_L: float
     Z_U: float
@@ -346,24 +351,14 @@ class BoundCheck:
     x: float | None = None
 
 
-@dataclass
-class AssumptionReport:
-    checks: list[BoundCheck] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __iter__(self):
-        return iter(self.checks)
-
-
-def validate_assumptions(states, bounds: AssumptionBounds) -> AssumptionReport:
+def validate_assumptions(states, bounds: AssumptionBounds) -> list[BoundCheck]:
     """Compare observed extremes of z and the entropy profile against bounds.
 
     ``states`` is a sequence of StateFields, such as a trajectory's
-    snapshots; the entropy profile is the first state's.  Violations are
-    report entries, never errors; inputs are not mutated.
+    snapshots; the entropy profile is the first state's.  Returns one
+    :class:`BoundCheck` per bound: violations are failed checks, never
+    errors; inputs are not mutated.  The derivative bounds hold with
+    equality, so ``M3 = M4 = 0`` admits a constant profile.
     """
     if not states:
         raise ValueError("no states to check")
@@ -386,15 +381,11 @@ def validate_assumptions(states, bounds: AssumptionBounds) -> AssumptionReport:
     mx_max = float(np.max(np.abs(m_x)))
     mxx_max = float(np.max(np.abs(m_xx)))
 
-    report = AssumptionReport()
-    report.checks.append(
-        BoundCheck("z_lower", z_min, bounds.Z_L, z_min > bounds.Z_L, t=where_min[0], x=where_min[1])
-    )
-    report.checks.append(
-        BoundCheck("z_upper", z_max, bounds.Z_U, z_max < bounds.Z_U, t=where_max[0], x=where_max[1])
-    )
-    report.checks.append(BoundCheck("m_lower", m_min, bounds.M1, m_min > bounds.M1))
-    report.checks.append(BoundCheck("m_upper", m_max, bounds.M2, m_max < bounds.M2))
-    report.checks.append(BoundCheck("m_x_abs", mx_max, bounds.M3, mx_max < bounds.M3))
-    report.checks.append(BoundCheck("m_xx_abs", mxx_max, bounds.M4, mxx_max < bounds.M4))
-    return report
+    return [
+        BoundCheck("z_lower", z_min, bounds.Z_L, z_min > bounds.Z_L, t=where_min[0], x=where_min[1]),
+        BoundCheck("z_upper", z_max, bounds.Z_U, z_max < bounds.Z_U, t=where_max[0], x=where_max[1]),
+        BoundCheck("m_lower", m_min, bounds.M1, m_min > bounds.M1),
+        BoundCheck("m_upper", m_max, bounds.M2, m_max < bounds.M2),
+        BoundCheck("m_x_abs", mx_max, bounds.M3, mx_max <= bounds.M3),
+        BoundCheck("m_xx_abs", mxx_max, bounds.M4, mxx_max <= bounds.M4),
+    ]

@@ -87,9 +87,7 @@ _FORMULAS = {
     "q": lambda f, s, ex: f("mu_bar") * f("_zE1") * f("_gq"),
     "y_tilde": lambda f, s, ex: f("_zE1") * f("_gy"),
     "q_tilde": lambda f, s, ex: f("_zE1") * f("_gq"),
-    "k1": lambda f, s, ex: (
-        (ex.gamma + 1.0) * s.gc.K_c / (2.0 * (ex.gamma - 1.0)) * f("z") ** (2.0 / (ex.gamma - 1.0))
-    ),
+    "k1": lambda f, s, ex: s.gc.K_a2 * f("z") ** (2.0 / (ex.gamma - 1.0)),
     "k2": lambda f, s, ex: (ex.gamma - 1.0) / (ex.gamma * (ex.gamma + 1.0)) * f("z") * f("m_x"),
     "_bracket": lambda f, s, ex: ((ex.gamma - 1.0) / (3.0 * ex.gamma - 1.0)) * f("m") * f("m_xx") - (
         (3.0 * ex.gamma + 1.0) * (ex.gamma - 1.0) / (3.0 * ex.gamma - 1.0) ** 2
@@ -97,10 +95,8 @@ _FORMULAS = {
     "_z_a0": lambda f, s, ex: f("z") ** (3.0 * ex.E1 + 1.0),
     "a0_t": lambda f, s, ex: (s.gc.K_c / ex.gamma) * f("_bracket") * f("_z_a0"),
     "a0": lambda f, s, ex: (s.gc.K_c / ex.gamma) * f("mu_bar") * f("_bracket") * f("_z_a0"),
-    "a2_t": lambda f, s, ex: -s.gc.K_c * (ex.gamma + 1.0) / (2.0 * (ex.gamma - 1.0)) * f("z") ** (ex.E1 - 1.0),
-    "a2": lambda f, s, ex: (
-        -s.gc.K_c * (ex.gamma + 1.0) / (2.0 * (ex.gamma - 1.0)) * f("m") ** ex.E2 * f("z") ** (ex.E1 - 1.0)
-    ),
+    "a2_t": lambda f, s, ex: -s.gc.K_a2 * f("z") ** (ex.E1 - 1.0),
+    "a2": lambda f, s, ex: -s.gc.K_a2 * f("m") ** ex.E2 * f("z") ** (ex.E1 - 1.0),
     "a1_t": lambda f, s, ex: s.gc.K_c * ex.E2 * f("m_x") * f("z") ** ex.E_c,
 }
 

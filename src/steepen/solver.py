@@ -285,7 +285,7 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
     def make_state(tv, wv):
         return StateField(
             grid=grid, t=tv, z=wv.z, u=wv.u,  # StateField copies them
-            profile=state0.profile, gc=state0.gc,
+            profile=state0.profile, gc=state0.gc, entropy=state0.entropy,
         )
 
     snapshots = [make_state(t, w)]
@@ -315,11 +315,13 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
             termination = Termination("vacuum_guard", t)
             break
         dt = cfg.cfl * grid.h / c_max
-        if t + dt > cfg.t_end:
-            dt = cfg.t_end - t
         if dt < cfg.dt_min:
             termination = Termination("cfl_collapse", t)
             break
+        # the last step ends at t_end, and takes in a remainder shorter
+        # than dt_min rather than leave it to a step of its own
+        if cfg.t_end - (t + dt) < cfg.dt_min:
+            dt = cfg.t_end - t
 
         try:
             _rk4(ws, w, dt, w_new)

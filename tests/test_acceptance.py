@@ -189,7 +189,7 @@ def _check_identities(traj):
     isentropic = float(np.ptp(m)) == 0.0 and float(np.max(np.abs(m_x))) == 0.0
     first = traj.snapshots[0]
     gamma = first.gc.gamma
-    w_xx = detector.profile_condition_curvature(first.profile, gamma, traj.grid)
+    w_xx = detector.profile_condition_curvature(first.m_arrays(), gamma)
     gfac = (gamma - 1.0) / gamma
     for snap in traj.snapshots:
         d = riccati.diagnostics(snap, ("u_x", "z_x", "s_x", "r_x", "alpha", "beta", "y", "q", "y_tilde",

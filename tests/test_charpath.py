@@ -147,7 +147,8 @@ def _fixed_field_traj(gc, n, z):
     grid = fields.Grid(0.0, 1.0, n)
     profile = fields.EntropyProfile.constant(1.0)
     snapshots = [
-        fields.StateField(grid=grid, t=t, z=z(grid.x), u=np.zeros(n), profile=profile, gc=gc)
+        fields.StateField(grid=grid, t=t, z=z(grid.x), u=np.zeros(n), profile=profile, gc=gc,
+                          entropy=profile.on_grid(grid))
         for t in (0.0, 0.1, 0.25, 0.3)
     ]
     log = solver.ConservedLog(np.zeros(4), np.zeros(4), np.zeros(4))

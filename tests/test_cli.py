@@ -167,6 +167,15 @@ def test_missing_config_exit_2(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_gamma_whose_gas_constants_overflow_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "g.cfg"
+    path.write_text(RUN_CFG.replace("gas.gamma = 3", "gas.gamma = 1.01"))
+    assert cli.main([command, str(path)]) == 2
+    assert "config error: gas block: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numeric_failure_exit_3(tmp_path):
     path = tmp_path / "vac.cfg"
     path.write_text(RUN_CFG.replace("initial.z0 = 1", "initial.tau0 = -1"))
@@ -327,7 +336,8 @@ def test_fields_csv_matches_per_row_reference(tmp_path):
         # signed zeros, a subnormal and magnitudes near both ends of the range
         u = np.resize([-0.0, 0.0, 5e-324, -1e-300, 1e290, -2.5e289, 1.0 / 3.0, -123456789.01234567], n)
         z = np.resize([1e-9, 1e3, 2.0, 0.7], n)
-        traj.snapshots.append(fields.StateField(grid=grid, t=1.0 / 3.0, z=z, u=u, profile=profile, gc=gc))
+        traj.snapshots.append(fields.StateField(grid=grid, t=1.0 / 3.0, z=z, u=u, profile=profile, gc=gc,
+                                               entropy=state.entropy))
         path = tmp_path / "fields.csv"
         extrema = np.empty((3, len(traj.snapshots)))
         with open(path, "wb") as fh:
@@ -544,6 +554,15 @@ def test_certificate_report_contents(cfg_path, tmp_path):
     assert report["bounds.Z_U"] == "3"
 
 
+def test_certify_and_run_write_the_same_certificate(cfg_path, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["certify", str(cfg_path)]) == 0
+    certified = (out / "certificate.txt").read_bytes()
+    (out / "certificate.txt").unlink()
+    assert cli.main(["run", str(cfg_path)]) == 0
+    assert (out / "certificate.txt").read_bytes() == certified
+
+
 def test_sweep_summary_rows(cfg_path, tmp_path, capsys):
     assert cli.main(["sweep", str(cfg_path), "--axis", "grid.n", "--values", "32,64"]) == 0
     table = (tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()
@@ -578,6 +597,14 @@ def test_sweep_records_per_run_failures(cfg_path, tmp_path):
 
 def test_sweep_unknown_axis(cfg_path):
     assert cli.main(["sweep", str(cfg_path), "--axis", "gas.R", "--values", "1"]) == 2
+
+
+def test_sweep_of_a_base_config_with_a_bad_expression_exits_2_before_any_run(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(RUN_CFG.replace("-amp*sin(2*pi*x)", "sin(+)"))
+    assert cli.main(["sweep", str(path), "--axis", "params.amp", "--values", "0.1,0.2"]) == 2
+    assert "config error: initial block: bad expression" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_missing_config_is_a_config_error(tmp_path, capsys):

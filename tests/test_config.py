@@ -122,6 +122,24 @@ def test_file_row_errors_match_for_u0_and_m0(tmp_path):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("rows", [
+    [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)],  # 3 samples
+    [(0.0, 1.0), (0.5, 1.0), (0.25, 1.0), (1.0, 1.0)],  # x not increasing
+    [(0.0, 1.0), (0.25, "nan"), (0.5, 1.0), (1.0, 1.0)],
+    [(0.0, 1.0), (0.25, "one"), (0.5, 1.0), (1.0, 1.0)],
+], ids=["three_rows", "decreasing_x", "nan_value", "not_a_number"])
+def test_file_sample_errors_match_for_u0_and_m0(tmp_path, rows):
+    (tmp_path / "few.csv").write_text("# profile\n" + "".join(f"{x},{v}\n" for x, v in rows))
+    messages = []
+    for key in ("initial.u0 = -0.2*sin(2*pi*x)", "initial.m0 = 1"):
+        name = key.split(" = ")[0]
+        cfg = load_config(_write(tmp_path, BASE.replace(key, f"{name} = file:few.csv")))
+        with pytest.raises(ValueError, match="few.csv") as err:
+            make_initial(cfg)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_params_feed_expressions_and_are_sweepable(tmp_path):
     text = BASE.replace("initial.u0 = -0.2*sin(2*pi*x)", "initial.u0 = -amp*sin(2*pi*x)")
     text += "params.amp = 0.1\n"

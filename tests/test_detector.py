@@ -205,7 +205,7 @@ def test_one_sided_profile_condition_curvature():
     g = 2.0
     prof = fields.EntropyProfile.from_expression(f"(exp(-x)+1)^({-(3 * g - 1) / 2})")
     grid = fields.Grid(0.0, 8.0, 64)
-    w_xx = detector.profile_condition_curvature(prof, g, grid)
+    w_xx = detector.profile_condition_curvature(prof.on_grid(grid), g)
     assert np.allclose(w_xx, np.exp(-grid.x), rtol=1e-9)
 
 

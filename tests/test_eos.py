@@ -37,6 +37,7 @@ def test_kp_kc_relation_property(gamma, K):
     dict(gamma=1.4, K=0.0),
     dict(gamma=1.4, K=-2.0),
     dict(gamma=1.4, K=float("nan")),
+    dict(gamma=1.01, K=1.0 / 3.0),  # K_tau overflows, K_p and K_c underflow to 0
 ])
 def test_make_constants_domain_errors(bad):
     with pytest.raises(ValueError):

@@ -49,20 +49,18 @@ def test_profile_analytic_derivatives():
     assert np.allclose(prof.m_xx(x), fd2, rtol=1e-6, atol=1e-9)
 
 
+def _profile_file(path, xs, vals):
+    path.write_text("# profile\n" + "".join(f"{a:.12g},{b:.12g}\n" for a, b in zip(xs, vals)))
+    return path
+
+
 def test_sampled_profile_spline(tmp_path):
     xs = np.linspace(0.0, 6.0, 200)
     vals = 1.0 + 0.3 * np.tanh(xs - 3.0)
-    prof = fields.EntropyProfile.from_samples(xs, vals)
+    prof = fields.EntropyProfile.from_file(_profile_file(tmp_path / "prof.csv", xs, vals))
     probe = np.linspace(0.5, 5.5, 37)
     assert np.allclose(prof.m(probe), 1.0 + 0.3 * np.tanh(probe - 3.0), atol=1e-7)
     assert np.allclose(prof.m_x(probe), 0.3 / np.cosh(probe - 3.0) ** 2, atol=1e-4)
-
-    path = tmp_path / "prof.csv"
-    path.write_text(
-        "# profile\n" + "".join(f"{a:.12g},{b:.12g}\n" for a, b in zip(xs, vals))
-    )
-    prof2 = fields.EntropyProfile.from_file(path)
-    assert np.allclose(prof2.m(probe), prof.m(probe), rtol=1e-12)
 
 
 def test_sampled_profile_file_errors(tmp_path):
@@ -71,9 +69,9 @@ def test_sampled_profile_file_errors(tmp_path):
     with pytest.raises(ValueError):
         fields.EntropyProfile.from_file(bad)  # missing header
     with pytest.raises(ValueError):
-        fields.EntropyProfile.from_samples(np.array([0.0, 1.0, 0.5, 2.0]), np.ones(4))
+        fields.EntropyProfile.from_file(_profile_file(bad, [0.0, 1.0, 0.5, 2.0], np.ones(4)))
     with pytest.raises(ValueError):
-        fields.EntropyProfile.from_samples(np.linspace(0, 1, 5), np.array([1, 1, -1, 1, 1.0]))
+        fields.EntropyProfile.from_file(_profile_file(bad, np.linspace(0, 1, 5), [1, 1, -1, 1, 1.0]))
 
 
 # --- initial data -----------------------------------------------------------
@@ -257,10 +255,17 @@ def test_validate_assumptions_pass(gas3):
     grid = fields.Grid(0.0, 1.0, 32)
     state, _ = fields.build_initial(0.0, grid, gas3, m0=1.0, z0=1.0)
     report = fields.validate_assumptions([state], _bounds())
-    assert report.all_passed
+    assert all(c.passed for c in report)
     by_name = {c.name: c for c in report}
     assert by_name["m_x_abs"].observed == 0.0
     assert by_name["m_xx_abs"].observed == 0.0
+
+
+def test_validate_assumptions_zero_derivative_bounds_admit_a_constant_profile(gas3):
+    grid = fields.Grid(0.0, 1.0, 32)
+    state, _ = fields.build_initial(0.0, grid, gas3, m0=1.0, z0=1.0)
+    checks = fields.validate_assumptions([state], _bounds(M3=0.0, M4=0.0))
+    assert all(c.passed for c in checks)
 
 
 def test_validate_assumptions_z_dip_recorded(gas3):
@@ -275,7 +280,7 @@ def test_validate_assumptions_z_dip_recorded(gas3):
     assert check.observed < 0.9
     assert check.t is not None and check.t > 0.0
     assert check.x is not None
-    assert not report.all_passed
+    assert not all(c.passed for c in report)
 
 
 def test_bounds_validation():

@@ -85,6 +85,19 @@ def test_named_fields_are_exactly_their_formulas(gamma, K, m0):
         assert np.array_equal(value, ref[name]), name
 
 
+@pytest.mark.parametrize("gamma", [1.2, 1.4, 5.0 / 3.0, 2.0, 2.5, 3.0])
+def test_a2_coefficient_is_one_gas_constant(gamma):
+    # K_a2 = K_c (gamma+1)/(2(gamma-1)) is built once; k1, a2 and a2_t that
+    # read it equal their written-out formulas bit for bit
+    state = _state("0.3*sin(2*pi*x)", "1 + 0.25*cos(2*pi*x)", "1 + 0.2*sin(4*pi*x)", gamma=gamma, K=0.5)
+    gc = state.gc
+    assert gc.K_a2 == gc.K_c * (gamma + 1.0) / (2.0 * (gamma - 1.0))
+    ref = _reference_fields(state)
+    d = riccati.diagnostics(state, ("k1", "a2", "a2_t"))
+    for name, value in d.items():
+        assert np.array_equal(value, ref[name]), name
+
+
 def test_named_fields_differentiate_only_what_they_need(monkeypatch):
     state = _state("0.3*sin(2*pi*x)", "1 + 0.25*cos(2*pi*x)", "1 + 0.2*sin(4*pi*x)")
     calls = []
@@ -278,7 +291,7 @@ def test_a2_always_negative_random_states():
 def test_sign_a0_matches_profile_curvature():
     state = _state("0", "(1 + 0.3*cos(2*pi*x))^(-2)", "1")
     d = riccati.diagnostics(state, ("a0",))
-    w_xx = detector.profile_condition_curvature(state.profile, state.gc.gamma, state.grid)
+    w_xx = detector.profile_condition_curvature(state.m_arrays(), state.gc.gamma)
     mask = np.abs(d["a0"]) > 1e-10 * np.max(np.abs(d["a0"]))
     assert np.all(np.sign(d["a0"][mask]) == -np.sign(w_xx[mask]))
 

@@ -277,6 +277,19 @@ def test_evolve_cfl_collapse_tag(gas3):
     assert traj.termination.t_stop == 0.0
 
 
+def test_evolve_last_step_absorbs_a_remainder_below_dt_min(gas3):
+    # t_end lies 1e-13 past the third full CFL step: the third step takes
+    # the remainder in and the run reaches t_end, not cfl_collapse
+    state = _constant_state(gas3)
+    dt = _cfl_dt(state, 0.4)
+    t_end = 3.0 * dt + 1e-13
+    traj = solver.evolve(state, solver.SolverConfig(cfl=0.4, t_end=t_end, snapshot_stride=1))
+    assert traj.termination.kind == "reached_t_end"
+    assert traj.termination.t_stop == pytest.approx(t_end, rel=1e-14)
+    assert traj.steps_taken == 3
+    assert len(traj.snapshots) == 4  # no near-duplicate final snapshot
+
+
 @pytest.mark.parametrize(
     "m0, poisoned_row",
     [
