@@ -6,7 +6,7 @@ identities numerically, and certifies finite-time gradient blowup.
 """
 
 from steepen.eos import GasConstants, VacuumError, make_constants
-from steepen.fields import EntropyProfile, Grid, StateField, build_initial
+from steepen.fields import Grid, StateField, build_initial
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,6 @@ __all__ = [
     "VacuumError",
     "make_constants",
     "Grid",
-    "EntropyProfile",
     "StateField",
     "build_initial",
     "__version__",

@@ -2,10 +2,11 @@
 
 Format: one `section.key = value` per line, `#` starts a comment, blank
 lines ignored.  Values are numbers, booleans, comma-separated lists,
-profile expressions, or `file:relative/path` references (checked for
-existence at load time).  The `params` section declares named numeric
-constants usable inside initial-data expressions, which also makes them
-sweepable leaves.
+profile expressions, or `file:relative/path` references.  Each initial
+input is resolved once, at load time: an expression is parsed (with the
+`params`), and a `file:` input's samples are read and checked.  The
+`params` section declares named numeric constants usable inside
+initial-data expressions, which also makes them sweepable leaves.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from steepen import eos
 from steepen.eos import GasConstants
-from steepen.expressions import parse_expression
-from steepen.fields import AssumptionBounds, EntropyProfile, Grid, StateField, build_initial, read_spline
+from steepen.expressions import Expr, Num, parse_expression
+from steepen.fields import AssumptionBounds, Grid, StateField, build_initial, read_samples
 from steepen.riccati import RESIDUAL_KINDS
 from steepen.solver import SolverConfig
 
@@ -29,10 +31,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class InitialSpec:
-    u0: str
-    m0: str = "1"
-    z0: str | None = None
-    tau0: str | None = None
+    """Each initial input as a parsed expression or, for a ``file:`` input,
+    its checked ``(x, values)`` samples."""
+
+    u0: Expr | tuple
+    m0: Expr | tuple = Num(1.0)
+    z0: Expr | tuple | None = None
+    tau0: Expr | tuple | None = None
 
 
 @dataclass
@@ -174,17 +179,19 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
     ini = values["initial"]
     if ("z0" in ini) == ("tau0" in ini):
         raise ConfigError("initial block: provide exactly one of z0 or tau0")
-    initial = InitialSpec(**ini)
     for name, raw in ini.items():
         if raw.startswith("file:"):
             ref = base_dir / raw[len("file:"):]
             if not ref.exists():
                 raise ConfigError(f"initial block: {name} file {ref} does not exist")
+            with _in_block("initial"):
+                ini[name] = read_samples(ref, positive=name == "m0")
             continue
         try:
-            parse_expression(raw, values["params"])
+            ini[name] = parse_expression(raw, values["params"])
         except ValueError as exc:
             raise ConfigError(f"initial block: bad expression {raw!r}: {exc}") from None
+    initial = InitialSpec(**ini)
 
     with _in_block("solver"):
         solver_cfg = SolverConfig(**values["solver"])
@@ -238,24 +245,26 @@ def load_config(path) -> RunConfig:
     return build_config(parse_kv(path.read_text()), path.parent.resolve())
 
 
-def make_initial(cfg: RunConfig) -> tuple[StateField, EntropyProfile]:
-    """Build the t=0 state from a loaded configuration."""
+def make_initial(cfg: RunConfig) -> tuple[StateField, Callable]:
+    """Build the t=0 state from a loaded configuration: ``(state, m0)``.
 
-    def resolve(raw: str | None):
-        if raw is not None and raw.startswith("file:"):
-            return read_spline(cfg.base_dir / raw[len("file:"):])
-        return raw
+    The samples of a ``file:`` input become their not-a-knot cubic spline
+    here, the one place that needs scipy.
+    """
 
-    m0 = cfg.initial.m0
-    if m0.startswith("file:"):
-        m0 = EntropyProfile.from_file(cfg.base_dir / m0[len("file:"):])
+    def profile(value):
+        if isinstance(value, tuple):
+            from scipy.interpolate import CubicSpline
 
+            return CubicSpline(*value)
+        return value
+
+    ini = cfg.initial
     return build_initial(
-        resolve(cfg.initial.u0),
+        profile(ini.u0),
         cfg.grid,
         cfg.gas,
-        m0=m0,
-        z0=resolve(cfg.initial.z0),
-        tau0=resolve(cfg.initial.tau0),
-        constants=cfg.params,
+        m0=profile(ini.m0),
+        z0=profile(ini.z0),
+        tau0=profile(ini.tau0),
     )

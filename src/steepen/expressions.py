@@ -9,14 +9,19 @@ Grammar (whitespace insensitive)::
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Identifiers are the coordinate ``x``, the functions exp/sin/cos/tanh/sqrt,
-the built-in constant ``pi``, or user-supplied named constants.  Exponents
-must fold to a numeric constant, which keeps the language closed under the
-differentiation used for entropy-profile derivatives.
+the built-in constant ``pi``, or user-supplied named constants.  Every
+node whose operands are all constants folds to a number at parse time, and
+a constant that is not finite (``0^-1``, ``sqrt(-1)``, ``1e999``) is an
+error at its offset.  Exponents must fold to a number, which keeps the
+language closed under the differentiation used for entropy-profile
+derivatives: ``derivative(nu)``, the name scipy's splines use, so a parsed
+profile and a spline of samples are interchangeable.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -32,6 +37,8 @@ FUNCTIONS = {
 }
 
 CONSTANTS = {"pi": math.pi}
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
 class ExpressionError(ValueError):
@@ -54,8 +61,15 @@ class Expr:
     def eval(self, x):
         raise NotImplementedError
 
-    def diff(self) -> "Expr":
+    def _d(self) -> "Expr":
         raise NotImplementedError
+
+    def derivative(self, nu: int = 1) -> "Expr":
+        """The ``nu``-th derivative in x, as an expression."""
+        out = self
+        for _ in range(nu):
+            out = out._d()
+        return out
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -76,7 +90,7 @@ class Num(Expr):
     def eval(self, x):
         return self.value
 
-    def diff(self):
+    def _d(self):
         return Num(0.0)
 
 
@@ -85,7 +99,7 @@ class Var(Expr):
     def eval(self, x):
         return x
 
-    def diff(self):
+    def _d(self):
         return Num(1.0)
 
 
@@ -96,8 +110,8 @@ class Neg(Expr):
     def eval(self, x):
         return -self.arg.eval(x)
 
-    def diff(self):
-        return _neg(self.arg.diff())
+    def _d(self):
+        return _neg(self.arg._d())
 
 
 @dataclass(frozen=True)
@@ -107,21 +121,11 @@ class Bin(Expr):
     rhs: Expr
 
     def eval(self, x):
-        a = self.lhs.eval(x)
-        b = self.rhs.eval(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return a**b
+        return _OPS[self.op](self.lhs.eval(x), self.rhs.eval(x))
 
-    def diff(self):
+    def _d(self):
         a, b = self.lhs, self.rhs
-        da, db = a.diff(), b.diff()
+        da, db = a._d(), b._d()
         if self.op == "+":
             return _add(da, db)
         if self.op == "-":
@@ -143,9 +147,9 @@ class Call(Expr):
     def eval(self, x):
         return FUNCTIONS[self.fn](self.arg.eval(x))
 
-    def diff(self):
+    def _d(self):
         a = self.arg
-        da = a.diff()
+        da = a._d()
         if self.fn == "exp":
             outer = Call("exp", a)
         elif self.fn == "sin":
@@ -159,12 +163,19 @@ class Call(Expr):
         return _mul(outer, da)
 
 
-# --- light constant folding (keeps derivative ASTs small) ---------------
+# --- constant folding (keeps derivative ASTs small) ---------------------
+
+
+def _fold(op: str, a: Num, b: Num) -> Num:
+    """``a op b`` in float64 arithmetic; the value may be non-finite (the
+    parser rejects such a constant)."""
+    with np.errstate(all="ignore"):
+        return Num(float(_OPS[op](np.float64(a.value), np.float64(b.value))))
 
 
 def _add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
+        return _fold("+", a, b)
     if isinstance(a, Num) and a.value == 0.0:
         return b
     if isinstance(b, Num) and b.value == 0.0:
@@ -174,7 +185,7 @@ def _add(a: Expr, b: Expr) -> Expr:
 
 def _sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
+        return _fold("-", a, b)
     if isinstance(b, Num) and b.value == 0.0:
         return a
     if isinstance(a, Num) and a.value == 0.0:
@@ -184,7 +195,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
 
 def _mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
+        return _fold("*", a, b)
     for u, v in ((a, b), (b, a)):
         if isinstance(u, Num):
             if u.value == 0.0:
@@ -197,6 +208,8 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 
 def _div(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, Num) and isinstance(b, Num):
+        return _fold("/", a, b)
     if isinstance(a, Num) and a.value == 0.0:
         return Num(0.0)
     if isinstance(b, Num) and b.value == 1.0:
@@ -210,13 +223,15 @@ def _pow(a: Expr, b: Num) -> Expr:
     if b.value == 1.0:
         return a
     if isinstance(a, Num):
-        # fold through array semantics: negative base with fractional
-        # exponent stays an unfolded node rather than going complex
-        with np.errstate(all="ignore"):
-            folded = float(np.float64(a.value) ** np.float64(b.value))
-        if np.isfinite(folded):
-            return Num(folded)
+        return _fold("^", a, b)
     return Bin("^", a, b)
+
+
+def _call(fn: str, a: Expr) -> Expr:
+    if isinstance(a, Num):
+        with np.errstate(all="ignore"):
+            return Num(float(FUNCTIONS[fn](a.value)))
+    return Call(fn, a)
 
 
 def _neg(a: Expr) -> Expr:
@@ -229,7 +244,7 @@ def _neg(a: Expr) -> Expr:
 
 # --- tokenizer / parser --------------------------------------------------
 
-_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -248,15 +263,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or ch == ".":
-            match = _NUMBER.match(text, i)
-            if match is None:
-                raise ExpressionError("malformed number", i)
-            tokens.append(_Token("num", match.group(), i))
-            i = match.end()
-        elif ch.isalpha() or ch == "_":
-            match = _IDENT.match(text, i)
-            tokens.append(_Token("ident", match.group(), i))
+        match = _NUMBER.match(text, i) or _IDENT.match(text, i)
+        if match:
+            tokens.append(_Token("num" if match.re is _NUMBER else "ident", match.group(), i))
             i = match.end()
         elif ch in "+-*/^()":
             tokens.append(_Token(ch, ch, i))
@@ -265,6 +274,9 @@ def _tokenize(text: str) -> list[_Token]:
             raise ExpressionError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", "", len(text)))
     return tokens
+
+
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
 
 
 class _Parser:
@@ -289,21 +301,24 @@ class _Parser:
             )
         return tok
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.term()
-            node = _add(node, rhs) if op == "+" else _sub(node, rhs)
+    def finite(self, node: Expr, tok: _Token) -> Expr:
+        """``node``, unless it is a constant that is not finite."""
+        if isinstance(node, Num) and not math.isfinite(node.value):
+            raise ExpressionError(f"{tok.text!r} gives a constant that is not finite", tok.pos)
         return node
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            rhs = self.unary()
-            node = _mul(node, rhs) if op == "*" else _div(node, rhs)
+    def binary(self, operand, ops: str) -> Expr:
+        node = operand()
+        while self.peek().kind in ops:
+            tok = self.next()
+            node = self.finite(_BINARY[tok.kind](node, operand()), tok)
         return node
+
+    def expr(self) -> Expr:
+        return self.binary(self.term, "+-")
+
+    def term(self) -> Expr:
+        return self.binary(self.unary, "*/")
 
     def unary(self) -> Expr:
         if self.peek().kind == "-":
@@ -318,13 +333,13 @@ class _Parser:
             exponent = self.unary()
             if not isinstance(exponent, Num):
                 raise ExpressionError("exponent must fold to a number", tok.pos + 1)
-            return _pow(base, exponent)
+            return self.finite(_pow(base, exponent), tok)
         return base
 
     def atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return self.finite(Num(float(tok.text)), tok)
         if tok.kind == "(":
             node = self.expr()
             self.expect(")")
@@ -337,13 +352,11 @@ class _Parser:
                 self.next()
                 arg = self.expr()
                 self.expect(")")
-                if isinstance(arg, Num):
-                    return Num(float(FUNCTIONS[name](arg.value)))
-                return Call(name, arg)
+                return self.finite(_call(name, arg), tok)
             if name == "x":
                 return Var()
             if name in self.constants:
-                return Num(float(self.constants[name]))
+                return self.finite(Num(float(self.constants[name])), tok)
             raise ExpressionError(f"unknown identifier {name!r}", tok.pos)
         raise ExpressionError(
             f"unexpected {tok.text or 'end of input'!r}", tok.pos

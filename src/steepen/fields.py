@@ -1,4 +1,4 @@
-"""Grids, entropy profiles, grid-sampled states, and assumption checking.
+"""Grids, sampled ``file:`` inputs, grid-sampled states, and assumption checking.
 
 The spatial coordinate x is the Lagrangian (material) coordinate.  All
 boundaries are periodic: node i sits at x0 + i*h with h = (x1-x0)/n and
@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from steepen import eos
 from steepen.eos import GasConstants, VacuumError
-from steepen.expressions import parse_expression
+from steepen.expressions import Num, parse_expression
 
 
 @dataclass
@@ -47,9 +47,9 @@ class Grid:
         return self.x0 + np.mod(np.asarray(x, dtype=float) - self.x0, self.length)
 
 
-def read_spline(path, positive: bool = False):
-    """The not-a-knot cubic spline through the samples of a ``# profile``
-    file: the one route of every ``file:`` input.
+def read_samples(path, positive: bool = False):
+    """The checked ``(x, values)`` samples of a ``# profile`` file: the one
+    reader of every ``file:`` input.
 
     The format: a first line starting ``# profile``, then one ``x,value``
     row of two numbers per sample; blank lines and ``#`` comment lines are
@@ -81,65 +81,12 @@ def read_spline(path, positive: bool = False):
         raise ValueError(f"{path}: sample x values must be strictly increasing")
     if positive and np.any(values <= 0.0):
         raise ValueError(f"{path}: sample values must be positive")
-    from scipy.interpolate import CubicSpline  # only sampled inputs need scipy
-
-    return CubicSpline(x, values)
-
-
-class EntropyProfile:
-    """Stationary entropy variable m(x) with first and second derivatives.
-
-    Analytic profiles carry exact derivatives from the expression AST;
-    sampled profiles use a not-a-knot cubic spline and its derivatives.
-    The profile is frozen after construction (entropy is stationary in
-    smooth solutions).
-    """
-
-    def __init__(self, m: Callable, m_x: Callable, m_xx: Callable):
-        self.m = m
-        self.m_x = m_x
-        self.m_xx = m_xx
-
-    @classmethod
-    def from_expression(cls, text: str, constants=None) -> "EntropyProfile":
-        ast = parse_expression(text, constants)
-        d1 = ast.diff()
-        d2 = d1.diff()
-        return cls(ast, d1, d2)
-
-    @classmethod
-    def from_file(cls, path) -> "EntropyProfile":
-        """Load a ``# profile`` file of positive samples (see :func:`read_spline`)."""
-        spline = read_spline(path, positive=True)
-        return cls(spline, spline.derivative(1), spline.derivative(2))
-
-    @classmethod
-    def constant(cls, value: float = 1.0) -> "EntropyProfile":
-        if value <= 0.0:
-            raise ValueError("entropy profile must be positive")
-
-        def const(x, v=value):
-            return np.full_like(np.asarray(x, dtype=float), v)
-
-        def zero(x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        return cls(const, zero, zero)
-
-    def on_grid(self, grid: Grid):
-        """Read-only arrays (m, m_x, m_xx) on the grid nodes."""
-        arrays = tuple(
-            np.array(np.broadcast_to(np.asarray(f(grid.x), dtype=float), grid.x.shape))
-            for f in (self.m, self.m_x, self.m_xx)
-        )
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+    return x, values
 
 
 @dataclass(eq=False)
 class StateField:
-    """Grid sample of (z, u) at one time instant, plus frozen profile and gas.
+    """Grid sample of (z, u) at one time instant, plus frozen entropy and gas.
 
     ``entropy`` is the profile's read-only ``(m, m_x, m_xx)`` on the grid
     nodes, evaluated once when the initial state is built and shared by
@@ -150,7 +97,6 @@ class StateField:
     t: float
     z: np.ndarray
     u: np.ndarray
-    profile: EntropyProfile
     gc: GasConstants
     entropy: tuple
 
@@ -172,21 +118,27 @@ class StateField:
 
 
 def _as_function(f, constants=None) -> Callable:
+    """``f`` as a profile: an expression string is parsed and a number
+    becomes the constant :class:`~steepen.expressions.Num`; a callable, such
+    as a parsed expression or a spline, is used as it is."""
     if isinstance(f, str):
         return parse_expression(f, constants)
     if isinstance(f, (int, float)):
-        value = float(f)
-        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+        return Num(float(f))
     if callable(f):
         return f
     raise TypeError(f"cannot interpret {f!r} as a function of x")
+
+
+def _on_grid(f, grid: Grid) -> np.ndarray:
+    return np.broadcast_to(np.asarray(f(grid.x), dtype=float), grid.x.shape)
 
 
 def build_initial(
     u0,
     grid: Grid,
     gc: GasConstants,
-    m0=None,
+    m0=1.0,
     z0=None,
     tau0=None,
     constants=None,
@@ -194,46 +146,30 @@ def build_initial(
     """Sample initial data onto a grid.
 
     Exactly one of ``z0``/``tau0`` must be given; ``tau0`` is converted with
-    the z transform.  ``u0`` and the chosen density function may be
-    expression strings, plain numbers or callables; ``m0`` may be an
-    expression string, a number or an :class:`EntropyProfile`.  Returns
-    ``(state, profile)`` at t = 0.
+    the z transform.  Each input may be an expression string, a plain
+    number or a callable of x; ``m0`` must also give its derivatives by
+    ``m0.derivative(nu)``, as a parsed expression and a scipy spline do (a
+    string or number is parsed or made a constant first).  Returns
+    ``(state, m0)`` at t = 0, ``m0`` as a profile.
     """
     if (z0 is None) == (tau0 is None):
         raise ValueError("exactly one of z0 or tau0 is required")
 
-    if isinstance(m0, EntropyProfile):
-        profile = m0
-    elif isinstance(m0, str):
-        profile = EntropyProfile.from_expression(m0, constants)
-    elif m0 is None:
-        profile = EntropyProfile.constant(1.0)
-    elif isinstance(m0, (int, float)):
-        profile = EntropyProfile.constant(float(m0))
-    else:
-        raise TypeError("m0 must be an expression, number, or EntropyProfile")
-
-    x = grid.x
-    u = np.broadcast_to(np.asarray(_as_function(u0, constants)(x), dtype=float), x.shape).copy()
-
+    u = _on_grid(_as_function(u0, constants), grid)
     if tau0 is not None:
-        tau = np.broadcast_to(np.asarray(_as_function(tau0, constants)(x), dtype=float), x.shape)
-        if np.any(tau <= 0.0) or not np.all(np.isfinite(tau)):
-            raise VacuumError("initial specific volume must be positive and finite")
-        z = np.asarray(eos.z_of_tau(tau, gc), dtype=float)
+        z = eos.z_of_tau(_on_grid(_as_function(tau0, constants), grid), gc)
     else:
-        z = np.broadcast_to(np.asarray(_as_function(z0, constants)(x), dtype=float), x.shape).copy()
+        z = _on_grid(_as_function(z0, constants), grid)
 
-    if not np.all(np.isfinite(z)) or np.any(z <= eos.Z_FLOOR):
-        raise VacuumError(f"initial z at/below the vacuum floor {eos.Z_FLOOR:g}")
-
-    entropy = profile.on_grid(grid)
+    m0 = _as_function(m0, constants)
+    entropy = tuple(np.array(_on_grid(f, grid)) for f in (m0, m0.derivative(1), m0.derivative(2)))
+    for a in entropy:
+        a.flags.writeable = False
     m = entropy[0]
     if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
         raise ValueError("entropy profile must be positive and finite on the grid")
 
-    state = StateField(grid=grid, t=0.0, z=z, u=u, profile=profile, gc=gc, entropy=entropy)
-    return state, profile
+    return StateField(grid=grid, t=0.0, z=z, u=u, gc=gc, entropy=entropy), m0
 
 
 # --- finite differences --------------------------------------------------

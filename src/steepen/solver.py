@@ -285,7 +285,7 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
     def make_state(tv, wv):
         return StateField(
             grid=grid, t=tv, z=wv.z, u=wv.u,  # StateField copies them
-            profile=state0.profile, gc=state0.gc, entropy=state0.entropy,
+            gc=state0.gc, entropy=state0.entropy,
         )
 
     snapshots = [make_state(t, w)]

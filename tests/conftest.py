@@ -33,13 +33,17 @@ def constant_traj(gas3):
     return solver.evolve(state, cfg)
 
 
+#: the entropy profile of ``varying_traj``
+VARYING_M0 = "1 + 0.2*sin(2*pi*x)"
+
+
 @pytest.fixture(scope="session")
 def varying_traj():
     """Smooth pre-blowup window of a varying-entropy compressive run."""
     gc = make_gas(5.0 / 3.0, 1.0 / 15.0)
     grid = fields.Grid(0.0, 1.0, 256)
     state, _ = fields.build_initial(
-        "-0.35*sin(2*pi*x)", grid, gc, m0="1 + 0.2*sin(2*pi*x)", z0=1.0
+        "-0.35*sin(2*pi*x)", grid, gc, m0=VARYING_M0, z0=1.0
     )
     cfg = solver.SolverConfig(cfl=0.4, t_end=0.35, snapshot_stride=5, gradient_cap=100.0)
     traj = solver.evolve(state, cfg)

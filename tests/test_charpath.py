@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from steepen import charpath, fields, riccati, solver
+from steepen.expressions import parse_expression
 
-from conftest import make_gas
+from conftest import VARYING_M0, make_gas
 
 
 def test_trace_constant_state_straight_line(constant_traj):
@@ -48,13 +49,14 @@ def test_node_spacing_matches_local_speed(varying_traj):
     sampler = charpath.FieldSampler(varying_traj)
     gc = varying_traj.snapshots[0].gc
     E_c = (gc.gamma + 1.0) / (gc.gamma - 1.0)
+    m = parse_expression(VARYING_M0)
     dt = np.diff(curve.t)
     dx = np.diff(curve.x_path)
     worst = 0.0
     for i in range(0, len(dt), 7):
         t_mid = curve.t[i] + 0.5 * dt[i]
         x_mid = 0.5 * (curve.x_path[i] + curve.x_path[i + 1])
-        m_mid = varying_traj.snapshots[0].profile.m(varying_traj.grid.wrap(x_mid))
+        m_mid = m(varying_traj.grid.wrap(x_mid))
         c_mid = gc.K_c * m_mid * float(sampler.sample(("z",), t_mid, x_mid)["z"]) ** E_c
         worst = max(worst, abs(dx[i] - c_mid * dt[i]) / dt[i] ** 3)
     assert worst <= 10.0  # |dx - c dt| = O(dt^3) with a modest constant
@@ -145,10 +147,9 @@ def test_values_equal_scalar_lagrange_spline_reference(varying_traj, n_snapshots
 def _fixed_field_traj(gc, n, z):
     """Four snapshots at uneven times, each holding the field ``z(x)``."""
     grid = fields.Grid(0.0, 1.0, n)
-    profile = fields.EntropyProfile.constant(1.0)
+    entropy = (np.ones(n), np.zeros(n), np.zeros(n))  # m = 1
     snapshots = [
-        fields.StateField(grid=grid, t=t, z=z(grid.x), u=np.zeros(n), profile=profile, gc=gc,
-                          entropy=profile.on_grid(grid))
+        fields.StateField(grid=grid, t=t, z=z(grid.x), u=np.zeros(n), gc=gc, entropy=entropy)
         for t in (0.0, 0.1, 0.25, 0.3)
     ]
     log = solver.ConservedLog(np.zeros(4), np.zeros(4), np.zeros(4))

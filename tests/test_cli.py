@@ -66,6 +66,23 @@ def test_validate_rejects_bad_expression(tmp_path):
     assert cli.main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("u0", ["0^-1", "(0-8)^0.5", "sqrt(-1)", "1e999", "\u00e9"])
+def test_validate_rejects_non_finite_constants_and_non_ascii_letters(tmp_path, capsys, u0):
+    path = tmp_path / "bad.cfg"
+    path.write_text(RUN_CFG.replace("-amp*sin(2*pi*x)", u0), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert "initial block: bad expression" in capsys.readouterr().err
+
+
+def test_validate_checks_file_samples(tmp_path, capsys):
+    (tmp_path / "few.csv").write_text("# profile\n0,0\n0.5,0.1\n1,0\n")  # 3 samples
+    path = tmp_path / "few.cfg"
+    path.write_text(RUN_CFG.replace("-amp*sin(2*pi*x)", "file:few.csv"))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "few.csv" in err and "at least 4 samples" in err
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "certify"])
 def test_thm15_without_bounds_is_a_config_error_unless_gamma_3(tmp_path, command):
     lines = [line for line in RUN_CFG.splitlines() if not line.startswith("certify.") or line.startswith("certify.A")]
@@ -123,6 +140,8 @@ assert_no_scipy("import steepen.cli")
 cfg = cli.load_config(sys.argv[1])
 assert cli.main(["validate", sys.argv[1]]) == 0
 assert_no_scipy("validate")
+assert cli.main(["validate", sys.argv[2]]) == 0
+assert_no_scipy("validate of a file: input")
 assert cli.run_pipeline(cfg) == 0
 assert_no_scipy("run_pipeline")
 assert cli.certify_only(cfg) == 0
@@ -131,16 +150,20 @@ assert_no_scipy("certify_only")
 
 
 def test_no_scipy_module_on_the_run_path_from_expressions(tmp_path):
-    # sampled `file:` inputs still load scipy; test_config covers that path
+    # building the state from sampled `file:` inputs still loads scipy;
+    # test_config covers that path, and validate here checks their samples
     path = tmp_path / "run.cfg"
     path.write_text(
         RUN_CFG.replace("diagnostics.seeds = 0.1, 0.6", "diagnostics.seeds = 0.1")
         .replace("diagnostics.residuals = ode_y, ode_q", "diagnostics.residuals = ode_y")
     )
+    (tmp_path / "u.csv").write_text("# profile\n" + "".join(f"{x},0\n" for x in (0, 0.25, 0.5, 0.75)))
+    sampled = tmp_path / "sampled.cfg"
+    sampled.write_text(path.read_text().replace("-amp*sin(2*pi*x)", "file:u.csv"))
     src = str(Path(steepen.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(path)],
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(path), str(sampled)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -329,14 +352,14 @@ def test_fields_csv_matches_per_row_reference(tmp_path):
     # rows are formatted in two blocks, the second one partial
     for x0, x1, n in ((0.0, 1.0, 16), (-10.0, 3.7, 24), (0.0, 1.0, block + block // 2 + 1)):
         grid = fields.Grid(x0, x1, n)
-        state, profile = fields.build_initial(
+        state, _ = fields.build_initial(
             "-0.2*sin(2*pi*x)", grid, gc, m0="1 + 0.1*cos(2*pi*x)", z0=1.0
         )
         traj = solver.evolve(state, solver.SolverConfig(t_end=0.05, snapshot_stride=2))
         # signed zeros, a subnormal and magnitudes near both ends of the range
         u = np.resize([-0.0, 0.0, 5e-324, -1e-300, 1e290, -2.5e289, 1.0 / 3.0, -123456789.01234567], n)
         z = np.resize([1e-9, 1e3, 2.0, 0.7], n)
-        traj.snapshots.append(fields.StateField(grid=grid, t=1.0 / 3.0, z=z, u=u, profile=profile, gc=gc,
+        traj.snapshots.append(fields.StateField(grid=grid, t=1.0 / 3.0, z=z, u=u, gc=gc,
                                                entropy=state.entropy))
         path = tmp_path / "fields.csv"
         extrema = np.empty((3, len(traj.snapshots)))

@@ -8,6 +8,7 @@ from scipy.interpolate import CubicSpline
 from steepen import config
 from steepen.cli import run_pipeline
 from steepen.config import ConfigError, build_config, load_config, make_initial, parse_kv
+from steepen.expressions import Num
 from steepen.riccati import RESIDUAL_KINDS
 
 
@@ -52,11 +53,11 @@ def test_load_minimal_config(tmp_path):
     assert cfg.grid.n == 64
     assert cfg.solver.t_end == 0.2
     assert cfg.output.directory == (tmp_path / "out").resolve()
-    assert cfg.initial.z0 == "1"
+    assert cfg.initial.z0 == Num(1.0)  # parsed at load
     assert cfg.certify.bounds is None
     state, profile = make_initial(cfg)
     assert state.grid.n == 64
-    assert np.allclose(profile.m(state.grid.x), 1.0)
+    assert np.allclose(profile(state.grid.x), 1.0)
 
 
 def test_unknown_block_and_key(tmp_path):
@@ -93,7 +94,7 @@ def test_referenced_file_must_exist(tmp_path):
     )
     cfg = load_config(_write(tmp_path, cfg_text))
     state, profile = make_initial(cfg)
-    assert np.allclose(profile.m(0.5), 1.0 + 0.1 * np.sin(0.5), atol=1e-5)
+    assert np.allclose(profile(0.5), 1.0 + 0.1 * np.sin(0.5), atol=1e-5)
 
 
 def test_file_u0_with_negative_samples_is_splined_and_runs(tmp_path):
@@ -115,9 +116,8 @@ def test_file_row_errors_match_for_u0_and_m0(tmp_path):
     messages = []
     for key in ("initial.u0 = -0.2*sin(2*pi*x)", "initial.m0 = 1"):
         name = key.split(" = ")[0]
-        cfg = load_config(_write(tmp_path, BASE.replace(key, f"{name} = file:bad.csv")))
-        with pytest.raises(ValueError, match="bad.csv") as err:
-            make_initial(cfg)
+        with pytest.raises(ConfigError, match="initial block: .*bad.csv") as err:
+            load_config(_write(tmp_path, BASE.replace(key, f"{name} = file:bad.csv")))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
@@ -133,9 +133,8 @@ def test_file_sample_errors_match_for_u0_and_m0(tmp_path, rows):
     messages = []
     for key in ("initial.u0 = -0.2*sin(2*pi*x)", "initial.m0 = 1"):
         name = key.split(" = ")[0]
-        cfg = load_config(_write(tmp_path, BASE.replace(key, f"{name} = file:few.csv")))
-        with pytest.raises(ValueError, match="few.csv") as err:
-            make_initial(cfg)
+        with pytest.raises(ConfigError, match="initial block: .*few.csv") as err:
+            load_config(_write(tmp_path, BASE.replace(key, f"{name} = file:few.csv")))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ ZOO = [
 @pytest.mark.parametrize("text", ZOO)
 def test_derivative_matches_finite_difference(text):
     expr = parse_expression(text)
-    deriv = expr.diff()
+    deriv = expr.derivative()
     for x in (-1.3, -0.2, 0.4, 1.7):
         step = 1e-6 * max(1.0, abs(x))
         fd = (expr(x + step) - expr(x - step)) / (2.0 * step)
@@ -93,7 +95,7 @@ def test_derivative_matches_finite_difference(text):
 @pytest.mark.parametrize("text", ZOO)
 def test_second_derivative_matches_finite_difference(text):
     expr = parse_expression(text)
-    d2 = expr.diff().diff()
+    d2 = expr.derivative(2)
     for x in (-0.7, 0.3, 1.1):
         step = 2e-5 * max(1.0, abs(x))
         fd = (expr(x + step) - 2.0 * expr(x) + expr(x - step)) / step**2
@@ -125,3 +127,62 @@ def test_call_returns_a_fresh_float_array_of_the_input_shape(text, f, x):
         assert out.shape == x.shape and out.dtype == np.float64
         assert out.flags.writeable
     assert not np.shares_memory(out, x)
+
+
+def test_constant_division_folds():
+    assert parse_expression("1/4") == parse_expression("0.25")
+    assert parse_expression("x^(1/3)")(8.0) == pytest.approx(2.0, rel=1e-15)
+    assert parse_expression("x^(g/2)", {"g": 3.0})(4.0) == pytest.approx(8.0, rel=1e-15)
+    # the one-sided family with its exponent written in the grammar
+    g = 1.4
+    family = parse_expression("(exp(-x)+1)^(-(3*g-1)/2)", {"g": g})
+    x = np.linspace(-2.0, 6.0, 9)
+    assert np.array_equal(family(x), (np.exp(-x) + 1.0) ** (-(3 * g - 1) / 2))
+
+
+#: the expressions README.md shows, and ``x^x``, which it shows failing
+README_EXAMPLES = [
+    "(x+1)^(2*3)",
+    "(exp(-x)+1)^(-(3*g-1)/2)",
+    "1 + 0.3*tanh(1.5*sin(2*pi*(x - 10)/20))",
+    "(1 + 0.05*(1 + cos(2*pi*x/40)))^(-4)",
+]
+
+
+def test_readme_grammar_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for text in README_EXAMPLES + ["x^x"]:
+        assert f"`{text}`" in readme, text
+    for text in README_EXAMPLES:
+        expr = parse_expression(text, {"g": 5.0 / 3.0})
+        assert np.all(np.isfinite(expr.derivative(2)(np.linspace(0.0, 20.0, 41)))), text
+    with pytest.raises(ExpressionError, match="exponent must fold"):
+        parse_expression("x^x")
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("0^-1", 1),
+    ("(0-8)^0.5", 5),
+    ("sqrt(-1)", 0),
+    ("1e999", 0),
+    ("x + 2*1e999", 6),
+    ("0/0", 1),
+    ("x + 1e308*10", 9),
+    ("exp(1000) - x", 0),
+])
+def test_non_finite_constant_is_an_error_at_its_offset(text, offset):
+    with pytest.raises(ExpressionError, match="not finite") as err:
+        parse_expression(text)
+    assert err.value.position == offset
+
+
+def test_non_finite_named_constant_is_an_error():
+    with pytest.raises(ExpressionError, match="'a' gives a constant that is not finite"):
+        parse_expression("x*a", {"a": float("inf")})
+
+
+@pytest.mark.parametrize("text, offset", [("é", 0), ("x + été", 4), ("2*x²", 3)])
+def test_non_ascii_character_is_an_error_at_its_offset(text, offset):
+    with pytest.raises(ExpressionError, match="unexpected character") as err:
+        parse_expression(text)
+    assert err.value.position == offset

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from steepen import eos, fields, solver
 from steepen.expressions import ExpressionError, parse_expression
@@ -40,13 +41,14 @@ def test_parse_expression_syntax_error_offset():
 
 
 def test_profile_analytic_derivatives():
-    prof = fields.EntropyProfile.from_expression("(exp(-x)+1)^(-4)")
+    m = parse_expression("(exp(-x)+1)^(-4)")
+    m_x, m_xx = m.derivative(1), m.derivative(2)
     x = np.linspace(-1.0, 4.0, 19)
     step = 1e-6
-    fd1 = (prof.m(x + step) - prof.m(x - step)) / (2.0 * step)
-    assert np.allclose(prof.m_x(x), fd1, rtol=1e-7, atol=1e-10)
-    fd2 = (prof.m_x(x + step) - prof.m_x(x - step)) / (2.0 * step)
-    assert np.allclose(prof.m_xx(x), fd2, rtol=1e-6, atol=1e-9)
+    fd1 = (m(x + step) - m(x - step)) / (2.0 * step)
+    assert np.allclose(m_x(x), fd1, rtol=1e-7, atol=1e-10)
+    fd2 = (m_x(x + step) - m_x(x - step)) / (2.0 * step)
+    assert np.allclose(m_xx(x), fd2, rtol=1e-6, atol=1e-9)
 
 
 def _profile_file(path, xs, vals):
@@ -57,21 +59,28 @@ def _profile_file(path, xs, vals):
 def test_sampled_profile_spline(tmp_path):
     xs = np.linspace(0.0, 6.0, 200)
     vals = 1.0 + 0.3 * np.tanh(xs - 3.0)
-    prof = fields.EntropyProfile.from_file(_profile_file(tmp_path / "prof.csv", xs, vals))
+    samples = fields.read_samples(_profile_file(tmp_path / "prof.csv", xs, vals), positive=True)
+    grid = fields.Grid(0.5, 5.5, 40)
+    state, m = fields.build_initial(0.0, grid, make_gas(), m0=CubicSpline(*samples), z0=1.0)
+    m_grid, m_x_grid, _ = state.m_arrays()
     probe = np.linspace(0.5, 5.5, 37)
-    assert np.allclose(prof.m(probe), 1.0 + 0.3 * np.tanh(probe - 3.0), atol=1e-7)
-    assert np.allclose(prof.m_x(probe), 0.3 / np.cosh(probe - 3.0) ** 2, atol=1e-4)
+    assert np.allclose(m(probe), 1.0 + 0.3 * np.tanh(probe - 3.0), atol=1e-7)
+    assert np.allclose(m.derivative(1)(probe), 0.3 / np.cosh(probe - 3.0) ** 2, atol=1e-4)
+    assert np.allclose(m_grid, 1.0 + 0.3 * np.tanh(grid.x - 3.0), atol=1e-7)
+    assert np.allclose(m_x_grid, 0.3 / np.cosh(grid.x - 3.0) ** 2, atol=1e-4)
 
 
 def test_sampled_profile_file_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("0,1\n1,2\n")
-    with pytest.raises(ValueError):
-        fields.EntropyProfile.from_file(bad)  # missing header
-    with pytest.raises(ValueError):
-        fields.EntropyProfile.from_file(_profile_file(bad, [0.0, 1.0, 0.5, 2.0], np.ones(4)))
-    with pytest.raises(ValueError):
-        fields.EntropyProfile.from_file(_profile_file(bad, np.linspace(0, 1, 5), [1, 1, -1, 1, 1.0]))
+    with pytest.raises(ValueError, match="bad.csv: missing"):
+        fields.read_samples(bad, positive=True)
+    with pytest.raises(ValueError, match="increasing"):
+        fields.read_samples(_profile_file(bad, [0.0, 1.0, 0.5, 2.0], np.ones(4)), positive=True)
+    with pytest.raises(ValueError, match="positive"):
+        fields.read_samples(_profile_file(bad, np.linspace(0, 1, 5), [1, 1, -1, 1, 1.0]), positive=True)
+    x, values = fields.read_samples(bad)  # any sign without ``positive``
+    assert np.array_equal(values, [1, 1, -1, 1, 1.0]) and x.size == 5
 
 
 # --- initial data -----------------------------------------------------------
@@ -109,6 +118,14 @@ def test_build_initial_vacuum_and_positivity_errors():
         fields.build_initial(0.0, grid, gc, m0=1.0)  # neither z0 nor tau0
     with pytest.raises(ValueError):
         fields.build_initial(0.0, grid, gc, m0=1.0, z0=1.0, tau0=1.0)
+
+
+@pytest.mark.parametrize("z0", ["1/(x - x)", lambda x: np.where(x > 0.5, np.nan, 1.0)], ids=["inf", "nan"])
+def test_build_initial_non_finite_z_is_not_vacuum(z0):
+    grid = fields.Grid(0.0, 1.0, 32)
+    with pytest.raises(ValueError, match="state arrays must be finite") as err:
+        fields.build_initial(0.0, grid, make_gas(), z0=z0)
+    assert not isinstance(err.value, eos.VacuumError)
 
 
 def test_state_arrays_immutable(gas3):
