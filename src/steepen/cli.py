@@ -131,7 +131,7 @@ def _curve_pairs(cfg: RunConfig, traj: solver.Trajectory) -> list:
 def _residual_names(cfg: RunConfig) -> tuple:
     """The quantities the configured residuals sample on the curves."""
     return tuple(dict.fromkeys(
-        name for kind in cfg.diagnostics.residuals for name in RESIDUAL_KINDS[kind][2]
+        name for kind in cfg.diagnostics.residuals for name in RESIDUAL_KINDS[kind].sampled
     ))
 
 
@@ -149,16 +149,16 @@ def _residuals(cfg: RunConfig, bundle, pairs, t_resolved: float):
         curve = bundle.column(column)
         curves.append((f"seed{si}_{direction}", curve))
         window = curve.t <= t_resolved
-        for kind in cfg.diagnostics.residuals:
-            need_dir, measured, _ = RESIDUAL_KINDS[kind]
-            if need_dir != direction:
+        for name in cfg.diagnostics.residuals:
+            kind = RESIDUAL_KINDS[name]
+            if kind.direction != direction:
                 continue
-            res = riccati.residual(curve, kind)
+            res = riccati.residual(curve, name)
             if np.any(window):
-                residual_max[kind] = float(
-                    np.maximum(residual_max.get(kind, 0.0), np.max(np.abs(res[window])))
+                residual_max[name] = float(
+                    np.maximum(residual_max.get(name, 0.0), np.max(np.abs(res[window])))
                 )
-            blocks.append((f"seed{si}_{kind}", direction, curve, curve.samples[measured], res))
+            blocks.append((f"seed{si}_{name}", direction, curve, curve.samples[kind.measured], res))
     return curves, blocks, residual_max
 
 

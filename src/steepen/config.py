@@ -48,7 +48,7 @@ class DiagnosticsSpec:
 
     def __post_init__(self):
         if self.residuals is None:
-            self.residuals = [k for k, spec in RESIDUAL_KINDS.items() if spec[0] in self.directions]
+            self.residuals = [k for k, kind in RESIDUAL_KINDS.items() if kind.direction in self.directions]
 
 
 @dataclass
@@ -203,10 +203,9 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
     for r in diagnostics.residuals:
         if r not in RESIDUAL_KINDS:
             raise ConfigError(f"diagnostics block: unknown residual {r!r}")
-        if RESIDUAL_KINDS[r][0] not in diagnostics.directions:
-            raise ConfigError(
-                f"diagnostics block: residual {r!r} needs {RESIDUAL_KINDS[r][0]} in directions"
-            )
+        need = RESIDUAL_KINDS[r].direction
+        if need not in diagnostics.directions:
+            raise ConfigError(f"diagnostics block: residual {r!r} needs {need} in directions")
 
     cert = values["certify"]
     bounds = {b: cert.pop(b) for b in _BOUNDS if b in cert}

@@ -88,8 +88,9 @@ def make_constants(gamma: float, K: float) -> GasConstants:
         raise ValueError(f"adiabatic exponent must be finite and exceed 1, got gamma={gamma}")
     if not 0.0 < K < np.inf:
         raise ValueError(f"pressure-law constant must be finite and positive, got K={K}")
+    ex = Exponents.of(gamma)
     with np.errstate(all="ignore"):
-        K_tau = (2.0 * np.sqrt(K * gamma) / (gamma - 1.0)) ** (2.0 / (gamma - 1.0))
+        K_tau = (2.0 * np.sqrt(K * gamma) / (gamma - 1.0)) ** (-ex.E_tau)
         K_p = K * K_tau ** (-gamma)
         K_c = np.sqrt(K * gamma) * K_tau ** (-(gamma + 1.0) / 2.0)
     if not all(0.0 < k < np.inf for k in (K_tau, K_p, K_c)):
@@ -99,7 +100,7 @@ def make_constants(gamma: float, K: float) -> GasConstants:
         )
     return GasConstants(
         gamma=gamma, K=K, K_tau=K_tau, K_p=K_p, K_c=K_c,
-        K_a2=K_c * (gamma + 1.0) / (2.0 * (gamma - 1.0)), exponents=Exponents.of(gamma),
+        K_a2=K_c * (gamma + 1.0) / (2.0 * (gamma - 1.0)), exponents=ex,
     )
 
 

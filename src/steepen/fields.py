@@ -165,9 +165,11 @@ def build_initial(
     entropy = tuple(np.array(_on_grid(f, grid)) for f in (m0, m0.derivative(1), m0.derivative(2)))
     for a in entropy:
         a.flags.writeable = False
-    m = entropy[0]
+    m, m_x, m_xx = entropy
     if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
         raise ValueError("entropy profile must be positive and finite on the grid")
+    if not (np.all(np.isfinite(m_x)) and np.all(np.isfinite(m_xx))):
+        raise ValueError("entropy profile derivatives m_x, m_xx must be finite on the grid")
 
     return StateField(grid=grid, t=0.0, z=z, u=u, gc=gc, entropy=entropy), m0
 
@@ -211,26 +213,22 @@ def derivative(values, grid: Grid, out=None, scratch=None) -> np.ndarray:
     The stencil is exact for polynomials of degree <= 4 (away from the
     periodic wrap) up to rounding.  ``values`` is differentiated along its
     last axis, so a stack of fields such as ``(z, u)`` takes one call; each
-    row equals the 1-D result bit for bit.  The last axis holds either the
-    ``n`` nodes, which are then padded by one copy, or ``n + 4`` columns
-    that already carry two periodic ghost cells on each side (node i in
-    column i + 2).  The result is ``(..., n)``.
+    row equals the 1-D result bit for bit.  The last axis holds ``n + 4``
+    columns that carry two periodic ghost cells on each side (node i in
+    column i + 2; see :func:`fill_ghosts`).  The result is ``(..., n)``.
 
     ``out`` and ``scratch``, if given, are C-contiguous float64 arrays of
     the padded shape ``(..., n + 4)`` that share no memory with ``values``
     or each other.  The result is written into ``out``'s node columns and
     returned as the view ``out[..., 2:n + 2]``; ``scratch`` takes the
-    stencil's ``8 f``.  The other columns of both are overwritten.  On
-    ghost-padded values with both given, the call allocates no array, and
-    its result equals the allocating call's bit for bit.
+    stencil's ``8 f``.  The other columns of both are overwritten.  With
+    both given, the call allocates no array, and its result equals the
+    allocating call's bit for bit.
     """
     n = grid.n
     f = np.asarray(values, dtype=float)
-    width = f.shape[-1] if f.ndim else None
-    if width == n:
-        f = np.concatenate((f[..., -2:], f, f[..., :2]), axis=-1)
-    elif width != n + 4:
-        raise ValueError("values must match the grid size")
+    if f.shape[-1:] != (n + 4,):
+        raise ValueError(f"values must be ghost-padded rows of the grid size + 4 = {n + 4} columns")
     if out is None:
         out = np.empty(f.shape)
     elif not _holds(out, f):

@@ -20,7 +20,8 @@ alpha' = k1(k2(3 alpha + beta) + alpha beta - alpha^2) together with its
 backward mirror, and the decoupled forms y' = a0 + a2 y^2,
 q` = a0 + a2 q^2; ``residual`` measures both numerically along traced
 characteristics, from samples taken along them, by
-:func:`directional_derivative`.
+:func:`directional_derivative`.  Each of these equations is one record in
+:data:`RESIDUAL_KINDS`, the one definition of its right-hand side.
 
 :func:`diagnostics` is the one way to reach a grid field: the state's
 z, u and m arrays, p, c and the other diagnostics, by name, from one
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,7 +89,7 @@ _FORMULAS = {
     "q": lambda f, s, ex: f("mu_bar") * f("_zE1") * f("_gq"),
     "y_tilde": lambda f, s, ex: f("_zE1") * f("_gy"),
     "q_tilde": lambda f, s, ex: f("_zE1") * f("_gq"),
-    "k1": lambda f, s, ex: s.gc.K_a2 * f("z") ** (2.0 / (ex.gamma - 1.0)),
+    "k1": lambda f, s, ex: s.gc.K_a2 * f("z") ** (-ex.E_tau),
     "k2": lambda f, s, ex: (ex.gamma - 1.0) / (ex.gamma * (ex.gamma + 1.0)) * f("z") * f("m_x"),
     "_bracket": lambda f, s, ex: ((ex.gamma - 1.0) / (3.0 * ex.gamma - 1.0)) * f("m") * f("m_xx") - (
         (3.0 * ex.gamma + 1.0) * (ex.gamma - 1.0) / (3.0 * ex.gamma - 1.0) ** 2
@@ -220,48 +222,46 @@ def directional_derivative(curve, quantity: str) -> np.ndarray:
 
 # --- residual verification along characteristics ---------------------------
 
-#: equation -> (needed direction, measured quantity, quantities on the RHS)
+class ResidualKind(NamedTuple):
+    """One Riccati equation: it differentiates ``measured`` along curves of
+    ``direction``, and ``rhs`` gives its right-hand side from a mapping that
+    holds at least the ``sampled`` quantities' arrays."""
+
+    direction: str
+    measured: str
+    sampled: tuple
+    rhs: Callable
+
+
+#: equation -> its record: the one definition of each right-hand side
 RESIDUAL_KINDS = {
-    "rem1": ("forward", "alpha", ("alpha", "beta", "k1", "k2")),
-    "rem2": ("backward", "beta", ("alpha", "beta", "k1", "k2")),
-    "ode_y": ("forward", "y", ("y", "a0", "a2")),
-    "ode_q": ("backward", "q", ("q", "a0", "a2")),
-    "ode_ytilde": ("forward", "y_tilde", ("y_tilde", "a0_t", "a1_t", "a2_t")),
-    "ode_qtilde": ("backward", "q_tilde", ("q_tilde", "a0_t", "a1_t", "a2_t")),
+    "rem1": ResidualKind("forward", "alpha", ("alpha", "beta", "k1", "k2"), lambda s: s["k1"] * (
+        s["k2"] * (3.0 * s["alpha"] + s["beta"]) + s["alpha"] * s["beta"] - s["alpha"] ** 2)),
+    "rem2": ResidualKind("backward", "beta", ("alpha", "beta", "k1", "k2"), lambda s: s["k1"] * (
+        -s["k2"] * (s["alpha"] + 3.0 * s["beta"]) + s["alpha"] * s["beta"] - s["beta"] ** 2)),
+    "ode_y": ResidualKind("forward", "y", ("y", "a0", "a2"), lambda s: s["a0"] + s["a2"] * s["y"] ** 2),
+    "ode_q": ResidualKind("backward", "q", ("q", "a0", "a2"), lambda s: s["a0"] + s["a2"] * s["q"] ** 2),
+    "ode_ytilde": ResidualKind("forward", "y_tilde", ("y_tilde", "a0_t", "a1_t", "a2_t"), lambda s: (
+        s["a0_t"] + s["a1_t"] * s["y_tilde"] + s["a2_t"] * s["y_tilde"] ** 2)),
+    "ode_qtilde": ResidualKind("backward", "q_tilde", ("q_tilde", "a0_t", "a1_t", "a2_t"), lambda s: (
+        s["a0_t"] - s["a1_t"] * s["q_tilde"] + s["a2_t"] * s["q_tilde"] ** 2)),
 }
 
 
 def residual(curve, which: str) -> np.ndarray:
     """(measured directional derivative) - (equation right-hand side).
 
-    ``curve`` carries the samples of every quantity the equation names in
-    :data:`RESIDUAL_KINDS` (see :func:`steepen.charpath.sample_along`).
+    ``curve`` carries the samples of the ``sampled`` quantities of the
+    equation's record (see :func:`steepen.charpath.sample_along`).
     The curve direction must match the equation's derivative direction:
     forward curves for the primed equations, backward for the back-primed.
     """
     if which not in RESIDUAL_KINDS:
         raise ValueError(f"unknown residual kind {which!r}")
-    direction, measured, needed = RESIDUAL_KINDS[which]
-    if curve.direction != direction:
-        raise ValueError(
-            f"{which} needs a {direction} curve, got a {curve.direction} one"
-        )
-    missing = [name for name in needed if name not in curve.samples]
+    kind = RESIDUAL_KINDS[which]
+    if curve.direction != kind.direction:
+        raise ValueError(f"{which} needs a {kind.direction} curve, got a {curve.direction} one")
+    missing = [name for name in kind.sampled if name not in curve.samples]
     if missing:
         raise ValueError(f"{which} needs {', '.join(missing)} sampled on the curve")
-    s = curve.samples
-
-    lhs = directional_derivative(curve, measured)
-    if which == "rem1":
-        rhs = s["k1"] * (s["k2"] * (3.0 * s["alpha"] + s["beta"]) + s["alpha"] * s["beta"] - s["alpha"] ** 2)
-    elif which == "rem2":
-        rhs = s["k1"] * (-s["k2"] * (s["alpha"] + 3.0 * s["beta"]) + s["alpha"] * s["beta"] - s["beta"] ** 2)
-    elif which == "ode_y":
-        rhs = s["a0"] + s["a2"] * s["y"] ** 2
-    elif which == "ode_q":
-        rhs = s["a0"] + s["a2"] * s["q"] ** 2
-    elif which == "ode_ytilde":
-        rhs = s["a0_t"] + s["a1_t"] * s["y_tilde"] + s["a2_t"] * s["y_tilde"] ** 2
-    else:  # ode_qtilde
-        rhs = s["a0_t"] - s["a1_t"] * s["q_tilde"] + s["a2_t"] * s["q_tilde"] ** 2
-    return lhs - rhs
+    return directional_derivative(curve, kind.measured) - kind.rhs(curve.samples)

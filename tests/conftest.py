@@ -8,9 +8,16 @@ def make_gas(gamma=3.0, K=1.0 / 3.0):
     return eos.make_constants(gamma, K)
 
 
+def ghost_padded(values):
+    """``values`` with two periodic ghost columns on each side of the last
+    axis: the ``(..., n + 4)`` rows ``fields.derivative`` takes."""
+    values = np.asarray(values)
+    return np.pad(values, [(0, 0)] * (values.ndim - 1) + [(2, 2)], mode="wrap")
+
+
 def sampled_residual(traj, curve, kind):
     """``riccati.residual`` of ``kind`` on ``curve``, its quantities sampled from ``traj`` first."""
-    charpath.sample_along(curve, traj, riccati.RESIDUAL_KINDS[kind][2])
+    charpath.sample_along(curve, traj, riccati.RESIDUAL_KINDS[kind].sampled)
     return riccati.residual(curve, kind)
 
 

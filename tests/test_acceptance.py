@@ -147,7 +147,7 @@ def test_criterion_3_residual_convergence(entropy_runs):
                 curves += 1
                 window = curve.t <= t_win
                 for kind in kinds:
-                    if RESIDUAL_KINDS[kind][0] != direction:
+                    if RESIDUAL_KINDS[kind].direction != direction:
                         continue
                     res = sampled_residual(traj, curve, kind)
                     maxima[n][kind] = max(maxima[n][kind], float(np.max(np.abs(res[window]))))

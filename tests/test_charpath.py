@@ -6,7 +6,7 @@ import pytest
 from steepen import charpath, fields, riccati, solver
 from steepen.expressions import parse_expression
 
-from conftest import VARYING_M0, make_gas
+from conftest import VARYING_M0, ghost_padded, make_gas
 
 
 def test_trace_constant_state_straight_line(constant_traj):
@@ -200,7 +200,7 @@ def test_residual_computes_each_snapshot_diagnostics_once(varying_traj, monkeypa
     assert {names for _, names in calls} == {("c",)}  # tracing needs the wave speed only
     assert [id(s) for s, _ in calls] == snapshot_ids
     calls.clear()
-    charpath.sample_along(curve, traj, riccati.RESIDUAL_KINDS["ode_y"][2])  # y, a0, a2 in one pass
+    charpath.sample_along(curve, traj, riccati.RESIDUAL_KINDS["ode_y"].sampled)  # y, a0, a2 in one pass
     assert [id(s) for s, _ in calls] == snapshot_ids
     assert {names for _, names in calls} == {("y", "a0", "a2")}
     riccati.residual(curve, "ode_y")  # every sample is on the curve already
@@ -414,8 +414,8 @@ def test_operator_identity_recovers_partial_derivatives():
             state, solver.SolverConfig(cfl=0.4, t_end=0.3, snapshot_stride=5, gradient_cap=100.0)
         )
         m = state.m_arrays()[0]
-        u_x = fields.derivative(state.u, grid)
-        z_x = fields.derivative(state.z, grid)
+        u_x = fields.derivative(ghost_padded(state.u), grid)
+        z_x = fields.derivative(ghost_padded(state.z), grid)
         c = riccati.diagnostics(state, ("c",))["c"]
         worst_t = worst_x = 0.0
         for seed in (0.12, 0.42, 0.77):

@@ -83,6 +83,19 @@ def test_validate_checks_file_samples(tmp_path, capsys):
     assert "few.csv" in err and "at least 4 samples" in err
 
 
+@pytest.mark.parametrize("command", ["run", "certify"])
+def test_entropy_profile_with_infinite_derivatives_stops_at_build(tmp_path, capsys, command):
+    # 1 + sqrt(x) is finite on the grid, but its m_x and m_xx are not at x = 0:
+    # one build error, not a vacuum at t = 0 or a certificate
+    path = tmp_path / "sqrt.cfg"
+    path.write_text(RUN_CFG.replace("initial.m0 = 1\n", "initial.m0 = 1 + sqrt(x)\n"))
+    assert cli.main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("stage build:") == 1 and "derivatives m_x, m_xx must be finite" in err
+    assert "vacuum" not in err
+    assert not (tmp_path / "out" / "certificate.txt").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "certify"])
 def test_thm15_without_bounds_is_a_config_error_unless_gamma_3(tmp_path, command):
     lines = [line for line in RUN_CFG.splitlines() if not line.startswith("certify.") or line.startswith("certify.A")]

@@ -5,7 +5,7 @@ from scipy.interpolate import CubicSpline
 from steepen import eos, fields, solver
 from steepen.expressions import ExpressionError, parse_expression
 
-from conftest import make_gas
+from conftest import ghost_padded, make_gas
 
 
 # --- grid -------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_state_arrays_immutable(gas3):
 
 def test_derivative_constant_is_zero(gas3):
     grid = fields.Grid(0.0, 1.0, 64)
-    assert np.allclose(fields.derivative(np.full(64, 3.0), grid), 0.0, atol=1e-13)
+    assert np.allclose(fields.derivative(ghost_padded(np.full(64, 3.0)), grid), 0.0, atol=1e-13)
 
 
 def test_derivative_exact_for_quartics_away_from_wrap():
@@ -149,7 +149,7 @@ def test_derivative_exact_for_quartics_away_from_wrap():
     f = 2.0 + x - 3.0 * x**2 + 0.5 * x**3 + 0.25 * x**4
     d1 = 1.0 - 6.0 * x + 1.5 * x**2 + x**3
     inner = slice(2, 62)
-    assert np.allclose(fields.derivative(f, grid)[inner], d1[inner], atol=1e-10)
+    assert np.allclose(fields.derivative(ghost_padded(f), grid)[inner], d1[inner], atol=1e-10)
 
 
 def test_derivative_observed_order_at_least_3_8():
@@ -159,7 +159,7 @@ def test_derivative_observed_order_at_least_3_8():
         k = 2.0 * np.pi / 2.0
         f = np.sin(k * grid.x)
         exact = k * np.cos(k * grid.x)
-        errs.append(np.max(np.abs(fields.derivative(f, grid) - exact)))
+        errs.append(np.max(np.abs(fields.derivative(ghost_padded(f), grid) - exact)))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(rates >= 3.8), rates
 
@@ -168,7 +168,7 @@ def test_derivative_sawtooth_error_localized_at_jump():
     # a linear ramp is not periodic; the wrap cell sees the jump
     grid = fields.Grid(0.0, 1.0, 64)
     ramp = grid.x.copy()
-    d1 = fields.derivative(ramp, grid)
+    d1 = fields.derivative(ghost_padded(ramp), grid)
     inner = slice(2, 62)
     assert np.allclose(d1[inner], 1.0, atol=1e-10)
     assert np.max(np.abs(d1 - 1.0)) > 1.0  # wrap cells are polluted
@@ -179,8 +179,8 @@ def test_derivative_linearity():
     grid = fields.Grid(0.0, 1.0, 64)
     f = rng.normal(size=64)
     g = rng.normal(size=64)
-    lhs = fields.derivative(2.5 * f - 1.25 * g, grid)
-    rhs = 2.5 * fields.derivative(f, grid) - 1.25 * fields.derivative(g, grid)
+    lhs = fields.derivative(ghost_padded(2.5 * f - 1.25 * g), grid)
+    rhs = 2.5 * fields.derivative(ghost_padded(f), grid) - 1.25 * fields.derivative(ghost_padded(g), grid)
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-11 * np.max(np.abs(lhs)) + 1e-13)
 
 
@@ -223,31 +223,42 @@ def test_derivative_bitwise_equals_roll_reference(n, rows):
     ref = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * grid.h)
     if rows == 1:
         f, ref = f[0], ref[0]
-    out = fields.derivative(f, grid)
+    padded = ghost_padded(f)
+    out = fields.derivative(padded, grid)
     assert out.shape == f.shape
     assert np.array_equal(out, ref)
-    _assert_into_buffers_equals(f, grid, ref)
+    _assert_into_buffers_equals(padded, grid, ref)
 
 
 @pytest.mark.parametrize("n", [16, 2048])
 @pytest.mark.parametrize("rows", [1, 2, 4, (2, 3)])
 def test_derivative_of_ghost_padded_values_equals_unpadded(n, rows):
-    # values that carry two periodic ghost cells per side are used as they
-    # are; the result is the nodes' derivative, bit for bit
+    # rows whose ghost cells fill_ghosts wrote in place, as the solver's and
+    # riccati's are, give the nodes' derivative bit for bit
     grid = fields.Grid(0.0, 1.0, n)
     rng = np.random.default_rng(n + int(np.prod(rows)))
     shape = (*np.atleast_1d(rows), n)
     f = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
     if rows == 1:
         f = f[0]
-    padded = np.pad(f, [(0, 0)] * (f.ndim - 1) + [(2, 2)], mode="wrap")
+    padded = np.empty((*f.shape[:-1], n + 4))
+    padded[..., 2:-2] = f
+    fields.fill_ghosts(padded)
     out = fields.derivative(padded, grid)
     assert out.shape == f.shape
-    assert np.array_equal(out, fields.derivative(f, grid))
+    assert np.array_equal(out, fields.derivative(ghost_padded(f), grid))
     _assert_into_buffers_equals(padded, grid, out)
     for extra in (1, 2):
         with pytest.raises(ValueError, match="grid size"):
             fields.derivative(padded[..., : n + extra], grid)
+
+
+@pytest.mark.parametrize("shape", [(16,), (2, 16), (2, 3, 16), ()], ids=str)
+def test_derivative_rejects_rows_without_ghost_cells(shape):
+    # n-wide rows are not padded on the caller's behalf
+    grid = fields.Grid(0.0, 1.0, 16)
+    with pytest.raises(ValueError, match="ghost-padded rows"):
+        fields.derivative(np.zeros(shape), grid)
 
 
 def test_derivative_rejects_buffers_it_cannot_write_in_place():

@@ -1,9 +1,11 @@
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
 from steepen import charpath, detector, eos, fields, riccati, solver
 
-from conftest import make_gas, sampled_residual
+from conftest import ghost_padded, make_gas, sampled_residual
 
 
 def _state(expr_u, expr_m, expr_z, gamma=5.0 / 3.0, K=1.0 / 15.0, n=256, L=1.0):
@@ -20,10 +22,10 @@ def test_gradients_equal_one_derivative_call_per_field():
     d = riccati.diagnostics(state, ("u_x", "z_x", "s_x", "r_x"))
     m = state.m_arrays()[0]
     u, z, grid = state.u, state.z, state.grid
-    assert np.array_equal(d["u_x"], fields.derivative(u, grid))
-    assert np.array_equal(d["z_x"], fields.derivative(z, grid))
-    assert np.array_equal(d["s_x"], fields.derivative(u + m * z, grid))
-    assert np.array_equal(d["r_x"], fields.derivative(u - m * z, grid))
+    assert np.array_equal(d["u_x"], fields.derivative(ghost_padded(u), grid))
+    assert np.array_equal(d["z_x"], fields.derivative(ghost_padded(z), grid))
+    assert np.array_equal(d["s_x"], fields.derivative(ghost_padded(u + m * z), grid))
+    assert np.array_equal(d["r_x"], fields.derivative(ghost_padded(u - m * z), grid))
 
 
 def _reference_fields(state):
@@ -36,7 +38,7 @@ def _reference_fields(state):
     grid = state.grid
     z, u = state.z, state.u
     m, m_x, m_xx = state.m_arrays()
-    u_x, z_x, s_x, r_x = fields.derivative(np.stack([u, z, u + m * z, u - m * z]), grid)
+    u_x, z_x, s_x, r_x = fields.derivative(ghost_padded(np.stack([u, z, u + m * z, u - m * z])), grid)
     ent = ((g - 1.0) / g) * m_x * z
     zE1 = z**ex.E1
     mu_bar = m ** (-ex.E2)
@@ -339,7 +341,7 @@ def test_residual_direction_mismatch(varying_traj):
 
 def test_residuals_vanish_in_constant_state(constant_traj):
     for kind in riccati.RESIDUAL_KINDS:
-        direction = riccati.RESIDUAL_KINDS[kind][0]
+        direction = riccati.RESIDUAL_KINDS[kind].direction
         curve = charpath.trace(constant_traj, 0.4, direction)
         res = sampled_residual(constant_traj, curve, kind)
         assert np.max(np.abs(res)) <= 1e-10, kind
@@ -347,10 +349,62 @@ def test_residuals_vanish_in_constant_state(constant_traj):
 
 def test_residuals_small_on_smooth_varying_run(varying_traj):
     for kind in riccati.RESIDUAL_KINDS:
-        direction = riccati.RESIDUAL_KINDS[kind][0]
+        direction = riccati.RESIDUAL_KINDS[kind].direction
         curve = charpath.trace(varying_traj, 0.37, direction)
         res = sampled_residual(varying_traj, curve, kind)
         assert np.max(np.abs(res)) <= 0.05, kind
+
+
+#: kind -> (measured quantity, right-hand side): each equation written out
+#: here apart from RESIDUAL_KINDS, in the same operation order
+_REFERENCE_EQUATIONS = {
+    "rem1": ("alpha", lambda s: s["k1"] * (s["k2"] * (3.0 * s["alpha"] + s["beta"]) + s["alpha"] * s["beta"] - s["alpha"] ** 2)),
+    "rem2": ("beta", lambda s: s["k1"] * (-s["k2"] * (s["alpha"] + 3.0 * s["beta"]) + s["alpha"] * s["beta"] - s["beta"] ** 2)),
+    "ode_y": ("y", lambda s: s["a0"] + s["a2"] * s["y"] ** 2),
+    "ode_q": ("q", lambda s: s["a0"] + s["a2"] * s["q"] ** 2),
+    "ode_ytilde": ("y_tilde", lambda s: s["a0_t"] + s["a1_t"] * s["y_tilde"] + s["a2_t"] * s["y_tilde"] ** 2),
+    "ode_qtilde": ("q_tilde", lambda s: s["a0_t"] - s["a1_t"] * s["q_tilde"] + s["a2_t"] * s["q_tilde"] ** 2),
+}
+
+
+@pytest.mark.parametrize("kind", list(riccati.RESIDUAL_KINDS))
+def test_residual_equals_reference_equation_bit_for_bit(varying_traj, kind):
+    # forward kinds on forward curves, backward kinds on backward ones
+    measured, rhs = _REFERENCE_EQUATIONS[kind]
+    for seed in (0.1, 0.37, 0.8):
+        curve = charpath.trace(varying_traj, seed, riccati.RESIDUAL_KINDS[kind].direction)
+        res = sampled_residual(varying_traj, curve, kind)
+        expect = riccati.directional_derivative(curve, measured) - rhs(curve.samples)
+        assert np.array_equal(res, expect), (kind, seed)
+
+
+class _OnlyNames(Mapping):
+    """Arrays under ``names`` alone: records each name it is asked for and
+    fails the test on any other."""
+
+    def __init__(self, names):
+        self.names, self.asked = tuple(names), set()
+
+    def __getitem__(self, name):
+        if name not in self.names:
+            pytest.fail(f"right-hand side read {name!r}, which its record does not sample")
+        self.asked.add(name)
+        return np.linspace(0.5, 1.5, 7)
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self):
+        return len(self.names)
+
+
+@pytest.mark.parametrize("kind", list(riccati.RESIDUAL_KINDS))
+def test_rhs_reads_exactly_its_sampled_names(kind):
+    record = riccati.RESIDUAL_KINDS[kind]
+    assert record.measured in record.sampled
+    samples = _OnlyNames(record.sampled)
+    assert record.rhs(samples).shape == (7,)
+    assert samples.asked == set(record.sampled)
 
 
 def test_mu_bar_transport_identity(varying_traj):

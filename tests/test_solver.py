@@ -5,7 +5,7 @@ import pytest
 
 from steepen import eos, fields, riccati, solver
 
-from conftest import make_gas
+from conftest import ghost_padded, make_gas
 
 
 def _constant_state(gas, n=64, z=1.0, L=1.0):
@@ -97,8 +97,8 @@ def test_step_reduces_to_p_system_when_entropy_constant(gas3):
     e_c = (g + 1.0) / (g - 1.0)
 
     def rhs(z, u):
-        u_x = fields.derivative(u, grid)
-        z_x = fields.derivative(z, grid)
+        u_x = fields.derivative(ghost_padded(u), grid)
+        z_x = fields.derivative(ghost_padded(z), grid)
         zc = z**e_c
         return -gas3.K_c * zc * u_x, -gas3.K_c * zc * z_x  # pure p-system, m = 1
 
@@ -126,7 +126,7 @@ def _reference_run(state, cfg):
     def rhs(w):
         z, u = w
         zc = z**e_c
-        z_x, u_x = fields.derivative(z, grid), fields.derivative(u, grid)
+        z_x, u_x = fields.derivative(ghost_padded(z), grid), fields.derivative(ghost_padded(u), grid)
         return np.stack(((zc * -gc.K_c) * u_x, -((mc_coeff * zc) * z_x + (zc * forcing) * z)))
 
     def steepness(z, u):
