@@ -40,6 +40,10 @@ _STENCIL = np.arange(-2.0, 4.0)
 # row j of _OTHERS[n]: the nodes i != j of an n-node window, the factors
 # of node j's Lagrange weight
 _OTHERS = {n: np.array([[i for i in range(n) if i != j] for j in range(n)]) for n in (2, 3, 4, 6)}
+# the space stencil's factors, as _lagrange_weights forms them: row j holds
+# node j's five other nodes and their differences from it
+_STENCIL_OTHERS = _STENCIL[_OTHERS[6]]
+_STENCIL_GAPS = _STENCIL[:, None] - _STENCIL_OTHERS
 
 
 @dataclass
@@ -140,15 +144,15 @@ class FieldSampler:
         self._held = range(lo, hi + 1)
 
     def time_window(self, ts) -> tuple:
-        """The snapshots around each time and their Lagrange weights.
+        """The slots of the snapshots around each time and their Lagrange weights.
 
-        Returns ``(ks, w)``, both of shape ``ts.shape + (n_w,)``: the indices
-        of the ``n_w`` = 4 snapshots around each time (all of them when there
-        are fewer) and each one's weight.
+        Returns ``(slots, w)``, both of shape ``ts.shape + (n_w,)``: the
+        slots ``k % width`` of the ``n_w`` = 4 snapshots ``k`` around each
+        time (all of them when there are fewer) and each one's weight.
         """
         ts = np.asarray(ts, dtype=float)
         ks = self._window_start(ts)[..., None] + np.arange(self.width)
-        return ks, _lagrange_weights(self.times[ks], ts)
+        return ks % self.width, _lagrange_weights(self.times[ks], ts)
 
     def _window_start(self, ts) -> np.ndarray:
         """The first snapshot of each time's window: the snapshot two before
@@ -165,14 +169,15 @@ class FieldSampler:
         value is the periodic 6-point Lagrange interpolant on grid nodes
         ``j-2 ... j+3`` (mod ``n``) of the point's cell ``j``.
         """
-        ks, w = window
+        slots, w = window
         grid = self.traj.grid
         s = (xs - grid.x0) / grid.h
         j = np.floor(s)
         nodes = (j[..., None] + _STENCIL).astype(np.intp) % grid.n
         # one gather for all quantities: (quantities, ..., n_w, 6)
-        f = self._table[:, ks[..., :, None] % self.width, nodes[..., None, :]]
-        wx = _lagrange_weights(_STENCIL, s - j)
+        f = self._table[:, slots[..., :, None], nodes[..., None, :]]
+        # _lagrange_weights(_STENCIL, s - j), with the stencil's factors tabled
+        wx = np.multiply.reduce(((s - j)[..., None, None] - _STENCIL_OTHERS) / _STENCIL_GAPS, axis=-1)
         # add.accumulate sums in index order whatever the shapes (np.sum may
         # pair terms), so a bundle's columns equal single seeds bit for bit
         at_snapshot = np.add.accumulate(wx[..., None, :] * f, axis=-1)[..., -1]
@@ -229,17 +234,17 @@ def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
 
     def wave_speed(i, stage, x):
         # the windows of the chunk that step i is in, set by the loop below
-        ks, w = windows
+        slots, w = windows
         j = i % _CHUNK
         sampler.hold(starts[j][stage], starts[j][stage] + sampler.width - 1)
-        return sampler.interpolate((ks[j, stage], w[j, stage]), x)[0]
+        return sampler.interpolate((slots[j, stage], w[j, stage]), x)[0]
 
     xs = np.empty(t_nodes.shape + x.shape)
     xs[0] = x
     for i in range(len(t_nodes) - 1):
         if i % _CHUNK == 0:
             windows = sampler.time_window(stage_t[i:i + _CHUNK])
-            starts = windows[0].reshape(-1, 3, sampler.width)[..., 0].tolist()
+            starts = sampler._window_start(stage_t[i:i + _CHUNK]).reshape(-1, 3).tolist()
         dt = tb[i] - ta[i]
         k1 = sign * wave_speed(i, 0, x)
         k2 = sign * wave_speed(i, 1, x + 0.5 * dt * k1)

@@ -51,11 +51,14 @@ def _write_kv(path: Path, title: str, pairs) -> None:
 
 
 FIELDS_COLUMNS = ("t", "x", "z", "u", "m", "p", "c", "alpha", "beta", "y", "q")
-# values the run's formatter takes per step, whole rows at a time: 320 rows
-# of fields.csv (9 values each, z to q) and 720 of curves.csv.  Its scratch
-# is 76 B a value (219 kB), which sets the largest block whose snapshot pass
-# stays within 480 kB over a snapshot's diagnostics at n = 4096 (3204
-# values reach it; this leaves 5%)
+# the columns that change from snapshot to snapshot, formatted per block;
+# t, x and the frozen m are formatted once per run
+_CHANGING_COLUMNS = ("z", "u", "p", "c", "alpha", "beta", "y", "q")
+# values the run's formatter takes per step, whole rows at a time: 360 rows
+# of fields.csv (8 values each, its changing columns) and 720 of curves.csv.
+# Its scratch is 76 B a value (219 kB): at n = 4096 the snapshot pass peaks
+# 295 kB over a snapshot's diagnostics, and from about 4900 values a block
+# it allocates more than they do
 _VALUES_PER_BLOCK = 2880
 # rows turned into bytes per write: bytes.translate allocates its output at
 # its input's size, so a write's bytes stay near 2 x 45 kB
@@ -68,14 +71,16 @@ def _write_rows(fh, rows: np.ndarray) -> None:
         fh.write(_g16.text(rows[lo:lo + _ROWS_PER_WRITE]))
 
 
-def _write_fields_rows(fh, fmt: _g16.Formatter, d: dict, t, x) -> None:
+def _write_fields_rows(fh, fmt: _g16.Formatter, d: dict, t, x, m) -> None:
     """Write fields.csv's rows of one snapshot, ``d`` its grid fields by
-    name and ``t``, ``x`` the slots of its time and of the grid nodes.  The
-    rows are assembled per block in one buffer of slots: ``t`` and ``x``
-    copied in, the other 9 columns formatted into it."""
-    columns = [d[name] for name in FIELDS_COLUMNS[2:]]
+    name and ``t``, ``x``, ``m`` the slots of its time, of the grid nodes
+    and of the frozen entropy.  The rows are assembled per block in one
+    buffer of slots: the changing columns formatted by one call into slots
+    3 to 10, ``z`` and ``u`` moved one slot left, then ``t``, ``x`` and
+    ``m`` copied in."""
+    columns = [d[name] for name in _CHANGING_COLUMNS]
     n = len(x)
-    # z to q, each followed by a comma but q, which ends the row
+    # each column followed by a comma but q, which ends the row
     tails = np.full(len(columns), _g16.tail(","))
     tails[-1] = _g16.tail("\n")
     step = min(n, fmt.size // len(columns))
@@ -85,8 +90,11 @@ def _write_fields_rows(fh, fmt: _g16.Formatter, d: dict, t, x) -> None:
     for lo in range(0, n, step):
         block = rows[:min(step, n - lo)]
         np.stack([col[lo:lo + step] for col in columns], axis=1, out=values[:len(block)])
+        fmt.slots(values[:len(block)], tails, out=block[:, 3:])
+        block[:, 2] = block[:, 3]
+        block[:, 3] = block[:, 4]
         block[:, 1] = x[lo:lo + step]
-        fmt.slots(values[:len(block)], tails, out=block[:, 2:])
+        block[:, 4] = m[lo:lo + step]
         _write_rows(fh, block)
 
 
@@ -94,24 +102,26 @@ def _snapshot_pass(fh, fmt: _g16.Formatter, traj: solver.Trajectory, names: tupl
     """Walk the snapshots once, computing each one's grid fields once.
 
     For each snapshot ``k`` in turn, one :func:`riccati.diagnostics` call
-    computes fields.csv's columns and ``names``; then write its block of
-    fields.csv to the binary file ``fh``, record its ``min y``, ``min q``
-    and :func:`detector.gradient_peak` in ``extrema[:, k]``, and yield its
-    grid rows of ``names`` (a :func:`charpath.sample_along` row source).
-    The other fields are dropped before the yield.
+    computes fields.csv's changing columns and ``names``; then write its
+    block of fields.csv to the binary file ``fh``, record its ``min y``,
+    ``min q`` and :func:`detector.gradient_peak` in ``extrema[:, k]``, and
+    yield its grid rows of ``names`` (a :func:`charpath.sample_along` row
+    source).  The other fields are dropped before the yield.
 
     fields.csv has one row per (snapshot, node), every value as
-    ``%.16g`` (by ``fmt``).  ``t`` and ``x`` are formatted once per run;
-    the other 9 columns are formatted per block of rows.
+    ``%.16g`` (by ``fmt``).  ``t``, ``x`` and ``m`` (the frozen entropy
+    every snapshot shares) are formatted once per run; the other 8
+    columns are formatted per block of rows.
     """
     first = traj.snapshots[0]
     comma = _g16.tail(",")
     t = fmt.slots(traj.times, comma)
     x = fmt.slots(first.grid.x, comma)
+    m = fmt.slots(first.m_arrays()[0], comma)
     fh.write(",".join(FIELDS_COLUMNS).encode("ascii") + b"\n")
     for k, snap in enumerate(traj.snapshots):
-        d = riccati.diagnostics(snap, FIELDS_COLUMNS[2:] + names)
-        _write_fields_rows(fh, fmt, d, t[k], x)
+        d = riccati.diagnostics(snap, _CHANGING_COLUMNS + names)
+        _write_fields_rows(fh, fmt, d, t[k], x, m)
         extrema[:, k] = np.min(d["y"]), np.min(d["q"]), detector.gradient_peak(d)
         rows = {name: d[name] for name in names}
         del d

@@ -359,8 +359,8 @@ def _fields_csv_reference(traj):
 def test_fields_csv_matches_per_row_reference(tmp_path):
     gc = eos.make_constants(3.0, 1.0 / 3.0)
     fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
-    # the rows of one block: the columns from z on are formatted per block
-    block = cli._VALUES_PER_BLOCK // (len(cli.FIELDS_COLUMNS) - 2)
+    # the rows of one block: the changing columns are formatted per block
+    block = cli._VALUES_PER_BLOCK // len(cli._CHANGING_COLUMNS)
     # the unit grid, one with x0 = -10 and a non-dyadic h, and one whose
     # rows are formatted in two blocks, the second one partial
     for x0, x1, n in ((0.0, 1.0, 16), (-10.0, 3.7, 24), (0.0, 1.0, block + block // 2 + 1)):

@@ -135,10 +135,10 @@ def test_snapshot_pass_memory_stays_near_the_diagnostics(tmp_path):
     tracemalloc.stop()
     # the 18 diagnostics are 18 arrays of n doubles (576 kB, 805 kB at their
     # peak).  The pass computes only the fields it writes and samples; on
-    # top of them sit the x slots (128 kB), the formatter's tables (100 kB)
-    # and scratch (175 kB), and one block's rows and bytes, freed before the
-    # next block.  Row templates and whole-snapshot tables would add about
-    # 700 kB at this n.
+    # top of them sit the x and m slots (256 kB), the formatter's tables
+    # (100 kB) and scratch (219 kB), and one snapshot's row buffer and a
+    # write's bytes, freed before the next.  Row templates and
+    # whole-snapshot tables would add about 700 kB at this n.
     assert diagnostics > 18 * 4096 * 8
     assert peak < diagnostics + 480 * 1024, (peak, diagnostics)
     # what the pass allocates stays below the 18 diagnostics: fields.csv's
@@ -146,24 +146,75 @@ def test_snapshot_pass_memory_stays_near_the_diagnostics(tmp_path):
     assert traced < diagnostics, (traced, diagnostics)
 
 
-def test_one_block_stays_within_its_bytes_per_value():
-    # a full fields.csv block, formatted into its row buffer and turned
-    # into bytes, as cli._write_fields_rows does
+def test_snapshot_pass_formats_the_frozen_columns_once(tmp_path, monkeypatch):
+    kv = parse_kv((CONFIGS / "one_sided_profile.cfg").read_text())
+    n = 500  # not a whole number of blocks of rows
+    kv["grid.n"] = str(n)
+    kv["solver.t_end"] = "0.2"
+    kv["output.directory"] = str(tmp_path)
+    cfg = build_config(kv, CONFIGS)
+    traj = solver.evolve(make_initial(cfg)[0], cfg.solver)
+    snapshots = len(traj.snapshots)
+    assert snapshots > 2 and np.ptp(traj.snapshots[0].m_arrays()[0]) > 0  # m varies
+    rows_per_block = cli._VALUES_PER_BLOCK // 8  # of the 8 changing columns
+    assert n % rows_per_block
+    counts = []  # the values of each slots call
+    real = _g16.Formatter.slots
+
+    def counting(self, values, tails, out=None):
+        counts.append(np.size(values))
+        return real(self, values, tails, out)
+
+    monkeypatch.setattr(_g16.Formatter, "slots", counting)
     fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
-    cols = len(cli.FIELDS_COLUMNS) - 2
+    extrema = np.empty((3, snapshots))
+    with open(tmp_path / "fields.csv", "wb") as fh:
+        for _ in cli._snapshot_pass(fh, fmt, traj, ("y",), extrema):
+            pass
+    # x and m once per run, one t per snapshot, and the 8 changing columns
+    # of every snapshot, by one call per block of rows
+    assert sum(counts) == 2 * n + snapshots + 8 * n * snapshots
+    assert len(counts) == 3 + snapshots * -(-n // rows_per_block)
+
+
+def test_one_block_stays_within_its_bytes_per_value():
+    # a full fields.csv block, assembled in its row buffer and written as
+    # cli._write_fields_rows does: the 8 changing columns formatted into
+    # slots 3 to 10, z and u moved one slot left, the t, x and m slots
+    # copied in, and the rows' text written 128 rows at a time
+    fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
+    cols = len(cli._CHANGING_COLUMNS)
     rng = np.random.default_rng(11)
     values = rng.standard_normal((cli._VALUES_PER_BLOCK // cols, cols))
+    t, x, m = 1.0 / 3.0, rng.standard_normal(len(values)), rng.standard_normal(len(values))
+    t_slot, x_slots, m_slots = (FMT.slots(np.atleast_1d(a), COMMA) for a in (t, x, m))
     rows = np.zeros((len(values), len(cli.FIELDS_COLUMNS), 4), _g16.WORD)
     tails = np.full(cols, COMMA)
+    tails[-1] = _g16.tail("\n")
+    written = []  # the length of each write
+
+    class Sink:
+        def write(self, data):
+            written.append(len(data))
+
     tracemalloc.start()
-    fmt.slots(values, tails, out=rows[:, 2:])
-    text = _g16.text(rows)
+    fmt.slots(values, tails, out=rows[:, 3:])
+    rows[:, 2] = rows[:, 3]
+    rows[:, 3] = rows[:, 4]
+    rows[:, 0] = t_slot[0]
+    rows[:, 1] = x_slots
+    rows[:, 4] = m_slots
+    cli._write_rows(Sink(), rows)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert text.count(b",") == values.size
+    table = [[t, xi, z, u, mi, *rest] for xi, mi, (z, u, *rest) in zip(x, m, values.tolist())]
+    text = "".join(",".join("%.16g" % v for v in row) + "\n" for row in table)
+    assert _g16.text(rows) == text.encode("ascii")
+    assert sum(written) == len(text)
     # the scratch the formatter owns, and what one block allocates on top
-    # of it: the row buffer's bytes (39 B a value) and their text, which
-    # bytes.translate allocates at its input's size before cutting it down
+    # of it: numpy's buffer for the gather into the row buffer (a word a
+    # value) and the text of each write's 128 rows, which bytes.translate
+    # allocates at its input's size before cutting it down
     assert (fmt._pool.nbytes + fmt._flags.nbytes) / fmt.size <= 76
     assert fmt.nbytes <= 110 * 1024 + 76 * fmt.size
     assert peak / values.size <= 80, peak / values.size
