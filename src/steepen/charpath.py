@@ -2,21 +2,24 @@
 
 Forward curves integrate dx/dt = +c, backward curves dx/dt = -c, with RK4
 in time (:data:`SUBSTEPS` steps per snapshot interval), moving a bundle of
-seeds as one array; each seed of a bundle may have its own direction.
-:class:`FieldSampler` is the one space-time interpolator (periodic 6-point
-Lagrange in space, 4-point Lagrange in snapshot time), for the wave speed
-while tracing and for samples along curves.  It holds a sliding window of
-grid rows, at most 4 snapshots per quantity: a row is computed when its
-snapshot enters the window and overwritten once it has left, so its memory
-does not grow with the number of snapshots.  A trace and a sample both
-walk the snapshots forward in time, so each call computes each row once,
-and a sample of several quantities computes a snapshot's rows of all of
-them with one :func:`riccati.diagnostics` call, which computes only the
-fields those rows are made from.  :func:`sample_along` may instead take
-its rows from the caller's own pass over the snapshots (the run computes
-each snapshot's fields once for every output).  Derived quantities are
-always computed on the grid first (see :mod:`steepen.riccati`) and only
-then interpolated onto curves.
+seeds, each with its own direction, as one array.  :class:`FieldSampler`
+is the one space-time interpolator (periodic 6-point Lagrange in space,
+4-point Lagrange in snapshot time), for the wave speed while tracing and
+for samples along curves.  It holds a sliding window of grid rows of the
+quantities it was made for, at most 4 snapshots per quantity: a row is
+computed when its snapshot enters the window and overwritten once it has
+left, so its memory does not grow with the number of snapshots.  A trace
+and a sample both walk the snapshots forward in time, so each call
+computes each row once, and a sample of several quantities computes a
+snapshot's rows of all of them with one :func:`riccati.diagnostics` call,
+which computes only the fields those rows are made from.
+:func:`sample_along` may instead take its rows from the caller's own pass
+over the snapshots (the run computes each snapshot's fields once for
+every output).  Derived quantities are always computed on the grid first
+(see :mod:`steepen.riccati`) and only then interpolated onto curves.
+
+Each call has one form: directions and quantity names are sequences, and
+a bare string in their place is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -46,9 +49,16 @@ _STENCIL_OTHERS = _STENCIL[_OTHERS[6]]
 _STENCIL_GAPS = _STENCIL[:, None] - _STENCIL_OTHERS
 
 
+def _sequence(items, what: str) -> tuple:
+    """``items`` as a tuple, never a bare string's letters."""
+    if isinstance(items, str):
+        raise ValueError(f"{what} must be a sequence, not the string {items!r}")
+    return tuple(items)
+
+
 @dataclass
 class CharacteristicCurve:
-    direction: str | tuple  # forward | backward; a bundle may have one per seed
+    directions: tuple  # forward | backward, one per seed
     t: np.ndarray
     x: np.ndarray  # wrapped into [x0, x1); a bundle has one column per seed
     x_path: np.ndarray  # unwrapped, for continuity across the seam
@@ -59,10 +69,9 @@ class CharacteristicCurve:
             raise ValueError("curve node times must be strictly increasing")
 
     def column(self, i: int) -> CharacteristicCurve:
-        """The curve of seed ``i`` of a bundle, with that seed's direction and samples."""
-        direction = self.direction if isinstance(self.direction, str) else self.direction[i]
+        """Seed ``i`` of a bundle as one curve: a 1-tuple of directions, one value a node."""
         samples = {name: values[:, i] for name, values in self.samples.items()}
-        return CharacteristicCurve(direction, self.t, self.x[:, i], self.x_path[:, i], samples)
+        return CharacteristicCurve(self.directions[i:i + 1], self.t, self.x[:, i], self.x_path[:, i], samples)
 
 
 def _lagrange_weights(nodes: np.ndarray, at) -> np.ndarray:
@@ -80,12 +89,12 @@ def _lagrange_weights(nodes: np.ndarray, at) -> np.ndarray:
 class FieldSampler:
     """Space-time interpolator over a trajectory's snapshots, on a sliding window of grid rows.
 
-    Interpolation splits into a time part, :meth:`time_window`, which
-    depends only on the times, and a space part, :meth:`interpolate`,
-    which gathers each point's values from the rows held.  :meth:`add`
-    names the quantities held and :meth:`hold` brings a window's rows in.
-    :meth:`sample` does all of it for fixed points in one pass forward
-    through the snapshots.
+    It holds the quantities of ``names``, a sequence fixed when it is
+    made.  Interpolation splits into a time part, :meth:`time_window`,
+    which depends only on the times, and a space part, :meth:`interpolate`,
+    which gathers each point's values from the rows held; :meth:`hold`
+    brings a window's rows in.  :meth:`sample` does all of it for fixed
+    points in one pass forward through the snapshots.
 
     The held rows form one ``(quantities, width, n)`` array; snapshot
     ``k``'s rows sit in slot ``k % width``, ``width`` being the snapshots
@@ -97,36 +106,27 @@ class FieldSampler:
     instead (stepping over the snapshots no window uses).
     """
 
-    def __init__(self, traj: Trajectory, rows=None):
+    def __init__(self, traj: Trajectory, names, rows=None):
         if len(traj.snapshots) < 2:
             raise ValueError("trajectory too sparse to interpolate (stride guard)")
         self.traj = traj
+        self.names = _sequence(names, "names")  # the quantities held, in table order
         self.times = traj.times
         self.width = min(4, len(self.times))
         self._source = rows
         self._next = 0  # the snapshot whose rows the source yields next
-        self._names: tuple = ()  # the quantities held, in table order
-        self._table = np.empty((0, self.width, traj.grid.n))
+        self._table = np.empty((len(self.names), self.width, traj.grid.n))
         self._held = range(0)  # the snapshots whose rows the slots hold
 
     def _fetch(self, k: int) -> dict:
         if self._source is None:
-            return riccati.diagnostics(self.traj.snapshots[k], self._names)
+            return riccati.diagnostics(self.traj.snapshots[k], self.names)
         if k < self._next:
             raise ValueError(f"the rows of snapshot {k} were already taken from the source")
         for _ in range(k - self._next):
             next(self._source)
         self._next = k + 1
         return next(self._source)
-
-    def add(self, names) -> None:
-        """Hold the quantities of ``names`` too; when some are new, the
-        window is fetched afresh."""
-        missing = tuple(name for name in names if name not in self._names)
-        if missing:
-            self._names += missing
-            self._table = np.empty((len(self._names), self.width, self.traj.grid.n))
-            self._held = range(0)
 
     def hold(self, lo: int, hi: int) -> None:
         """Hold the rows of snapshots ``lo`` ... ``hi`` (at most ``width`` of them).
@@ -139,20 +139,23 @@ class FieldSampler:
         for k in range(lo, hi + 1):
             if k not in self._held:
                 rows = self._fetch(k)
-                for i, name in enumerate(self._names):
+                for i, name in enumerate(self.names):
                     self._table[i, k % self.width] = rows[name]
         self._held = range(lo, hi + 1)
 
     def time_window(self, ts) -> tuple:
-        """The slots of the snapshots around each time and their Lagrange weights.
+        """The snapshots around each time, their slots and their Lagrange weights.
 
-        Returns ``(slots, w)``, both of shape ``ts.shape + (n_w,)``: the
-        slots ``k % width`` of the ``n_w`` = 4 snapshots ``k`` around each
-        time (all of them when there are fewer) and each one's weight.
+        Returns ``(starts, slots, w)``: ``starts``, of the shape of ``ts``,
+        the first snapshot of each time's window, and ``slots`` and ``w``,
+        of shape ``ts.shape + (n_w,)``, the slots ``k % width`` of the
+        window's ``n_w`` = 4 snapshots ``k`` (all of them when there are
+        fewer) and each one's weight.
         """
         ts = np.asarray(ts, dtype=float)
-        ks = self._window_start(ts)[..., None] + np.arange(self.width)
-        return ks % self.width, _lagrange_weights(self.times[ks], ts)
+        starts = self._window_start(ts)
+        ks = starts[..., None] + np.arange(self.width)
+        return starts, ks % self.width, _lagrange_weights(self.times[ks], ts)
 
     def _window_start(self, ts) -> np.ndarray:
         """The first snapshot of each time's window: the snapshot two before
@@ -160,16 +163,16 @@ class FieldSampler:
         n_t = len(self.times)
         return self.times[2:n_t - self.width + 2].searchsorted(ts, side="right")
 
-    def interpolate(self, window: tuple, xs) -> np.ndarray:
-        """Every held quantity at positions ``xs`` in a :meth:`time_window`
-        whose rows are held.
+    def interpolate(self, slots, w, xs) -> np.ndarray:
+        """Every held quantity at positions ``xs``, in a time window of
+        ``slots`` and weights ``w`` (from :meth:`time_window`) whose rows
+        are held.
 
         The window's time shape broadcasts against ``xs``; the result has
         shape ``(quantities,)`` plus the broadcast shape.  Each snapshot's
         value is the periodic 6-point Lagrange interpolant on grid nodes
         ``j-2 ... j+3`` (mod ``n``) of the point's cell ``j``.
         """
-        slots, w = window
         grid = self.traj.grid
         s = (xs - grid.x0) / grid.h
         j = np.floor(s)
@@ -183,8 +186,9 @@ class FieldSampler:
         at_snapshot = np.add.accumulate(wx[..., None, :] * f, axis=-1)[..., -1]
         return np.add.accumulate(w * at_snapshot, axis=-1)[..., -1]
 
-    def sample(self, names, ts, xs) -> dict:
-        """``names`` at the (t, x) points of ``ts`` and ``xs``, which broadcast together.
+    def sample(self, ts, xs) -> dict:
+        """The held quantities at the (t, x) points of ``ts`` and ``xs``,
+        which broadcast together.
 
         One pass forward through the snapshots, whatever the order of the
         points: the points whose time window starts at snapshot ``k`` are
@@ -192,19 +196,19 @@ class FieldSampler:
         time weights are found then.  Returns ``{name: values}``, each of
         the broadcast shape.
         """
-        self.add(names)
         ts, xs = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))
         shape = ts.shape
         ts, xs = ts.ravel(), xs.ravel()
         starts = self._window_start(ts)
         order = np.argsort(starts, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(starts[order])) + 1) if order.size else []
-        out = np.empty((len(self._names), ts.size))
+        out = np.empty((len(self.names), ts.size))
         for group in groups:  # the weights of one group at a time
             k = int(starts[group[0]])
             self.hold(k, k + self.width - 1)
-            out[:, group] = self.interpolate(self.time_window(ts[group]), xs[group])
-        return {name: out[self._names.index(name)].reshape(shape) for name in names}
+            _, slots, w = self.time_window(ts[group])
+            out[:, group] = self.interpolate(slots, w, xs[group])
+        return {name: values.reshape(shape) for name, values in zip(self.names, out)}
 
 
 def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
@@ -221,8 +225,7 @@ def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
     the ``c`` rows of a stage's window are brought in before it, each
     once, as the windows slide with the nodes.
     """
-    sampler = FieldSampler(traj)
-    sampler.add(("c",))
+    sampler = FieldSampler(traj, ("c",))
 
     t_nodes = np.asarray(t_nodes, dtype=float)
     x = np.array(x_start, dtype=float)
@@ -234,17 +237,16 @@ def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
 
     def wave_speed(i, stage, x):
         # the windows of the chunk that step i is in, set by the loop below
-        slots, w = windows
         j = i % _CHUNK
         sampler.hold(starts[j][stage], starts[j][stage] + sampler.width - 1)
-        return sampler.interpolate((slots[j, stage], w[j, stage]), x)[0]
+        return sampler.interpolate(slots[j, stage], w[j, stage], x)[0]
 
     xs = np.empty(t_nodes.shape + x.shape)
     xs[0] = x
     for i in range(len(t_nodes) - 1):
         if i % _CHUNK == 0:
-            windows = sampler.time_window(stage_t[i:i + _CHUNK])
-            starts = sampler._window_start(stage_t[i:i + _CHUNK]).reshape(-1, 3).tolist()
+            starts, slots, w = sampler.time_window(stage_t[i:i + _CHUNK])
+            starts = starts.reshape(-1, 3).tolist()
         dt = tb[i] - ta[i]
         k1 = sign * wave_speed(i, 0, x)
         k2 = sign * wave_speed(i, 1, x + 0.5 * dt * k1)
@@ -255,43 +257,39 @@ def integrate_position(traj: Trajectory, x_start, t_nodes, sign) -> np.ndarray:
     return xs
 
 
-def trace(traj: Trajectory, x_start, direction) -> CharacteristicCurve:
-    """Trace characteristics from (t=0, x_start) to the trajectory's end.
+def trace(traj: Trajectory, seeds, directions) -> CharacteristicCurve:
+    """Trace the characteristics from (t=0, ``seeds``) to the trajectory's end.
 
-    ``x_start`` is one seed, or an array of seeds traced as one bundle.
-    ``direction`` is one direction for every seed, or a sequence with one
-    direction per seed of a bundle.
+    ``seeds`` is a sequence of start positions, traced as one bundle, and
+    ``directions`` holds each seed's direction; the curve's ``x`` has one
+    column per seed (:meth:`CharacteristicCurve.column`).
     """
-    per_seed = not isinstance(direction, str)
-    directions = tuple(direction) if per_seed else (direction,)
+    directions = _sequence(directions, "directions")
     if not set(directions) <= _SIGN.keys():
         raise ValueError("direction must be 'forward' or 'backward'")
-    if per_seed and np.shape(x_start) != (len(directions),):
+    if np.shape(seeds) != (len(directions),):
         raise ValueError("a direction per seed needs one seed for each direction")
-    sign = np.array([_SIGN[d] for d in directions]) if per_seed else _SIGN[direction]
+    sign = np.array([_SIGN[d] for d in directions])
 
     times = traj.times
     steps = np.linspace(times[:-1], times[1:], SUBSTEPS + 1, axis=1)[:, 1:]
     t_nodes = np.concatenate((times[:1], steps.ravel()))
 
-    x_path = integrate_position(traj, x_start, t_nodes, sign)
-    return CharacteristicCurve(directions if per_seed else direction, t_nodes,
-                               traj.grid.wrap(x_path), x_path)
+    x_path = integrate_position(traj, seeds, t_nodes, sign)
+    return CharacteristicCurve(directions, t_nodes, traj.grid.wrap(x_path), x_path)
 
 
-def sample_along(curve: CharacteristicCurve, traj: Trajectory, quantity, rows=None):
+def sample_along(curve: CharacteristicCurve, traj: Trajectory, names, rows=None) -> dict:
     """Interpolate named derived fields onto a curve's nodes (and keep them in ``curve.samples``).
 
-    ``quantity`` is one name, whose values are returned, or a sequence of
-    names, sampled in one pass that computes each snapshot's grid rows of
-    all of them with one :func:`riccati.diagnostics` call, and returned as
-    ``{name: values}``.  A name is any that call resolves.  Every seed
-    of a bundle is sampled in the same pass.  ``rows`` is a row source for
-    :class:`FieldSampler`: an iterator over every snapshot's grid rows of
-    these names, in snapshot order.
+    ``names`` is a sequence of names, any that :func:`riccati.diagnostics`
+    resolves, sampled in one pass that computes each snapshot's grid rows
+    of all of them with one call, and returned as ``{name: values}``.
+    Every seed of a bundle is sampled in the same pass.  ``rows`` is a row
+    source for :class:`FieldSampler`: an iterator over every snapshot's
+    grid rows of these names, in snapshot order.
     """
-    names = (quantity,) if isinstance(quantity, str) else tuple(quantity)
     t = curve.t.reshape(curve.t.shape + (1,) * (curve.x.ndim - 1))
-    samples = FieldSampler(traj, rows).sample(names, t, curve.x)
+    samples = FieldSampler(traj, names, rows).sample(t, curve.x)
     curve.samples.update(samples)
-    return samples[quantity] if isinstance(quantity, str) else samples
+    return samples

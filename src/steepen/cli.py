@@ -415,15 +415,14 @@ def sweep(cfg_path: Path, axis: str, values: list[str]) -> int:
         return 2
 
     base_cfg.output.directory.mkdir(parents=True, exist_ok=True)
-    rows = []
+    lines = [",".join(("axis",) + SWEEP_COLUMNS)]
     for value in values:
         kv = dict(base_kv)
         kv[axis] = value
         sub = f"{axis.replace('.', '_')}={value}"
         kv["output.directory"] = str(Path(base_kv["output.directory"]) / sub)
-        row = {"value": value, "status": "ok", "termination": "", "t_stop": "",
-               "min_y0": "", "certificate": "", "t_star_bound": "", "t_blow": "",
-               "residual_max": ""}
+        row = dict.fromkeys(SWEEP_COLUMNS, "")
+        row.update(value=value, status="ok")
         try:
             cfg = build_config(kv, base_cfg.base_dir)
             code, pairs = _run(cfg)
@@ -436,15 +435,11 @@ def sweep(cfg_path: Path, axis: str, values: list[str]) -> int:
             row["residual_max"] = ";".join(res)
         except Exception as exc:  # per-run failures recorded, sweep continues
             row["status"] = f"error: {exc}"
-        rows.append(row)
+        lines.append(",".join([axis] + [str(row[c]).replace(",", ";") for c in SWEEP_COLUMNS]))
 
-    table_path = base_cfg.output.directory / "sweep_summary.csv"
-    header = ["axis"] + list(SWEEP_COLUMNS)
-    with open(table_path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([axis] + [str(row[c]).replace(",", ";") for c in SWEEP_COLUMNS]) + "\n")
-    print(table_path.read_text(), end="")
+    text = "\n".join(lines) + "\n"
+    (base_cfg.output.directory / "sweep_summary.csv").write_text(text)
+    print(text, end="")
     return 0
 
 

@@ -108,14 +108,6 @@ def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float) 
     return Certificate(kind="none", conditional=True)
 
 
-def profile_condition_curvature(entropy, gamma: float) -> np.ndarray:
-    """(m**(-2/(3 gamma - 1)))_xx from the grid arrays ``entropy = (m, m_x,
-    m_xx)`` (:meth:`StateField.m_arrays`); >= 0 is the one-sided condition."""
-    m, m_x, m_xx = entropy
-    kappa = Exponents.of(gamma).G
-    return m ** (-kappa) * (kappa * (kappa + 1.0) * (m_x / m) ** 2 - kappa * m_xx / m)
-
-
 def min_neg_a2(bounds: AssumptionBounds | None, gc) -> float:
     """Lower bound of -a2 from the a-priori constants (exact for gamma = 3)."""
     g = gc.gamma
@@ -138,9 +130,11 @@ def certify_thm15(
 ) -> Certificate:
     """One-sided-profile certificate with an explicit blowup-time bound.
 
-    For ``variable='y'`` the profile condition is checked on grid cells with
-    x > A and the witness is the most negative y(0, x) there; the mirrored
-    check (x < A, backward direction) applies to ``variable='q'``.  The
+    For ``variable='y'`` the profile condition, ``mu_G_xx >= 0`` (of
+    :func:`riccati.diagnostics`, to within 1e-10 of ``max mu_G``), is
+    checked on grid cells with x > A and the witness is the most negative
+    y(0, x) there; the mirrored check (x < A, backward direction) applies
+    to ``variable='q'``.  The
     bound is t* = -1 / (y0 * min(-a2)); for gamma = 3 no a-priori bounds
     are needed and the certificate is unconditional.
     """
@@ -148,18 +142,17 @@ def certify_thm15(
         raise ValueError("variable must be 'y' or 'q'")
     gamma = state0.gc.gamma
     grid = state0.grid
-    w_xx = profile_condition_curvature(state0.m_arrays(), gamma)
-    delta_cond = 1e-10 * float(np.max(state0.m_arrays()[0] ** (-state0.gc.exponents.G)))
+    d = riccati.diagnostics(state0, ("mu_G", "mu_G_xx", variable))
+    delta_cond = 1e-10 * float(np.max(d["mu_G"]))
 
     region = grid.x > A if variable == "y" else grid.x < A
     none_cert = Certificate(kind="none", conditional=gamma != 3.0)
     if not np.any(region):
         return none_cert
-    if float(np.min(w_xx[region])) < -delta_cond:
+    if float(np.min(d["mu_G_xx"][region])) < -delta_cond:
         return none_cert
 
-    arr = riccati.diagnostics(state0, (variable,))[variable]
-    masked = np.where(region, arr, np.inf)
+    masked = np.where(region, d[variable], np.inf)
     i = int(np.argmin(masked))
     v0 = float(masked[i])
     if not v0 < 0.0:

@@ -83,6 +83,10 @@ _FORMULAS = {
     "beta": lambda f, s, ex: f("u_x") - f("m") * f("z_x") - f("_ent"),
     "_zE1": lambda f, s, ex: f("z") ** ex.E1,
     "mu_bar": lambda f, s, ex: f("m") ** (-ex.E2),
+    # m**(-G) and its second derivative, whose sign is the one-sided condition
+    "mu_G": lambda f, s, ex: f("m") ** (-ex.G),
+    "mu_G_xx": lambda f, s, ex: f("mu_G") * (
+        ex.G * (ex.G + 1.0) * (f("m_x") / f("m")) ** 2 - ex.G * f("m_xx") / f("m")),
     "_gy": lambda f, s, ex: f("s_x") - ex.G * f("m_x") * f("z"),
     "_gq": lambda f, s, ex: f("r_x") + ex.G * f("m_x") * f("z"),
     "y": lambda f, s, ex: f("mu_bar") * f("_zE1") * f("_gy"),
@@ -115,9 +119,10 @@ def diagnostics(state: StateField, names) -> dict:
 
     A name is one of ``z u m m_x m_xx p c s r`` (s = u + m z and
     r = u - m z) or a diagnostic: ``u_x z_x s_x r_x alpha beta y q
-    y_tilde q_tilde k1 k2 a0 a2 a0_t a1_t a2_t mu_bar``.  Only the named
-    fields and those they are made from are computed, each once; the four
-    gradients come from one stencil call.
+    y_tilde q_tilde k1 k2 a0 a2 a0_t a1_t a2_t mu_bar mu_G mu_G_xx``
+    (mu_G = m**(-G); mu_G_xx >= 0 is the one-sided condition).  Only the
+    named fields and those they are made from are computed, each once; the
+    four gradients come from one stencil call.
     """
     for name in names:
         if name.startswith("_") or name not in _FORMULAS:
@@ -251,16 +256,18 @@ RESIDUAL_KINDS = {
 def residual(curve, which: str) -> np.ndarray:
     """(measured directional derivative) - (equation right-hand side).
 
-    ``curve`` carries the samples of the ``sampled`` quantities of the
-    equation's record (see :func:`steepen.charpath.sample_along`).
-    The curve direction must match the equation's derivative direction:
-    forward curves for the primed equations, backward for the back-primed.
+    ``curve`` is one curve, a bundle's
+    :meth:`~steepen.charpath.CharacteristicCurve.column`, and carries the
+    samples of the ``sampled`` quantities of the equation's record (see
+    :func:`steepen.charpath.sample_along`).  Its one direction must match
+    the equation's derivative direction: forward curves for the primed
+    equations, backward for the back-primed.
     """
     if which not in RESIDUAL_KINDS:
         raise ValueError(f"unknown residual kind {which!r}")
     kind = RESIDUAL_KINDS[which]
-    if curve.direction != kind.direction:
-        raise ValueError(f"{which} needs a {kind.direction} curve, got a {curve.direction} one")
+    if curve.directions != (kind.direction,) or curve.x.ndim != 1:
+        raise ValueError(f"{which} needs one {kind.direction} curve, a bundle's column, got {curve.directions}")
     missing = [name for name in kind.sampled if name not in curve.samples]
     if missing:
         raise ValueError(f"{which} needs {', '.join(missing)} sampled on the curve")

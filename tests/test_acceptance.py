@@ -143,7 +143,7 @@ def test_criterion_3_residual_convergence(entropy_runs):
         curves = 0
         for seed in seeds:
             for direction in ("forward", "backward"):
-                curve = charpath.trace(traj, seed, direction)
+                curve = charpath.trace(traj, [seed], [direction]).column(0)
                 curves += 1
                 window = curve.t <= t_win
                 for kind in kinds:
@@ -189,7 +189,7 @@ def _check_identities(traj):
     isentropic = float(np.ptp(m)) == 0.0 and float(np.max(np.abs(m_x))) == 0.0
     first = traj.snapshots[0]
     gamma = first.gc.gamma
-    w_xx = detector.profile_condition_curvature(first.m_arrays(), gamma)
+    w_xx = riccati.diagnostics(first, ("mu_G_xx",))["mu_G_xx"]
     gfac = (gamma - 1.0) / gamma
     for snap in traj.snapshots:
         d = riccati.diagnostics(snap, ("u_x", "z_x", "s_x", "r_x", "alpha", "beta", "y", "q", "y_tilde",

@@ -12,21 +12,21 @@ from conftest import VARYING_M0, ghost_padded, make_gas
 def test_trace_constant_state_straight_line(constant_traj):
     # gamma=3, z=2, m=1: c = K_c m z^2 = 4
     for direction, sign in (("forward", 1.0), ("backward", -1.0)):
-        curve = charpath.trace(constant_traj, 0.25, direction)
+        curve = charpath.trace(constant_traj, [0.25], [direction]).column(0)
         expect = 0.25 + sign * 4.0 * curve.t
         assert np.max(np.abs(curve.x_path - expect)) <= 1e-10
 
 
 def test_forward_backward_coincide_only_at_start(constant_traj):
-    fw = charpath.trace(constant_traj, 0.5, "forward")
-    bw = charpath.trace(constant_traj, 0.5, "backward")
-    assert fw.x_path[0] == bw.x_path[0]
-    assert np.all(np.abs(fw.x_path[1:] - bw.x_path[1:]) > 0.0)
+    bundle = charpath.trace(constant_traj, [0.5, 0.5], ["forward", "backward"])
+    fw, bw = bundle.x_path.T
+    assert fw[0] == bw[0]
+    assert np.all(np.abs(fw[1:] - bw[1:]) > 0.0)
 
 
 def test_trace_rejects_bad_direction_and_sparse_trajectory(constant_traj, gas3):
     with pytest.raises(ValueError):
-        charpath.trace(constant_traj, 0.1, "sideways")
+        charpath.trace(constant_traj, [0.1], ["sideways"])
     with pytest.raises(ValueError):
         charpath.trace(constant_traj, [0.1, 0.2], ["forward", "sideways"])
     with pytest.raises(ValueError):  # one direction short: it would broadcast
@@ -41,12 +41,12 @@ def test_trace_rejects_bad_direction_and_sparse_trajectory(constant_traj, gas3):
         conserved=solver.ConservedLog(np.zeros(1), np.zeros(1), np.zeros(1)),
     )
     with pytest.raises(ValueError):
-        charpath.trace(sparse, 0.1, "forward")
+        charpath.trace(sparse, [0.1], ["forward"])
 
 
 def test_node_spacing_matches_local_speed(varying_traj):
-    curve = charpath.trace(varying_traj, 0.3, "forward")
-    sampler = charpath.FieldSampler(varying_traj)
+    curve = charpath.trace(varying_traj, [0.3], ["forward"]).column(0)
+    sampler = charpath.FieldSampler(varying_traj, ("z",))
     gc = varying_traj.snapshots[0].gc
     E_c = (gc.gamma + 1.0) / (gc.gamma - 1.0)
     m = parse_expression(VARYING_M0)
@@ -57,32 +57,46 @@ def test_node_spacing_matches_local_speed(varying_traj):
         t_mid = curve.t[i] + 0.5 * dt[i]
         x_mid = 0.5 * (curve.x_path[i] + curve.x_path[i + 1])
         m_mid = m(varying_traj.grid.wrap(x_mid))
-        c_mid = gc.K_c * m_mid * float(sampler.sample(("z",), t_mid, x_mid)["z"]) ** E_c
+        c_mid = gc.K_c * m_mid * float(sampler.sample(t_mid, x_mid)["z"]) ** E_c
         worst = max(worst, abs(dx[i] - c_mid * dt[i]) / dt[i] ** 3)
     assert worst <= 10.0  # |dx - c dt| = O(dt^3) with a modest constant
 
 
-@pytest.mark.parametrize("direction", [
-    "forward", "backward", ("forward", "backward", "backward", "forward"),
+@pytest.mark.parametrize("directions", [
+    ("forward",) * 4, ("backward",) * 4, ("forward", "backward", "backward", "forward"),
 ], ids=["forward", "backward", "mixed"])
-def test_bundle_columns_equal_single_seed_traces(varying_traj, direction):
+def test_bundle_columns_equal_single_seed_traces(varying_traj, directions):
     seeds = [0.05, 0.3, 0.97, 0.3]
     names = ("z", "y", "q", "a0", "m_x")
-    bundle = charpath.trace(varying_traj, seeds, direction)
+    bundle = charpath.trace(varying_traj, seeds, directions)
+    assert bundle.directions == directions
     assert bundle.x_path.shape == (len(bundle.t), len(seeds))
-    for name in names:  # one call samples every seed
-        assert charpath.sample_along(bundle, varying_traj, name).shape == bundle.x.shape
-    for i, seed in enumerate(seeds):
-        seed_direction = direction if isinstance(direction, str) else direction[i]
-        single = charpath.trace(varying_traj, seed, seed_direction)
-        assert single.x_path.shape == single.t.shape
+    samples = charpath.sample_along(bundle, varying_traj, names)  # one call samples every seed
+    assert all(samples[name].shape == bundle.x.shape for name in names)
+    for i, (seed, direction) in enumerate(zip(seeds, directions)):
+        single = charpath.trace(varying_traj, [seed], [direction])
+        assert single.x_path.shape == single.t.shape + (1,)
+        charpath.sample_along(single, varying_traj, names)
+        single = single.column(0)
         column = bundle.column(i)
-        assert column.direction == seed_direction
+        assert column.directions == single.directions == (direction,)
         assert np.array_equal(column.t, single.t)
         assert np.array_equal(column.x_path, single.x_path)
         assert np.array_equal(column.x, single.x)
         for name in names:
-            assert np.array_equal(column.samples[name], charpath.sample_along(single, varying_traj, name)), name
+            assert np.array_equal(column.samples[name], single.samples[name]), name
+
+
+def test_curve_calls_reject_a_bare_string(varying_traj):
+    """A string is not taken for a sequence of one-letter names or directions."""
+    with pytest.raises(ValueError, match="directions must be a sequence"):
+        charpath.trace(varying_traj, 0.3, "forward")
+    curve = charpath.trace(varying_traj, [0.3], ["forward"])
+    with pytest.raises(ValueError, match="names must be a sequence"):
+        charpath.sample_along(curve, varying_traj, "beta")
+    with pytest.raises(ValueError, match="names must be a sequence"):
+        charpath.FieldSampler(varying_traj, "c")
+    assert not hasattr(charpath.FieldSampler, "add")  # its quantities are fixed
 
 
 def _lagrange_reference(traj, name, tq, xq):
@@ -137,11 +151,13 @@ def test_values_equal_scalar_lagrange_spline_reference(varying_traj, n_snapshots
     rng = np.random.default_rng(7)
     ts = np.concatenate((ts, rng.uniform(0.0, times[-1], 40)))
     xs = np.concatenate((xs, rng.uniform(-1.0, 2.0, 40)))
-    sampler = charpath.FieldSampler(traj)
-    for name in ("z", "y", "m_x"):
+    names = ("z", "y", "m_x")
+    sampler = charpath.FieldSampler(traj, names)
+    forward, backward = sampler.sample(ts, xs), sampler.sample(ts[::-1], xs[::-1])
+    for name in names:
         expect = [_lagrange_reference(traj, name, t, x) for t, x in zip(ts, xs)]
-        assert np.array_equal(sampler.sample((name,), ts, xs)[name], expect), name
-        assert np.array_equal(sampler.sample((name,), ts[::-1], xs[::-1])[name], expect[::-1]), name
+        assert np.array_equal(forward[name], expect), name
+        assert np.array_equal(backward[name], expect[::-1]), name
 
 
 def _fixed_field_traj(gc, n, z):
@@ -166,7 +182,7 @@ def test_space_interpolation_is_sixth_order(gas3):
     h = traj.grid.h
     ts = rng.uniform(0.0, 0.3, 200)
     xs = rng.uniform(3.0 * h, 1.0 - 3.0 * h, 200)  # the stencil stays off the wrap
-    got = charpath.FieldSampler(traj).sample(("z",), ts, xs)["z"]
+    got = charpath.FieldSampler(traj, ("z",)).sample(ts, xs)["z"]
     assert np.max(np.abs(got - quintic(xs))) <= 1e-14
 
     def error(n):
@@ -174,7 +190,7 @@ def test_space_interpolation_is_sixth_order(gas3):
             return 1.0 + 0.1 * np.sin(2.0 * np.pi * x)
 
         xs = rng.uniform(-1.0, 2.0, 400)
-        got = charpath.FieldSampler(_fixed_field_traj(gas3, n, smooth)).sample(("z",), ts[:1], xs)["z"]
+        got = charpath.FieldSampler(_fixed_field_traj(gas3, n, smooth), ("z",)).sample(ts[:1], xs)["z"]
         return np.max(np.abs(got - smooth(xs)))
 
     assert error(64) <= error(32) / 2.0**5.5
@@ -196,7 +212,7 @@ def test_residual_computes_each_snapshot_diagnostics_once(varying_traj, monkeypa
 
     monkeypatch.setattr(riccati, "diagnostics", spy)
     snapshot_ids = [id(s) for s in traj.snapshots]
-    curve = charpath.trace(traj, 0.3, "forward")
+    curve = charpath.trace(traj, [0.3], ["forward"]).column(0)
     assert {names for _, names in calls} == {("c",)}  # tracing needs the wave speed only
     assert [id(s) for s, _ in calls] == snapshot_ids
     calls.clear()
@@ -208,15 +224,15 @@ def test_residual_computes_each_snapshot_diagnostics_once(varying_traj, monkeypa
 
 
 def test_residual_names_a_missing_sample(constant_traj):
-    curve = charpath.trace(constant_traj, 0.3, "forward")
+    curve = charpath.trace(constant_traj, [0.3], ["forward"]).column(0)
     charpath.sample_along(curve, constant_traj, ("y", "a0"))
     with pytest.raises(ValueError, match="ode_y needs a2 sampled"):
         riccati.residual(curve, "ode_y")
 
 
 def test_sample_m_constant_entropy(constant_traj):
-    curve = charpath.trace(constant_traj, 0.7, "forward")
-    m = charpath.sample_along(curve, constant_traj, "m")
+    curve = charpath.trace(constant_traj, [0.7], ["forward"]).column(0)
+    m = charpath.sample_along(curve, constant_traj, ("m",))["m"]
     assert np.allclose(m, 1.0, rtol=0, atol=1e-12)
     assert "m" in curve.samples
 
@@ -230,8 +246,8 @@ def test_riemann_invariant_transported_along_forward_curves(gas3):
         traj = solver.evolve(state, solver.SolverConfig(cfl=0.4, t_end=0.4, snapshot_stride=5))
         worst = 0.0
         for seed in (0.1, 0.5, 0.9):
-            curve = charpath.trace(traj, seed, "forward")
-            s = charpath.sample_along(curve, traj, "s")
+            curve = charpath.trace(traj, [seed], ["forward"]).column(0)
+            s = charpath.sample_along(curve, traj, ("s",))["s"]
             worst = max(worst, float(np.ptp(s)))
         variations.append(worst)
     assert variations[1] <= variations[0] / 4.0
@@ -240,36 +256,35 @@ def test_riemann_invariant_transported_along_forward_curves(gas3):
 
 def test_pressure_constant_along_curves_in_stationary_solution(stationary_traj):
     for direction in ("forward", "backward"):
-        curve = charpath.trace(stationary_traj, 4.0, direction)
-        p = charpath.sample_along(curve, stationary_traj, "p")
+        curve = charpath.trace(stationary_traj, [4.0], [direction]).column(0)
+        p = charpath.sample_along(curve, stationary_traj, ("p",))["p"]
         assert np.max(np.abs(p / p[0] - 1.0)) <= 1e-9
 
 
 def test_every_contracted_quantity_is_sampleable(varying_traj):
-    curve = charpath.trace(varying_traj, 0.5, "forward")
+    curve = charpath.trace(varying_traj, [0.5], ["forward"]).column(0)
     names = (
         "z", "u", "m", "m_x", "m_xx", "p", "c", "alpha", "beta",
         "y", "q", "y_tilde", "q_tilde", "a0", "a2", "k1", "k2",
     )
-    for name in names:
-        values = charpath.sample_along(curve, varying_traj, name)
+    for name, values in charpath.sample_along(curve, varying_traj, names).items():
         assert values.shape == curve.t.shape
         assert np.all(np.isfinite(values)), name
 
 
 def test_unknown_quantity_rejected(constant_traj):
-    curve = charpath.trace(constant_traj, 0.1, "forward")
+    curve = charpath.trace(constant_traj, [0.1], ["forward"]).column(0)
     with pytest.raises(ValueError):
-        charpath.sample_along(curve, constant_traj, "vorticity")
+        charpath.sample_along(curve, constant_traj, ("vorticity",))
 
 
 def test_directional_derivative_requires_samples_and_nodes(constant_traj):
-    curve = charpath.trace(constant_traj, 0.1, "forward")
+    curve = charpath.trace(constant_traj, [0.1], ["forward"]).column(0)
     with pytest.raises(ValueError):
         riccati.directional_derivative(curve, "z")
-    charpath.sample_along(curve, constant_traj, "z")
+    charpath.sample_along(curve, constant_traj, ("z",))
     short = charpath.CharacteristicCurve(
-        direction="forward",
+        directions=("forward",),
         t=curve.t[:4],
         x=curve.x[:4],
         x_path=curve.x_path[:4],
@@ -322,13 +337,13 @@ def test_directional_derivative_equals_per_node_reference():
             expect[i] = float(np.dot(np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, fw)) / dts[0]
         else:
             expect[i] = float(np.dot(expect_w[i], fw))
-    curve = charpath.CharacteristicCurve("forward", t, t, t, samples={"f": f})
+    curve = charpath.CharacteristicCurve(("forward",), t, t, t, samples={"f": f})
     assert np.array_equal(riccati.directional_derivative(curve, "f"), expect)
 
 
 def test_directional_derivative_zero_in_constant_state(constant_traj):
-    curve = charpath.trace(constant_traj, 0.6, "backward")
-    charpath.sample_along(curve, constant_traj, "u")
+    curve = charpath.trace(constant_traj, [0.6], ["backward"]).column(0)
+    charpath.sample_along(curve, constant_traj, ("u",))
     d = riccati.directional_derivative(curve, "u")
     assert np.max(np.abs(d)) <= 1e-10
 
@@ -345,9 +360,8 @@ def _zprime_error(n):
     g = gc.gamma
     worst_z = worst_m = 0.0
     for seed in (0.12, 0.42, 0.77):
-        curve = charpath.trace(traj, seed, "forward")
-        for name in ("z", "beta", "m_x", "m", "c"):
-            charpath.sample_along(curve, traj, name)
+        curve = charpath.trace(traj, [seed], ["forward"]).column(0)
+        charpath.sample_along(curve, traj, ("z", "beta", "m_x", "m", "c"))
         dz = riccati.directional_derivative(curve, "z")
         rhs = -gc.K_c * curve.samples["z"] ** ((g + 1.0) / (g - 1.0)) * (
             curve.samples["beta"] + (g - 1.0) / g * curve.samples["m_x"] * curve.samples["z"]
@@ -376,12 +390,12 @@ def test_integrate_position_equals_per_stage_sampling(varying_traj, x_start, sig
     """Stage time windows found up front give the positions of sampling
     each RK4 stage at its own time."""
     traj = varying_traj
-    sampler = charpath.FieldSampler(traj)
+    sampler = charpath.FieldSampler(traj, ("c",))
 
     def wave_speed(t, x):
-        return sampler.sample(("c",), np.full(x.shape, t), x)["c"]
+        return sampler.sample(np.full(x.shape, t), x)["c"]
 
-    t_nodes = charpath.trace(traj, 0.3, "forward").t
+    t_nodes = charpath.trace(traj, [0.3], ["forward"]).t
     x = np.array(x_start, dtype=float)
     expect = [x]
     for ta, tb in zip(t_nodes[:-1], t_nodes[1:]):
@@ -396,9 +410,9 @@ def test_integrate_position_equals_per_stage_sampling(varying_traj, x_start, sig
 
 
 def test_reversibility(varying_traj):
-    curve = charpath.trace(varying_traj, 0.3, "forward")
+    curve = charpath.trace(varying_traj, [0.3], ["forward"])
     back = charpath.integrate_position(varying_traj, curve.x_path[-1], curve.t[::-1], 1.0)
-    assert abs(back[-1] - 0.3) <= 1e-10
+    assert abs(back[-1, 0] - 0.3) <= 1e-10
 
 
 def test_operator_identity_recovers_partial_derivatives():
@@ -419,10 +433,10 @@ def test_operator_identity_recovers_partial_derivatives():
         c = riccati.diagnostics(state, ("c",))["c"]
         worst_t = worst_x = 0.0
         for seed in (0.12, 0.42, 0.77):
-            fw = charpath.trace(traj, seed, "forward")
-            bw = charpath.trace(traj, seed, "backward")
-            charpath.sample_along(fw, traj, "z")
-            charpath.sample_along(bw, traj, "z")
+            fw = charpath.trace(traj, [seed], ["forward"]).column(0)
+            bw = charpath.trace(traj, [seed], ["backward"]).column(0)
+            charpath.sample_along(fw, traj, ("z",))
+            charpath.sample_along(bw, traj, ("z",))
             df = riccati.directional_derivative(fw, "z")
             db = riccati.directional_derivative(bw, "z")
             i = int(round(seed * n)) % n

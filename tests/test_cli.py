@@ -428,9 +428,9 @@ def test_diagnose_traces_every_seed_and_direction_in_one_call(cfg_path, monkeypa
     real = charpath.trace
     calls = []
 
-    def counting_trace(traj, x_start, direction):
-        calls.append((list(x_start), list(direction)))
-        return real(traj, x_start, direction)
+    def counting_trace(traj, seeds, directions):
+        calls.append((list(seeds), list(directions)))
+        return real(traj, seeds, directions)
 
     monkeypatch.setattr(charpath, "trace", counting_trace)
     assert cli.main(["run", str(cfg_path)]) == 0

@@ -206,9 +206,10 @@ def test_one_sided_profile_condition_curvature():
     g = 2.0
     prof = parse_expression("(exp(-x)+1)^(-(3*g-1)/2)", {"g": g})
     grid = fields.Grid(0.0, 8.0, 64)
-    entropy = (prof(grid.x), prof.derivative(1)(grid.x), prof.derivative(2)(grid.x))
-    w_xx = detector.profile_condition_curvature(entropy, g)
-    assert np.allclose(w_xx, np.exp(-grid.x), rtol=1e-9)
+    state, _ = fields.build_initial(0.0, grid, make_gas(g, 1.0), m0=prof, z0=1.0)
+    d = riccati.diagnostics(state, ("mu_G", "mu_G_xx"))
+    assert np.allclose(d["mu_G_xx"], np.exp(-grid.x), rtol=1e-9)
+    assert np.allclose(d["mu_G"], np.exp(-grid.x) + 1.0, rtol=1e-12)
 
 
 # --- sign of a0 ------------------------------------------------------------------

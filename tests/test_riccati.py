@@ -3,7 +3,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from steepen import charpath, detector, eos, fields, riccati, solver
+from steepen import charpath, eos, fields, riccati, solver
 
 from conftest import ghost_padded, make_gas, sampled_residual
 
@@ -182,11 +182,10 @@ def test_alpha_beta_match_pressure_derivative_form(varying_traj):
     traj = varying_traj
     worst = 0.0
     for seed in (0.3, 0.7):
-        fw = charpath.trace(traj, seed, "forward")
-        bw = charpath.trace(traj, seed, "backward")
+        fw = charpath.trace(traj, [seed], ["forward"]).column(0)
+        bw = charpath.trace(traj, [seed], ["backward"]).column(0)
         for c in (fw, bw):
-            for name in ("p", "c", "alpha", "beta"):
-                charpath.sample_along(c, traj, name)
+            charpath.sample_along(c, traj, ("p", "c", "alpha", "beta"))
         # beta from the forward (primed) derivative of p
         dp_f = riccati.directional_derivative(fw, "p")
         beta_ref = -dp_f / fw.samples["c"] ** 2
@@ -292,10 +291,9 @@ def test_a2_always_negative_random_states():
 
 def test_sign_a0_matches_profile_curvature():
     state = _state("0", "(1 + 0.3*cos(2*pi*x))^(-2)", "1")
-    d = riccati.diagnostics(state, ("a0",))
-    w_xx = detector.profile_condition_curvature(state.m_arrays(), state.gc.gamma)
+    d = riccati.diagnostics(state, ("a0", "mu_G_xx"))
     mask = np.abs(d["a0"]) > 1e-10 * np.max(np.abs(d["a0"]))
-    assert np.all(np.sign(d["a0"][mask]) == -np.sign(w_xx[mask]))
+    assert np.all(np.sign(d["a0"][mask]) == -np.sign(d["mu_G_xx"][mask]))
 
 
 # --- phase classification --------------------------------------------------------
@@ -332,17 +330,25 @@ def test_phase_classify_requires_negative_a2():
 
 
 def test_residual_direction_mismatch(varying_traj):
-    fw = charpath.trace(varying_traj, 0.2, "forward")
-    with pytest.raises(ValueError):
+    bundle = charpath.trace(varying_traj, [0.2, 0.2], ["forward", "backward"])
+    charpath.sample_along(bundle, varying_traj, riccati.RESIDUAL_KINDS["rem1"].sampled)
+    fw = bundle.column(0)
+    assert fw.directions == ("forward",)
+    with pytest.raises(ValueError, match="rem2 needs one backward curve"):
         riccati.residual(fw, "rem2")
     with pytest.raises(ValueError):
         riccati.residual(fw, "nonsense")
+    with pytest.raises(ValueError, match="rem1 needs one forward curve"):  # a bundle, not one column
+        riccati.residual(bundle, "rem1")
+    with pytest.raises(ValueError, match="rem1 needs one forward curve"):  # one seed, still a bundle
+        riccati.residual(charpath.trace(varying_traj, [0.2], ["forward"]), "rem1")
+    assert riccati.residual(fw, "rem1").shape == fw.t.shape
 
 
 def test_residuals_vanish_in_constant_state(constant_traj):
     for kind in riccati.RESIDUAL_KINDS:
         direction = riccati.RESIDUAL_KINDS[kind].direction
-        curve = charpath.trace(constant_traj, 0.4, direction)
+        curve = charpath.trace(constant_traj, [0.4], [direction]).column(0)
         res = sampled_residual(constant_traj, curve, kind)
         assert np.max(np.abs(res)) <= 1e-10, kind
 
@@ -350,7 +356,7 @@ def test_residuals_vanish_in_constant_state(constant_traj):
 def test_residuals_small_on_smooth_varying_run(varying_traj):
     for kind in riccati.RESIDUAL_KINDS:
         direction = riccati.RESIDUAL_KINDS[kind].direction
-        curve = charpath.trace(varying_traj, 0.37, direction)
+        curve = charpath.trace(varying_traj, [0.37], [direction]).column(0)
         res = sampled_residual(varying_traj, curve, kind)
         assert np.max(np.abs(res)) <= 0.05, kind
 
@@ -372,7 +378,7 @@ def test_residual_equals_reference_equation_bit_for_bit(varying_traj, kind):
     # forward kinds on forward curves, backward kinds on backward ones
     measured, rhs = _REFERENCE_EQUATIONS[kind]
     for seed in (0.1, 0.37, 0.8):
-        curve = charpath.trace(varying_traj, seed, riccati.RESIDUAL_KINDS[kind].direction)
+        curve = charpath.trace(varying_traj, [seed], [riccati.RESIDUAL_KINDS[kind].direction]).column(0)
         res = sampled_residual(varying_traj, curve, kind)
         expect = riccati.directional_derivative(curve, measured) - rhs(curve.samples)
         assert np.array_equal(res, expect), (kind, seed)
@@ -408,9 +414,8 @@ def test_rhs_reads_exactly_its_sampled_names(kind):
 
 
 def test_mu_bar_transport_identity(varying_traj):
-    curve = charpath.trace(varying_traj, 0.3, "forward")
-    for name in ("mu_bar", "a1_t"):
-        charpath.sample_along(curve, varying_traj, name)
+    curve = charpath.trace(varying_traj, [0.3], ["forward"]).column(0)
+    charpath.sample_along(curve, varying_traj, ("mu_bar", "a1_t"))
     dmu = riccati.directional_derivative(curve, "mu_bar")
     err = np.max(np.abs(dmu + curve.samples["a1_t"] * curve.samples["mu_bar"]))
     assert err <= 1e-6 * max(1.0, float(np.max(np.abs(dmu))))
@@ -427,10 +432,8 @@ def test_beta_backprime_coupling_at_beta_zero():
     traj = solver.evolve(
         state, solver.SolverConfig(cfl=0.4, t_end=0.3, snapshot_stride=5, gradient_cap=100.0)
     )
-    curve = charpath.trace(traj, 0.215, "backward")
-    beta = charpath.sample_along(curve, traj, "beta")
-    for name in ("alpha", "k1", "k2"):
-        charpath.sample_along(curve, traj, name)
+    curve = charpath.trace(traj, [0.215], ["backward"]).column(0)
+    beta = charpath.sample_along(curve, traj, ("beta", "alpha", "k1", "k2"))["beta"]
     d_beta = riccati.directional_derivative(curve, "beta")
     crossings = np.where(beta[:-1] * beta[1:] < 0.0)[0]
     assert crossings.size >= 1
@@ -448,7 +451,7 @@ def test_beta_backprime_coupling_at_beta_zero():
 
 def test_phase_monotonicity_agrees_with_measured_derivative(varying_traj):
     """Fig.-1 arrows vs the measured y' at random probe points."""
-    curve = charpath.trace(varying_traj, 0.4, "forward")
+    curve = charpath.trace(varying_traj, [0.4], ["forward"]).column(0)
     res = sampled_residual(varying_traj, curve, "ode_y")
     y = curve.samples["y"]
     a0 = curve.samples["a0"]
