@@ -203,8 +203,77 @@ def ghost_views(padded):
 
 
 def _holds(buf, f) -> bool:
-    """Whether ``buf`` can take ``derivative``'s flat passes over ``f`` (float64) in place."""
+    """Whether ``buf`` can take the stencil's flat passes over ``f`` (float64) in place."""
     return buf.shape == f.shape and buf.dtype == f.dtype and buf.flags.c_contiguous
+
+
+# the stencil's constant factor as a 0-d array, as is a stencil's 12 h:
+# numpy converts a Python float operand anew on every call
+_EIGHT = np.array(8.0)
+_EIGHT.flags.writeable = False
+
+
+class Stencil:
+    """:func:`derivative` of fixed rows into fixed buffers, checked and sliced once.
+
+    ``Stencil(values, grid, out=None, scratch=None)`` makes every check
+    :func:`derivative` makes, and the flat views of the stencil's five
+    passes, when it is made; a call runs the five passes on what
+    ``values`` holds then, writes the result into ``out`` and returns the
+    view ``out[..., 2:n + 2]`` (the same view every call).  It holds views,
+    not values: rewrite the bound rows in place and the next call
+    differentiates the new values.  So ``values`` must be a C-contiguous
+    float64 array of ghost-padded ``(..., n + 4)`` rows, never copied;
+    ``out`` and ``scratch`` are as :func:`derivative` takes them, and are
+    allocated here when not given.  Buffers that share memory are refused,
+    since the passes would then read what they have already overwritten.
+    ``nbytes`` is the bytes of the rows a call reads.
+    """
+
+    __slots__ = (
+        "grid", "nbytes", "_flat", "_f8", "_f8_ahead", "_ahead", "_f8_behind",
+        "_behind", "_body", "_twelve_h", "_result",
+    )
+
+    def __init__(self, values, grid: Grid, out=None, scratch=None):
+        n = grid.n
+        if np.shape(values)[-1:] != (n + 4,):
+            raise ValueError(f"values must be ghost-padded rows of the grid size + 4 = {n + 4} columns")
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.flags.c_contiguous):
+            raise ValueError("values must be a C-contiguous float64 array: a stencil binds views of it")
+        for name, buf in (("out", out), ("scratch", scratch)):
+            if buf is not None and not _holds(buf, values):
+                raise ValueError(f"{name} must be a C-contiguous float64 array of the padded shape")
+        for name, buf, other, held in (("out", out, "values", values), ("scratch", scratch, "values", values),
+                                       ("scratch", scratch, "out", out)):
+            if buf is not None and held is not None and np.shares_memory(buf, held):
+                raise ValueError(f"{name} shares memory with {other}: the stencil would read what it overwrote")
+        if out is None:
+            out = np.empty(values.shape)
+        if scratch is None:
+            scratch = np.empty(values.shape)
+        self.grid = grid
+        self.nbytes = values.nbytes
+        # out[c] = (-f[c+2] + 8 f[c+1] - 8 f[c-1] + f[c-2]) / (12 h) at every
+        # flat centre c, summed in that order in place from one product 8 f;
+        # the centres whose stencil reaches into the next row are ghosts, and
+        # are dropped
+        self._flat = flat = values.reshape(-1)
+        self._f8 = f8 = scratch.reshape(-1)
+        self._f8_ahead, self._ahead = f8[3:-1], flat[4:]
+        self._f8_behind, self._behind = f8[1:-3], flat[:-4]
+        self._body = out.reshape(-1)[2:-2]
+        self._twelve_h = np.array(12.0 * grid.h)
+        self._result = out[..., 2:n + 2]
+
+    def __call__(self) -> np.ndarray:
+        body = self._body
+        np.multiply(self._flat, _EIGHT, out=self._f8)
+        np.subtract(self._f8_ahead, self._ahead, out=body)
+        body -= self._f8_behind
+        body += self._behind
+        body /= self._twelve_h
+        return self._result
 
 
 def derivative(values, grid: Grid, out=None, scratch=None) -> np.ndarray:
@@ -219,34 +288,26 @@ def derivative(values, grid: Grid, out=None, scratch=None) -> np.ndarray:
 
     ``out`` and ``scratch``, if given, are C-contiguous float64 arrays of
     the padded shape ``(..., n + 4)`` that share no memory with ``values``
-    or each other.  The result is written into ``out``'s node columns and
-    returned as the view ``out[..., 2:n + 2]``; ``scratch`` takes the
-    stencil's ``8 f``.  The other columns of both are overwritten.  With
-    both given, the call allocates no array, and its result equals the
+    or each other (a :class:`ValueError` names two that do).  The result is
+    written into ``out``'s node columns and returned as the view
+    ``out[..., 2:n + 2]``; ``scratch`` takes the stencil's ``8 f``.  The
+    other columns of both are overwritten.  With both given, the call
+    allocates no array of the rows' size, and its result equals the
     allocating call's bit for bit.
+
+    The call binds a :class:`Stencil` and runs it once.  ``values`` may
+    instead be a :class:`Stencil` bound on ``grid``, given with no ``out``
+    or ``scratch``: the call then runs it, with no check and no view made,
+    which is how a caller that differentiates the same buffers many times
+    pays for those once.
     """
-    n = grid.n
-    f = np.asarray(values, dtype=float)
-    if f.shape[-1:] != (n + 4,):
-        raise ValueError(f"values must be ghost-padded rows of the grid size + 4 = {n + 4} columns")
-    if out is None:
-        out = np.empty(f.shape)
-    elif not _holds(out, f):
-        raise ValueError("out must be a C-contiguous float64 array of the padded shape")
-    if scratch is not None and not _holds(scratch, f):
-        raise ValueError("scratch must be a C-contiguous float64 array of the padded shape")
-    flat = f.ravel()
-    # out[c] = (-f[c+2] + 8 f[c+1] - 8 f[c-1] + f[c-2]) / (12 h) at every flat
-    # centre c, summed in that order in place from one product 8 f; the
-    # centres whose stencil reaches into the next row are ghosts, and are
-    # dropped
-    f8 = np.multiply(flat, 8.0, out=None if scratch is None else scratch.ravel())
-    body = out.ravel()[2:-2]
-    np.subtract(f8[3:-1], flat[4:], out=body)
-    body -= f8[1:-3]
-    body += flat[:-4]
-    body /= 12.0 * grid.h
-    return out[..., 2:n + 2]
+    if isinstance(values, Stencil):
+        if out is not None or scratch is not None:
+            raise ValueError("a Stencil writes into the buffers it was bound to: give no out or scratch")
+        if values.grid is not grid and values.grid != grid:
+            raise ValueError("the Stencil was bound on another grid")
+        return values()
+    return Stencil(np.ascontiguousarray(values, dtype=float), grid, out, scratch)()
 
 
 # --- a-priori bound checking ---------------------------------------------

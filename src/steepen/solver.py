@@ -10,19 +10,20 @@ advanced with the classical 4-stage Runge-Kutta scheme under a CFL time
 step.  The state is held as one ``(2, n + 4)`` array with rows ``(z, u)``:
 node i sits in column i + 2, and two periodic ghost cells pad each end.
 Each stage takes one :func:`~steepen.fields.derivative` call for both
-gradients, which reads the padded buffer as it is and writes into the
-workspace's result rows.  The stage sums, the RK4 combination and the
+gradients, which runs a :class:`~steepen.fields.Stencil` bound once per
+run to the padded buffer: it reads the buffer as it is and writes into
+the workspace's result rows.  The stage sums, the RK4 combination and the
 finiteness check each run once over the whole buffers; a ghost gets the
 same operations as its node, so only a slope's ghosts are refilled, and
 every node value is bit for bit that of the unpadded formulas.  Every
-buffer and view a step uses is made once per run (:class:`_Workspace`),
-so a step makes no array of its own.  With a constant entropy profile
-(``m_x`` zero at every node) the system is the p-system, and a stage drops
-the forcing term: ``z_x`` is never ``-0``, so the values are bit for bit
-those with its zeros added.  The energy equation is not evolved;
-smooth solutions carry it via the stationarity of the entropy.  The
-integrals of u and tau (momentum and volume) are logged at every step as
-a conservation check.
+buffer, view and stencil a step uses is made once per run
+(:class:`_Workspace`), so a step makes no array and no view of its own.
+With a constant entropy profile (``m_x`` zero at every node) the system
+is the p-system, and a stage drops the forcing term: ``z_x`` is never
+``-0``, so the values are bit for bit those with its zeros added.  The
+energy equation is not evolved; smooth solutions carry it via the
+stationarity of the entropy.  The integrals of u and tau (momentum and
+volume) are logged at every step as a conservation check.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from steepen import eos
 from steepen.eos import VacuumError
-from steepen.fields import Grid, StateField, derivative, ghost_views
+from steepen.fields import Grid, StateField, Stencil, derivative, ghost_views
 
 
 @dataclass
@@ -143,9 +144,10 @@ class _Workspace:
     holds ``state``), the RK stage, one stage's slope, the slope sum and
     ``_steepness``'s forward differences.  Beside them sit the stencil's
     result rows and its ``8 f`` scratch, ``z**e_c``, ``tau`` and the
-    finiteness mask.  A step then makes no array and no view of its own;
-    :func:`~steepen.fields.derivative` makes a few views of the buffers
-    it is given.
+    finiteness mask.  Each buffer a stage differentiates (both ``states``
+    and the stage) gets its ``stencil``, a :class:`~steepen.fields.Stencil`
+    bound into those result rows.  A step then makes no array and no view
+    at all: :func:`~steepen.fields.derivative` runs the stencil it is given.
     """
 
     def __init__(self, state: StateField):
@@ -175,6 +177,8 @@ class _Workspace:
         # derivative's result rows (nodes in columns 2 .. n + 1) and its 8 f
         self.dx, self.f8 = np.empty((2, 2, n + 4))
         self.z_x, self.u_x = self.dx[:, 2:-2]
+        for w in (*self.states, self.stage):
+            w.stencil = Stencil(w.a, self.grid, out=self.dx, scratch=self.f8)
         self.zc, self.tau = np.empty((2, n))
         self.finite = np.empty(2 * (n + 4), dtype=bool)
 
@@ -187,7 +191,7 @@ class _Workspace:
 
     def rhs(self, w: _Rows, out: _Rows) -> None:
         """Write (z_t, u_t) of the padded state ``w``, ghosts included, into ``out``."""
-        derivative(w.a, self.grid, out=self.dx, scratch=self.f8)
+        derivative(w.stencil, self.grid)
         z = w.z
         zc = _power(z, self.e_c, self.zc)
         z_t, u_t = out.z, out.u

@@ -332,6 +332,36 @@ def test_evolve_non_finite_stops_at_last_finite_state(gas3, monkeypatch, m0, poi
     assert np.array_equal(traj.conserved.int_tau, clean.conserved.int_tau[: good_steps + 1])
 
 
+def test_each_stage_runs_one_of_three_stencils_bound_once(gas3, monkeypatch):
+    # the workspace binds one stencil for each buffer a stage differentiates
+    # (the two states and the stage) before the first step, and every RK4
+    # stage makes one call through the name solver.derivative with one of them
+    grid = fields.Grid(0.0, 1.0, 64)
+    state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, gas3, m0=_VARYING_M0, z0=1.0)
+    real_stencil, real_derivative = solver.Stencil, solver.derivative
+    made, seen = [], []
+
+    def stencil(*args, **kwargs):
+        made.append((real_stencil(*args, **kwargs), len(seen)))
+        return made[-1][0]
+
+    def derivative(values, grid, **buffers):
+        seen.append(values)
+        return real_derivative(values, grid, **buffers)
+
+    monkeypatch.setattr(solver, "Stencil", stencil)
+    monkeypatch.setattr(solver, "derivative", derivative)
+    traj = solver.evolve(state, solver.SolverConfig(cfl=0.4, t_end=0.1, snapshot_stride=3))
+    assert traj.steps_taken >= 5
+    assert len(seen) == 4 * traj.steps_taken
+    assert len(made) == 3 and all(calls_before == 0 for _, calls_before in made)
+    first, second, stage = (s for s, _ in made)
+    # k1 of the state the step reads, which alternates; k2, k3, k4 of the stage
+    for i in range(traj.steps_taken):
+        assert seen[4 * i] is (first, second)[i % 2]
+        assert all(v is stage for v in seen[4 * i + 1: 4 * i + 4])
+
+
 @pytest.mark.parametrize("e", [2.0, -1.0, 4.0, -3.0, 6.0, -5.0, 1.5])
 def test_power_equals_the_operator_bit_for_bit(e):
     # e_c and tau's exponent of gamma = 3, 5/3 and 1.4 gases, and one that
