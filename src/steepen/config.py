@@ -73,7 +73,6 @@ class RunConfig:
     diagnostics: DiagnosticsSpec
     certify: CertifySpec
     output: OutputSpec
-    params: dict
     base_dir: Path
     raw: dict
 
@@ -197,6 +196,11 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
         solver_cfg = SolverConfig(**values["solver"])
 
     diagnostics = DiagnosticsSpec(**values["diagnostics"])
+    for name in ("directions", "residuals"):
+        entries = getattr(diagnostics, name)
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:
+                raise ConfigError(f"diagnostics block: {name} lists {entry!r} more than once")
     for d in diagnostics.directions:
         if d not in ("forward", "backward"):
             raise ConfigError(f"diagnostics block: unknown direction {d!r}")
@@ -231,7 +235,6 @@ def build_config(kv: dict, base_dir: Path) -> RunConfig:
         diagnostics=diagnostics,
         certify=certify,
         output=output,
-        params=values["params"],
         base_dir=base_dir,
         raw=dict(kv),
     )

@@ -175,7 +175,6 @@ def certify_thm15(
 class BlowupEstimate:
     t_blow: float
     uncertainty: float
-    window: tuple[float, float]
 
 
 def gradient_peak(d: dict) -> float:
@@ -242,8 +241,4 @@ def detect_blowup(traj: Trajectory, peak: np.ndarray) -> BlowupEstimate | None:
     spread = max(abs(r - root_lin) for r in roots) if roots else 0.0
     rms = float(np.sqrt(np.mean((slope * tw + intercept - gw) ** 2)))
     uncertainty = max(spread, 3.0 * rms / abs(slope))
-    return BlowupEstimate(
-        t_blow=float(root_lin),
-        uncertainty=float(uncertainty),
-        window=(float(tw[0]), float(tw[-1])),
-    )
+    return BlowupEstimate(t_blow=float(root_lin), uncertainty=float(uncertainty))

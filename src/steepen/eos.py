@@ -105,19 +105,19 @@ def make_constants(gamma: float, K: float) -> GasConstants:
 
 
 def z_of_tau(tau, gc: GasConstants):
-    """Metric-density variable z from specific volume tau (tau > 0)."""
+    """Metric-density variable z from specific volume tau (tau > 0), shaped as ``tau``."""
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0.0) or not np.all(np.isfinite(tau)):
         raise VacuumError("specific volume must be positive and finite")
     g = gc.gamma
-    z = (2.0 * np.sqrt(gc.K * g) / (g - 1.0)) * tau ** (-(g - 1.0) / 2.0)
-    return z if z.ndim else float(z)
+    return (2.0 * np.sqrt(gc.K * g) / (g - 1.0)) * tau ** (-(g - 1.0) / 2.0)
 
 
 def thermo(z, m, gc: GasConstants):
     """Pressure and Lagrangian sound speed at (z, m).
 
-    Returns the pair (p, c); both are strictly positive for valid inputs.
+    Returns the pair (p, c), shaped as ``z`` and ``m`` broadcast; both are
+    strictly positive for valid inputs.
     """
     z = np.asarray(z, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -128,6 +128,4 @@ def thermo(z, m, gc: GasConstants):
     ex = gc.exponents
     p = gc.K_p * m**2 * z**ex.E_p
     c = gc.K_c * m * z**ex.E_c
-    if p.ndim:
-        return p, c
-    return float(p), float(c)
+    return p, c

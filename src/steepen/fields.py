@@ -117,12 +117,12 @@ class StateField:
         return self.entropy
 
 
-def _as_function(f, constants=None) -> Callable:
+def _as_function(f) -> Callable:
     """``f`` as a profile: an expression string is parsed and a number
     becomes the constant :class:`~steepen.expressions.Num`; a callable, such
     as a parsed expression or a spline, is used as it is."""
     if isinstance(f, str):
-        return parse_expression(f, constants)
+        return parse_expression(f)
     if isinstance(f, (int, float)):
         return Num(float(f))
     if callable(f):
@@ -141,7 +141,6 @@ def build_initial(
     m0=1.0,
     z0=None,
     tau0=None,
-    constants=None,
 ):
     """Sample initial data onto a grid.
 
@@ -155,13 +154,13 @@ def build_initial(
     if (z0 is None) == (tau0 is None):
         raise ValueError("exactly one of z0 or tau0 is required")
 
-    u = _on_grid(_as_function(u0, constants), grid)
+    u = _on_grid(_as_function(u0), grid)
     if tau0 is not None:
-        z = eos.z_of_tau(_on_grid(_as_function(tau0, constants), grid), gc)
+        z = eos.z_of_tau(_on_grid(_as_function(tau0), grid), gc)
     else:
-        z = _on_grid(_as_function(z0, constants), grid)
+        z = _on_grid(_as_function(z0), grid)
 
-    m0 = _as_function(m0, constants)
+    m0 = _as_function(m0)
     entropy = tuple(np.array(_on_grid(f, grid)) for f in (m0, m0.derivative(1), m0.derivative(2)))
     for a in entropy:
         a.flags.writeable = False
@@ -216,18 +215,19 @@ _EIGHT.flags.writeable = False
 class Stencil:
     """:func:`derivative` of fixed rows into fixed buffers, checked and sliced once.
 
-    ``Stencil(values, grid, out=None, scratch=None)`` makes every check
-    :func:`derivative` makes, and the flat views of the stencil's five
-    passes, when it is made; a call runs the five passes on what
-    ``values`` holds then, writes the result into ``out`` and returns the
-    view ``out[..., 2:n + 2]`` (the same view every call).  It holds views,
-    not values: rewrite the bound rows in place and the next call
-    differentiates the new values.  So ``values`` must be a C-contiguous
-    float64 array of ghost-padded ``(..., n + 4)`` rows, never copied;
-    ``out`` and ``scratch`` are as :func:`derivative` takes them, and are
-    allocated here when not given.  Buffers that share memory are refused,
-    since the passes would then read what they have already overwritten.
-    ``nbytes`` is the bytes of the rows a call reads.
+    ``Stencil(values, grid, out=None, scratch=None)`` makes its checks,
+    and the flat views of the stencil's five passes, when it is made; a
+    call runs the five passes on what ``values`` holds then, writes the
+    result into ``out`` and returns the view ``out[..., 2:n + 2]`` (the
+    same view every call).  It holds views, not values: rewrite the bound
+    rows in place and the next call differentiates the new values.  So
+    ``values`` must be a C-contiguous float64 array of ghost-padded
+    ``(..., n + 4)`` rows, never copied.  ``out`` and ``scratch``, the
+    result and the stencil's ``8 f``, are C-contiguous float64 arrays of
+    the padded shape, allocated here when not given; their other columns
+    are overwritten.  Buffers that share memory are refused, since the
+    passes would then read what they have already overwritten.  ``nbytes``
+    is the bytes of the rows a call reads.
     """
 
     __slots__ = (
@@ -276,7 +276,7 @@ class Stencil:
         return self._result
 
 
-def derivative(values, grid: Grid, out=None, scratch=None) -> np.ndarray:
+def derivative(values, grid: Grid) -> np.ndarray:
     """First derivative by the 4th-order central difference on the periodic grid.
 
     The stencil is exact for polynomials of degree <= 4 (away from the
@@ -284,30 +284,20 @@ def derivative(values, grid: Grid, out=None, scratch=None) -> np.ndarray:
     last axis, so a stack of fields such as ``(z, u)`` takes one call; each
     row equals the 1-D result bit for bit.  The last axis holds ``n + 4``
     columns that carry two periodic ghost cells on each side (node i in
-    column i + 2; see :func:`fill_ghosts`).  The result is ``(..., n)``.
+    column i + 2; see :func:`fill_ghosts`).  The result is a new
+    ``(..., n)`` array.
 
-    ``out`` and ``scratch``, if given, are C-contiguous float64 arrays of
-    the padded shape ``(..., n + 4)`` that share no memory with ``values``
-    or each other (a :class:`ValueError` names two that do).  The result is
-    written into ``out``'s node columns and returned as the view
-    ``out[..., 2:n + 2]``; ``scratch`` takes the stencil's ``8 f``.  The
-    other columns of both are overwritten.  With both given, the call
-    allocates no array of the rows' size, and its result equals the
-    allocating call's bit for bit.
-
-    The call binds a :class:`Stencil` and runs it once.  ``values`` may
-    instead be a :class:`Stencil` bound on ``grid``, given with no ``out``
-    or ``scratch``: the call then runs it, with no check and no view made,
-    which is how a caller that differentiates the same buffers many times
-    pays for those once.
+    ``values`` may instead be a :class:`Stencil` bound on ``grid``: the
+    call then runs it, with no check and no view made, and returns its
+    view into the buffers it was bound to.  That is the one way to write
+    into a caller's buffers, and how a caller that differentiates the same
+    buffers many times pays for the checks once.
     """
     if isinstance(values, Stencil):
-        if out is not None or scratch is not None:
-            raise ValueError("a Stencil writes into the buffers it was bound to: give no out or scratch")
         if values.grid is not grid and values.grid != grid:
             raise ValueError("the Stencil was bound on another grid")
         return values()
-    return Stencil(np.ascontiguousarray(values, dtype=float), grid, out, scratch)()
+    return Stencil(np.ascontiguousarray(values, dtype=float), grid)()
 
 
 # --- a-priori bound checking ---------------------------------------------

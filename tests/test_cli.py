@@ -541,8 +541,8 @@ def test_run_stopped_at_its_first_state_writes_every_output(tmp_path, monkeypatc
         text = "".join(line + "\n" for line in RUN_CFG.splitlines() if not line.startswith("certify."))
         real = solver.derivative
 
-        def nan_derivative(values, grid, **buffers):
-            result = real(values, grid, **buffers)
+        def nan_derivative(values, grid):
+            result = real(values, grid)
             result.fill(np.nan)
             return result
 

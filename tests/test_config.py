@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from steepen import config
+from steepen import cli, config
 from steepen.cli import run_pipeline
 from steepen.config import ConfigError, build_config, load_config, make_initial, parse_kv
 from steepen.expressions import Num
@@ -182,6 +182,16 @@ def test_diagnostics_block_parsing(tmp_path):
         load_config(_write(tmp_path, BASE + "diagnostics.residuals = ode_w\n"))
     with pytest.raises(ConfigError, match="unknown direction"):
         load_config(_write(tmp_path, BASE + "diagnostics.directions = up\n"))
+
+
+@pytest.mark.parametrize("key, entry", [("directions", "forward"), ("residuals", "ode_y")])
+def test_repeated_diagnostics_entry_is_a_config_error(tmp_path, capsys, key, entry):
+    # both keys name a subset: a repeat traced the same curves again and
+    # wrote identical curves.csv blocks under one id
+    path = _write(tmp_path, BASE + f"diagnostics.{key} = {entry}, {entry}\n")
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"diagnostics block: {key} lists {entry!r} more than once" in err
 
 
 def test_residuals_follow_the_traced_directions(tmp_path):
