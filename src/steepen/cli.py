@@ -14,7 +14,6 @@ are still written), 4 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -444,6 +443,8 @@ def sweep(cfg_path: Path, axis: str, values: list[str]) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line needs it, not run_pipeline
+
     parser = argparse.ArgumentParser(
         prog="steepen",
         description="smooth-wave steepening laboratory for 1-D Lagrangian gas dynamics",

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -181,6 +182,35 @@ def test_no_scipy_module_on_the_run_path_from_expressions(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "curves.csv").exists()
+
+
+# perfbench/child.py's imports and calls: the path every `steepen run` takes
+_RUN_PATH_SCRIPT = """\
+import json, resource, sys, time
+from steepen import charpath, cli, config, detector, fields, riccati, solver, svg
+cfg = config.load_config(sys.argv[1])
+config.make_initial(cfg)
+assert cli.run_pipeline(cfg) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_run_path_loads_no_argparse_scipy_numpy_random_or_fft(tmp_path):
+    # each is memory a run pays for and does not use: argparse only parses
+    # the command line, numpy.random alone is about 6.4 MB resident
+    path = tmp_path / "run.cfg"
+    path.write_text(RUN_CFG)
+    src = str(Path(steepen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PATH_SCRIPT, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "fields.csv").exists()
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    for name in ("argparse", "scipy", "numpy.random", "numpy.fft"):
+        assert not [m for m in loaded if m == name or m.startswith(name + ".")], name
 
 
 def test_config_error_exit_2_and_no_outputs(tmp_path):

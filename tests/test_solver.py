@@ -405,6 +405,32 @@ def test_a_step_allocates_no_state_sized_array(gas3):
     assert peak - before < n * 8
 
 
+def test_a_run_keeps_under_64_bytes_a_step(gas3):
+    # two runs with the same 8 snapshots, 171 and 681 steps: what a step
+    # leaves behind is its three conserved values, 8 B each as stored and
+    # 8 B each again in the log's arrays at the end (a Python float each
+    # would be about 120 B a step)
+    grid = fields.Grid(0.0, 1.0, 256)
+    state, _ = fields.build_initial("-0.05*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
+    runs = []
+    for t_end, stride in ((0.25, 25), (1.0, 100)):
+        cfg = solver.SolverConfig(cfl=0.4, t_end=t_end, snapshot_stride=stride)
+        solver.evolve(state, cfg)  # numpy's first calls may set up caches of their own
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = solver.evolve(state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.termination.kind == "reached_t_end"
+        runs.append((traj.steps_taken, len(traj.snapshots), peak - before))
+    (steps_a, snaps_a, peak_a), (steps_b, snaps_b, peak_b) = runs
+    assert (steps_a, steps_b) == (171, 681)
+    assert snaps_a == snaps_b == 8
+    assert peak_b - peak_a < 64 * (steps_b - steps_a)
+
+
 def test_evolve_entropy_arrays_bit_identical(varying_traj):
     first = varying_traj.snapshots[0].m_arrays()[0]
     last = varying_traj.snapshots[-1].m_arrays()[0]

@@ -44,6 +44,18 @@ def cases():
             yield f"perfbench/{workload.name}/seed{seed}", "run", workload, seed
 
 
+def extract_src(rev: str, dest: Path) -> Path:
+    """Extract ``src/`` at git revision ``rev`` into ``dest``; return ``dest / "src"``."""
+    dest.mkdir(parents=True)
+    archive = dest / "rev.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], stdout=fh, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    archive.unlink()
+    return dest / "src"
+
+
 def run_all(src: Path, configs: Path, out: Path) -> None:
     """Write every case's outputs, and its ``exit`` record, under ``out``."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -81,14 +93,10 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
-        archive = tmp / "rev.tar"
-        with open(archive, "wb") as fh:
-            subprocess.run(["git", "-C", str(ROOT), "archive", argv[0], "src"], stdout=fh, check=True)
-        with tarfile.open(archive) as tar:
-            tar.extractall(tmp / "rev", filter="data")
+        rev_src = extract_src(argv[0], tmp / "rev")
         configs = tmp / "configs"
         shutil.copytree(ROOT / "configs", configs)  # a `file:` input resolves beside its config
-        run_all(tmp / "rev" / "src", configs, tmp / "out_rev")
+        run_all(rev_src, configs, tmp / "out_rev")
         run_all(ROOT / "src", configs, tmp / "out_tree")
         found = differing(tmp / "out_rev", tmp / "out_tree")
         compared = sum(1 for p in (tmp / "out_tree").rglob("*") if p.is_file())
