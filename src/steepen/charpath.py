@@ -24,8 +24,6 @@ a bare string in their place is a ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from steepen import riccati
@@ -56,15 +54,16 @@ def _sequence(items, what: str) -> tuple:
     return tuple(items)
 
 
-@dataclass
 class CharacteristicCurve:
-    directions: tuple  # forward | backward, one per seed
-    t: np.ndarray
-    x: np.ndarray  # wrapped into [x0, x1); a bundle has one column per seed
-    x_path: np.ndarray  # unwrapped, for continuity across the seam
-    samples: dict = field(default_factory=dict)
+    __slots__ = ("directions", "t", "x", "x_path", "samples")
 
-    def __post_init__(self):
+    def __init__(self, directions: tuple, t: np.ndarray, x: np.ndarray, x_path: np.ndarray,
+                 samples: dict | None = None):
+        self.directions = directions  # forward | backward, one per seed
+        self.t = t
+        self.x = x  # wrapped into [x0, x1); a bundle has one column per seed
+        self.x_path = x_path  # unwrapped, for continuity across the seam
+        self.samples = {} if samples is None else samples
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("curve node times must be strictly increasing")
 

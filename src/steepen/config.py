@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -29,52 +28,50 @@ class ConfigError(ValueError):
     """Unusable run configuration; the message names the failing block."""
 
 
-@dataclass
 class InitialSpec:
     """Each initial input as a parsed expression or, for a ``file:`` input,
     its checked ``(x, values)`` samples."""
 
-    u0: Expr | tuple
-    m0: Expr | tuple = Num(1.0)
-    z0: Expr | tuple | None = None
-    tau0: Expr | tuple | None = None
+    __slots__ = ("u0", "m0", "z0", "tau0")
+
+    def __init__(self, u0: Expr | tuple, m0: Expr | tuple = Num(1.0), z0: Expr | tuple | None = None,
+                 tau0: Expr | tuple | None = None):
+        self.u0, self.m0, self.z0, self.tau0 = u0, m0, z0, tau0
 
 
-@dataclass
 class DiagnosticsSpec:
-    seeds: list = field(default_factory=list)
-    directions: list = field(default_factory=lambda: ["forward", "backward"])
-    residuals: list | None = None  # None: every kind of the configured directions
+    __slots__ = ("seeds", "directions", "residuals")
 
-    def __post_init__(self):
+    def __init__(self, seeds: list | None = None, directions: list | None = None, residuals: list | None = None):
+        self.seeds = [] if seeds is None else seeds
+        self.directions = ["forward", "backward"] if directions is None else directions
+        self.residuals = residuals  # None: every kind of the configured directions
         if self.residuals is None:
             self.residuals = [k for k, kind in RESIDUAL_KINDS.items() if kind.direction in self.directions]
 
 
-@dataclass
 class CertifySpec:
-    bounds: AssumptionBounds | None = None
-    epsilon: float = 0.01
-    A: float | None = None
+    __slots__ = ("bounds", "epsilon", "A")
+
+    def __init__(self, bounds: AssumptionBounds | None = None, epsilon: float = 0.01, A: float | None = None):
+        self.bounds, self.epsilon, self.A = bounds, epsilon, A
 
 
-@dataclass
 class OutputSpec:
-    directory: Path
-    emit_svg: bool = False
+    __slots__ = ("directory", "emit_svg")
+
+    def __init__(self, directory: Path, emit_svg: bool = False):
+        self.directory, self.emit_svg = directory, emit_svg
 
 
-@dataclass
 class RunConfig:
-    gas: GasConstants
-    grid: Grid
-    initial: InitialSpec
-    solver: SolverConfig
-    diagnostics: DiagnosticsSpec
-    certify: CertifySpec
-    output: OutputSpec
-    base_dir: Path
-    raw: dict
+    __slots__ = ("gas", "grid", "initial", "solver", "diagnostics", "certify", "output", "base_dir", "raw")
+
+    def __init__(self, gas: GasConstants, grid: Grid, initial: InitialSpec, solver: SolverConfig,
+                 diagnostics: DiagnosticsSpec, certify: CertifySpec, output: OutputSpec, base_dir: Path, raw: dict):
+        self.gas, self.grid, self.initial, self.solver = gas, grid, initial, solver
+        self.diagnostics, self.certify, self.output = diagnostics, certify, output
+        self.base_dir, self.raw = base_dir, raw
 
 
 def parse_kv(text: str) -> dict:
@@ -99,7 +96,8 @@ def parse_kv(text: str) -> dict:
 
 #: every config key and the type of its value: a number, an integer, a
 #: boolean, a string, or a comma list of numbers or strings; a
-#: ``params.<name>`` key is a number.  Defaults live in the dataclasses.
+#: ``params.<name>`` key is a number.  Defaults live in the block classes'
+#: ``__init__`` signatures.
 _KEYS = {
     "gas.gamma": float, "gas.K": float,
     "grid.x0": float, "grid.x1": float, "grid.n": int,

@@ -11,7 +11,7 @@ a-priori bounds, which are checked a posteriori over the computed run by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from steepen.solver import Trajectory
 # --- thresholds -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     N: float
     N_tilde: float
     A1: float
@@ -69,14 +68,14 @@ def thresholds(bounds: AssumptionBounds, gamma: float, epsilon: float) -> Thresh
 # --- certificates -----------------------------------------------------------
 
 
-@dataclass
 class Certificate:
-    kind: str  # thm14_y | thm14_q | thm14_ytilde | thm14_qtilde | thm15_y | thm15_q | none
-    threshold: float | None = None
-    witness_x: float | None = None
-    witness_value: float | None = None
-    t_star_bound: float | None = None
-    conditional: bool = True
+    __slots__ = ("kind", "threshold", "witness_x", "witness_value", "t_star_bound", "conditional")
+
+    def __init__(self, kind: str, threshold: float | None = None, witness_x: float | None = None,
+                 witness_value: float | None = None, t_star_bound: float | None = None, conditional: bool = True):
+        self.kind = kind  # thm14_y | thm14_q | thm14_ytilde | thm14_qtilde | thm15_y | thm15_q | none
+        self.threshold, self.witness_x, self.witness_value = threshold, witness_x, witness_value
+        self.t_star_bound, self.conditional = t_star_bound, conditional
 
 
 def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float) -> Certificate:
@@ -171,8 +170,7 @@ def certify_thm15(
 # --- empirical blowup-time measurement --------------------------------------
 
 
-@dataclass(frozen=True)
-class BlowupEstimate:
+class BlowupEstimate(NamedTuple):
     t_blow: float
     uncertainty: float
 

@@ -19,7 +19,7 @@ package consumes (z, m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class VacuumError(ValueError):
     """A state touched the vacuum guard (z or tau at/below the floor)."""
 
 
-@dataclass(frozen=True)
-class Exponents:
+class Exponents(NamedTuple):
     """The gamma-dependent exponents of the power laws and the diagnostics."""
 
     gamma: float
@@ -58,8 +57,7 @@ class Exponents:
         )
 
 
-@dataclass(frozen=True)
-class GasConstants:
+class GasConstants(NamedTuple):
     """Gas law parameters plus the derived power-law coefficients.
 
     K_tau, K_p, K_c, K_a2 and the exponents are fixed by (gamma, K); they

@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -56,7 +55,28 @@ class ExpressionError(ValueError):
 
 
 class Expr:
-    """Base node; concrete nodes are frozen dataclasses below."""
+    """Base node.  A concrete node below is immutable, and is equal, hashed
+    and printed by its type and the fields its ``__slots__`` names."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def eval(self, x):
         raise NotImplementedError
@@ -83,9 +103,11 @@ class Expr:
         return out
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
     def eval(self, x):
         return self.value
@@ -94,8 +116,9 @@ class Num(Expr):
         return Num(0.0)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
+    __slots__ = ()
+
     def eval(self, x):
         return x
 
@@ -103,9 +126,11 @@ class Var(Expr):
         return Num(1.0)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
     def eval(self, x):
         return -self.arg.eval(x)
@@ -114,11 +139,13 @@ class Neg(Expr):
         return _neg(self.arg._d())
 
 
-@dataclass(frozen=True)
 class Bin(Expr):
-    op: str
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def eval(self, x):
         return _OPS[self.op](self.lhs.eval(x), self.rhs.eval(x))
@@ -139,10 +166,12 @@ class Bin(Expr):
         return _mul(_mul(Num(n), _pow(a, Num(n - 1.0))), da)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: Expr):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "arg", arg)
 
     def eval(self, x):
         return FUNCTIONS[self.fn](self.arg.eval(x))
@@ -248,8 +277,7 @@ _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num' | 'ident' | one of '+-*/^()' | 'end'
     text: str
     pos: int

@@ -7,7 +7,6 @@ x1 is identified with x0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -19,15 +18,13 @@ from steepen.eos import GasConstants, VacuumError
 from steepen.expressions import Num, parse_expression
 
 
-@dataclass
 class Grid:
-    """Uniform periodic grid on [x0, x1) with n nodes."""
+    """Uniform periodic grid on [x0, x1) with n nodes, equal to another by ``(x0, x1, n)``."""
 
-    x0: float
-    x1: float
-    n: int
+    __slots__ = ("x0", "x1", "n", "h", "x")
 
-    def __post_init__(self):
+    def __init__(self, x0: float, x1: float, n: int):
+        self.x0, self.x1, self.n = x0, x1, n
         if not (np.isfinite(self.x0) and np.isfinite(self.x1)):
             raise ValueError("grid ends x0, x1 must be finite")
         if not self.x1 > self.x0:
@@ -37,6 +34,9 @@ class Grid:
         self.h = (self.x1 - self.x0) / self.n
         self.x = self.x0 + self.h * np.arange(self.n)
         self.x.flags.writeable = False
+
+    def __eq__(self, other):
+        return type(other) is Grid and (self.x0, self.x1, self.n) == (other.x0, other.x1, other.n)
 
     @property
     def length(self) -> float:
@@ -84,7 +84,6 @@ def read_samples(path, positive: bool = False):
     return x, values
 
 
-@dataclass(eq=False)
 class StateField:
     """Grid sample of (z, u) at one time instant, plus frozen entropy and gas.
 
@@ -93,17 +92,16 @@ class StateField:
     every state of its run.
     """
 
-    grid: Grid
-    t: float
-    z: np.ndarray
-    u: np.ndarray
-    gc: GasConstants
-    entropy: tuple
+    __slots__ = ("grid", "t", "z", "u", "gc", "entropy")
 
-    def __post_init__(self):
+    def __init__(self, grid: Grid, t: float, z: np.ndarray, u: np.ndarray, gc: GasConstants, entropy: tuple):
+        self.grid = grid
+        self.t = t
         # a state owns its arrays: np.array copies whatever it is given
-        self.z = np.array(self.z, dtype=float)
-        self.u = np.array(self.u, dtype=float)
+        self.z = np.array(z, dtype=float)
+        self.u = np.array(u, dtype=float)
+        self.gc = gc
+        self.entropy = entropy
         if self.z.shape != (self.grid.n,) or self.u.shape != (self.grid.n,):
             raise ValueError("state arrays must match the grid size")
         if not (np.all(np.isfinite(self.z)) and np.all(np.isfinite(self.u))):
@@ -303,18 +301,14 @@ def derivative(values, grid: Grid) -> np.ndarray:
 # --- a-priori bound checking ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class AssumptionBounds:
-    """User-supplied constants: Z_L < z < Z_U, M1 < m < M2, |m_x| <= M3, |m_xx| <= M4."""
+    """User-supplied constants: Z_L < z < Z_U, M1 < m < M2, |m_x| <= M3, |m_xx| <= M4.  Immutable."""
 
-    Z_L: float
-    Z_U: float
-    M1: float
-    M2: float
-    M3: float
-    M4: float
+    __slots__ = ("Z_L", "Z_U", "M1", "M2", "M3", "M4")
 
-    def __post_init__(self):
+    def __init__(self, Z_L: float, Z_U: float, M1: float, M2: float, M3: float, M4: float):
+        for name, value in zip(self.__slots__, (Z_L, Z_U, M1, M2, M3, M4)):
+            object.__setattr__(self, name, value)
         for name in ("Z_L", "Z_U", "M1", "M2", "M3", "M4"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -325,15 +319,18 @@ class AssumptionBounds:
         if self.M3 < 0.0 or self.M4 < 0.0:
             raise ValueError("M3 and M4 must be nonnegative")
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"AssumptionBounds is immutable: cannot change {name!r}")
 
-@dataclass
+    __delattr__ = __setattr__
+
+
 class BoundCheck:
-    name: str
-    observed: float
-    bound: float
-    passed: bool
-    t: float | None = None
-    x: float | None = None
+    __slots__ = ("name", "observed", "bound", "passed", "t", "x")
+
+    def __init__(self, name: str, observed: float, bound: float, passed: bool, t: float | None = None,
+                 x: float | None = None):
+        self.name, self.observed, self.bound, self.passed, self.t, self.x = name, observed, bound, passed, t, x
 
 
 def validate_assumptions(states, bounds: AssumptionBounds) -> list[BoundCheck]:

@@ -34,7 +34,6 @@ stored snapshot's fields once, in one pass over the snapshots.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -136,8 +135,7 @@ def diagnostics(state: StateField, names) -> dict:
 # --- phase-line classification -------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhaseRegime:
+class PhaseRegime(NamedTuple):
     roots: tuple | None  # None, (0.0,), or (-r, +r)
     region: str  # below | between | above | none
     monotonicity: str  # increasing | decreasing | stationary

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,15 +40,13 @@ from steepen.eos import VacuumError
 from steepen.fields import Grid, StateField, Stencil, derivative, ghost_views
 
 
-@dataclass
 class SolverConfig:
-    cfl: float = 0.4
-    t_end: float = 1.0
-    snapshot_stride: int = 10
-    gradient_cap: float = 1e4
-    dt_min: float = 1e-12
+    __slots__ = ("cfl", "t_end", "snapshot_stride", "gradient_cap", "dt_min")
 
-    def __post_init__(self):
+    def __init__(self, cfl: float = 0.4, t_end: float = 1.0, snapshot_stride: int = 10, gradient_cap: float = 1e4,
+                 dt_min: float = 1e-12):
+        self.cfl, self.t_end, self.snapshot_stride = cfl, t_end, snapshot_stride
+        self.gradient_cap, self.dt_min = gradient_cap, dt_min
         for name in ("cfl", "t_end", "gradient_cap", "dt_min"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -64,21 +62,19 @@ class SolverConfig:
             raise ValueError("dt_min must be positive")
 
 
-@dataclass(frozen=True)
-class Termination:
+class Termination(NamedTuple):
     kind: str  # reached_t_end | gradient_blowup | cfl_collapse | vacuum_guard | non_finite
     t_stop: float
     x_loc: float | None = None
 
 
-@dataclass
 class ConservedLog:
-    t: np.ndarray
-    int_u: np.ndarray
-    int_tau: np.ndarray
+    __slots__ = ("t", "int_u", "int_tau")
+
+    def __init__(self, t: np.ndarray, int_u: np.ndarray, int_tau: np.ndarray):
+        self.t, self.int_u, self.int_tau = t, int_u, int_tau
 
 
-@dataclass
 class Trajectory:
     """The stored snapshots of a run, why it stopped and its conservation log.
 
@@ -89,10 +85,12 @@ class Trajectory:
     :class:`steepen.charpath.FieldSampler`, a few snapshots at a time.
     """
 
-    snapshots: list[StateField]
-    termination: Termination
-    conserved: ConservedLog
-    steps_taken: int = 0
+    __slots__ = ("snapshots", "termination", "conserved", "steps_taken")
+
+    def __init__(self, snapshots: list[StateField], termination: Termination, conserved: ConservedLog,
+                 steps_taken: int = 0):
+        self.snapshots, self.termination, self.conserved = snapshots, termination, conserved
+        self.steps_taken = steps_taken
 
     @property
     def grid(self) -> Grid:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -302,7 +300,8 @@ def _decaying_amplitude_traj(gas3):
     snapshots = []
     for k, amp in enumerate((0.2, 0.18, 0.16, 0.14, 0.12, 0.1)):
         state, _ = fields.build_initial(f"-{amp}*sin(2*pi*x)", grid, gas3, m0=1.0, z0=1.0)
-        snapshots.append(dataclasses.replace(state, t=0.1 * k))
+        snapshots.append(fields.StateField(grid=state.grid, t=0.1 * k, z=state.z, u=state.u, gc=state.gc,
+                                           entropy=state.entropy))
     n = len(snapshots)
     return solver.Trajectory(
         snapshots=snapshots,

@@ -15,8 +15,11 @@ benchmark runs it.  ``--fixed-layout`` runs each child under
 ``setarch -R`` (no address-space randomisation).
 
 Prints, per workload and metric (``peak_rss_mb`` and the uncalibrated
-``run_s`` and ``setup_s``), each side's median, min and max and in how
-many pairs the working tree read lower.  Exits 1 if a child failed.
+``run_s`` and ``setup_s``), each side's median, first and third
+quartiles, min and max, and in how many pairs the working tree read
+lower.  A gain holds when the tree reads lower in at least nine tenths of
+the pairs and the medians differ by more than REV's interquartile range
+(q3 - q1).  Exits 1 if a child failed.
 """
 
 from __future__ import annotations
@@ -78,6 +81,14 @@ def run_child(side: Path, cfg: Path, prefix: list[str]) -> dict:
     return json.loads(result.read_text())
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """First and third quartiles, linear between order statistics as numpy's default."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def report(name: str, runs: dict[str, list[dict]], rev: str) -> None:
     pairs = [(a, b) for a, b in zip(runs["rev"], runs["new"]) if "failed" not in a and "failed" not in b]
     print(f"{name}: {len(pairs)} pairs")
@@ -85,8 +96,10 @@ def report(name: str, runs: dict[str, list[dict]], rev: str) -> None:
         for side, label in (("rev", rev), ("new", "tree")):
             values = [r[metric] for r in runs[side] if "failed" not in r]
             if values:
+                q1, q3 = quartiles(values)
                 print(f"  {metric:<12} {label:<12} median {statistics.median(values):.6g}"
-                      f"  min {min(values):.6g}  max {max(values):.6g}  n {len(values)}")
+                      f"  q1 {q1:.6g}  q3 {q3:.6g}  min {min(values):.6g}  max {max(values):.6g}"
+                      f"  n {len(values)}")
         lower = sum(b[metric] < a[metric] for a, b in pairs)
         print(f"  {metric:<12} tree lower in {lower} of {len(pairs)} pairs")
 
