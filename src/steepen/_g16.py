@@ -28,11 +28,11 @@ exponent and, in its top byte, the separator that follows the value.
 Unused bytes are NUL, so a block of slots (and of other NUL-padded text
 around them) becomes its row bytes by one deletion of the NUL bytes.
 
-A formatter works in scratch rows it owns, ``size`` values long, with
-``out=`` throughout: a call allocates nothing in proportion to its input
-but numpy's buffer for one gather into ``out`` (a word a value) and the
-slots it returns when given no ``out``.  The rows are contiguous,
-and the slots are written into ``out`` once, at the end.  The arithmetic
+A formatter works in scratch rows it owns, :data:`VALUES_PER_BLOCK`
+values long, with ``out=`` throughout: a call allocates nothing in
+proportion to its input but numpy's buffer for one gather into ``out`` (a
+word a value) and the slots it returns when given no ``out``.  The rows
+are contiguous, and the slots are written into ``out`` once, at the end.  The arithmetic
 stays within kernels a run already uses (no int64 division, no bool to
 integer casts), so the formatter adds no code pages to a run's memory.
 """
@@ -40,7 +40,6 @@ integer casts), so the formatter adds no code pages to a run's memory.
 from __future__ import annotations
 
 import math
-import mmap
 
 import numpy as np
 
@@ -51,6 +50,15 @@ _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for Dekker's product
 _TIE = 1e-9  # fractions this close to 1/2 are left to '%'
 _ROWS = 9  # scratch rows of one float64 word per value
 _M64 = 2**64 - 1
+# values a formatter takes per step, whole rows at a time: 360 rows of
+# fields.csv (8 values each, its changing columns) and 720 of curves.csv.
+# Its scratch is 75 B a value (216 kB): at n = 4096 the snapshot pass peaks
+# 295 kB over a snapshot's diagnostics, and from about 4900 values a block
+# it allocates more than they do
+VALUES_PER_BLOCK = 2880
+# rows turned into bytes per write: bytes.translate allocates its output at
+# its input's size, so a write's bytes stay near 2 x 45 kB
+ROWS_PER_WRITE = 128
 
 
 def tail(sep: str) -> np.uint64:
@@ -67,6 +75,13 @@ def words_of(text: str) -> np.ndarray:
 def text(block: np.ndarray) -> bytes:
     """The bytes of a block of slots and words, without the NULs."""
     return block.tobytes().translate(None, b"\0")
+
+
+def write(fh, rows: np.ndarray) -> None:
+    """Write the text of a block of rows of slots and words to the binary
+    file ``fh``, :data:`ROWS_PER_WRITE` rows at a time."""
+    for lo in range(0, len(rows), ROWS_PER_WRITE):
+        fh.write(text(rows[lo:lo + ROWS_PER_WRITE]))
 
 
 def _index(x: np.ndarray) -> np.ndarray:
@@ -97,33 +112,16 @@ def _power(k: int):
     return hi, (den - num * q) / (den * q)
 
 
-def _mapped(arrays, extra: int):
-    """Copies of ``arrays`` in one new anonymous mapping, each at a 64-byte
-    boundary, ``extra`` bytes of it after them, and its size."""
-    offsets, end = [], 0
-    for a in arrays:
-        offsets.append(end)
-        end += -(-a.nbytes // 64) * 64
-    mapping = mmap.mmap(-1, end + extra)
-    copies = []
-    for a, offset in zip(arrays, offsets):
-        copy = np.frombuffer(mapping, a.dtype, a.size, offset).reshape(a.shape)
-        copy[...] = a
-        copies.append(copy)
-    return copies, np.frombuffer(mapping, np.uint8, extra, end), len(mapping)
-
-
 class Formatter:
-    """Formats float64 blocks as ``%.16g``, ``size`` values per step.
+    """Formats float64 blocks as ``%.16g``, :data:`VALUES_PER_BLOCK` values
+    per step.
 
     Its tables (about 100 kB, built from Python ints in about 5 ms) and its
-    scratch (76 bytes per value of ``size``) share one anonymous mapping of
-    ``nbytes``, which goes back to the system whole when the formatter goes
-    (and which tracemalloc does not see).
+    scratch (75 bytes per value of a block) are plain arrays, ``nbytes`` in
+    all.
     """
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self):
         xs = range(-_XOFF, _XOFF + 1)
         powers = {k: _power(k) for k in range(-_XOFF, _XOFF + 16)}
         # the smallest double >= 10**k, k = -_XOFF ... _XOFF + 1: a double
@@ -172,19 +170,18 @@ class Formatter:
                                       "little")
                 layout.append((64 - 8 * min(P, 8), 64 - 8 * max(P - 8, 0), body & _M64,
                                (body >> 64) & _M64, body >> 128, lead))
-        layout = np.array(layout, WORD).T
-        minus = np.array([0, ord("-")], WORD)
-
-        # off the heap: a run drops its formatter before its memory peaks,
-        # and freed heap blocks stay resident behind later allocations
-        tables, scratch, self.nbytes = _mapped((binade, belows, tens, digits, dc17, expw, layout, minus),
-                                               (8 * _ROWS + 3) * size)
+        # the layout in C order, as take along its rows reads it
+        tables = (binade, belows, tens, digits, dc17, expw, np.ascontiguousarray(np.array(layout, WORD).T),
+                  np.array([0, ord("-")], WORD))
         self.binade, self.belows, self.tens, self.digits, self.dc17, self.expw, self.layout, self.minus = tables
+        size = VALUES_PER_BLOCK
+        scratch = np.empty((8 * _ROWS + 3) * size, np.uint8)
         self._pool = scratch[:8 * _ROWS * size].view(np.float64)
         self._flags = scratch[8 * _ROWS * size:].view(bool).reshape(3, size)
+        self.nbytes = scratch.nbytes + sum(a.nbytes for a in tables)
 
     def decide(self, v: np.ndarray):
-        """Round ``v`` (at most ``size`` values) to 16 digits:
+        """Round ``v`` (at most :data:`VALUES_PER_BLOCK` values) to 16 digits:
         ``(halves, X + _XOFF, undecided)``, views of the scratch that the
         next call overwrites.
 
@@ -271,7 +268,7 @@ class Formatter:
 
         ``tails`` (from :func:`tail`, a scalar or one per column) puts each
         value's separator at the end of its slot.  Rows of ``values`` are
-        formatted ``size`` values (whole rows) at a time.
+        formatted :data:`VALUES_PER_BLOCK` values (whole rows) at a time.
         """
         v = np.asarray(values, dtype=np.float64)
         if out is None:
@@ -280,7 +277,7 @@ class Formatter:
             v, cells = v[:, None], out[:, None]
         else:
             cells = out
-        step = max(1, self.size // v.shape[1])
+        step = max(1, VALUES_PER_BLOCK // v.shape[1])
         for lo in range(0, len(v), step):
             self._fill(v[lo:lo + step], tails, cells[lo:lo + step])
         return out

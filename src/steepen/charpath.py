@@ -47,13 +47,6 @@ _STENCIL_OTHERS = _STENCIL[_OTHERS[6]]
 _STENCIL_GAPS = _STENCIL[:, None] - _STENCIL_OTHERS
 
 
-def _sequence(items, what: str) -> tuple:
-    """``items`` as a tuple, never a bare string's letters."""
-    if isinstance(items, str):
-        raise ValueError(f"{what} must be a sequence, not the string {items!r}")
-    return tuple(items)
-
-
 class CharacteristicCurve:
     __slots__ = ("directions", "t", "x", "x_path", "samples")
 
@@ -109,7 +102,7 @@ class FieldSampler:
         if len(traj.snapshots) < 2:
             raise ValueError("trajectory too sparse to interpolate (stride guard)")
         self.traj = traj
-        self.names = _sequence(names, "names")  # the quantities held, in table order
+        self.names = riccati.sequence(names, "names")  # the quantities held, in table order
         self.times = traj.times
         self.width = min(4, len(self.times))
         self._source = rows
@@ -263,7 +256,7 @@ def trace(traj: Trajectory, seeds, directions) -> CharacteristicCurve:
     ``directions`` holds each seed's direction; the curve's ``x`` has one
     column per seed (:meth:`CharacteristicCurve.column`).
     """
-    directions = _sequence(directions, "directions")
+    directions = riccati.sequence(directions, "directions")
     if not set(directions) <= _SIGN.keys():
         raise ValueError("direction must be 'forward' or 'backward'")
     if np.shape(seeds) != (len(directions),):

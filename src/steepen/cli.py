@@ -53,21 +53,6 @@ FIELDS_COLUMNS = ("t", "x", "z", "u", "m", "p", "c", "alpha", "beta", "y", "q")
 # the columns that change from snapshot to snapshot, formatted per block;
 # t, x and the frozen m are formatted once per run
 _CHANGING_COLUMNS = ("z", "u", "p", "c", "alpha", "beta", "y", "q")
-# values the run's formatter takes per step, whole rows at a time: 360 rows
-# of fields.csv (8 values each, its changing columns) and 720 of curves.csv.
-# Its scratch is 76 B a value (219 kB): at n = 4096 the snapshot pass peaks
-# 295 kB over a snapshot's diagnostics, and from about 4900 values a block
-# it allocates more than they do
-_VALUES_PER_BLOCK = 2880
-# rows turned into bytes per write: bytes.translate allocates its output at
-# its input's size, so a write's bytes stay near 2 x 45 kB
-_ROWS_PER_WRITE = 128
-
-
-def _write_rows(fh, rows: np.ndarray) -> None:
-    """Write the text of a block of rows of slots and words."""
-    for lo in range(0, len(rows), _ROWS_PER_WRITE):
-        fh.write(_g16.text(rows[lo:lo + _ROWS_PER_WRITE]))
 
 
 def _write_fields_rows(fh, fmt: _g16.Formatter, d: dict, t, x, m) -> None:
@@ -82,7 +67,7 @@ def _write_fields_rows(fh, fmt: _g16.Formatter, d: dict, t, x, m) -> None:
     # each column followed by a comma but q, which ends the row
     tails = np.full(len(columns), _g16.tail(","))
     tails[-1] = _g16.tail("\n")
-    step = min(n, fmt.size // len(columns))
+    step = min(n, _g16.VALUES_PER_BLOCK // len(columns))
     values = np.empty((step, len(columns)))
     rows = np.empty((step, len(FIELDS_COLUMNS), 4), _g16.WORD)
     rows[:, 0] = t
@@ -94,7 +79,7 @@ def _write_fields_rows(fh, fmt: _g16.Formatter, d: dict, t, x, m) -> None:
         block[:, 3] = block[:, 4]
         block[:, 1] = x[lo:lo + step]
         block[:, 4] = m[lo:lo + step]
-        _write_rows(fh, block)
+        _g16.write(fh, block)
 
 
 def _snapshot_pass(fh, fmt: _g16.Formatter, traj: solver.Trajectory, names: tuple, extrema: np.ndarray):
@@ -176,7 +161,7 @@ def _write_curves_csv(path: Path, blocks, fmt: _g16.Formatter) -> None:
     ``fmt``), formatted per block of rows behind the block's
     ``curve_id,direction,`` words."""
     tails = np.array([_g16.tail(sep) for sep in ",,,\n"])
-    step = fmt.size // 4
+    step = _g16.VALUES_PER_BLOCK // 4
     with open(path, "wb") as fh:
         fh.write(b"curve_id,direction,t,x,value,residual\n")
         for cid, direction, curve, values, res in blocks:
@@ -190,7 +175,7 @@ def _write_curves_csv(path: Path, blocks, fmt: _g16.Formatter) -> None:
                 k = min(step, len(curve.t) - lo)
                 np.stack([col[lo:lo + step] for col in columns], axis=1, out=table[:k])
                 fmt.slots(table[:k], tails, out=cells[:k])
-                _write_rows(fh, rows[:k])
+                _g16.write(fh, rows[:k])
 
 
 def _primary_certificate(cert14, cert15):
@@ -307,7 +292,7 @@ def _run(cfg: RunConfig):
 
     # the one formatter of both CSVs, made before the run's big allocations
     # and dropped once curves.csv is written
-    fmt = _g16.Formatter(_VALUES_PER_BLOCK)
+    fmt = _g16.Formatter()
     traj = solver.evolve(state0, cfg.solver)
     # past 0.8 t_stop of a blowup run the fields leave the grid's
     # resolution; residuals and drift are reported on the window before it

@@ -113,16 +113,25 @@ def _field(memo: dict, state: StateField, ex: Exponents, name: str) -> np.ndarra
     return memo[name]
 
 
+def sequence(items, what: str) -> tuple:
+    """``items`` as a tuple, never a bare string's letters."""
+    if isinstance(items, str):
+        raise ValueError(f"{what} must be a sequence, not the string {items!r}")
+    return tuple(items)
+
+
 def diagnostics(state: StateField, names) -> dict:
     """The grid fields of ``names`` of the state, ``{name: array}``.
 
-    A name is one of ``z u m m_x m_xx p c s r`` (s = u + m z and
-    r = u - m z) or a diagnostic: ``u_x z_x s_x r_x alpha beta y q
-    y_tilde q_tilde k1 k2 a0 a2 a0_t a1_t a2_t mu_bar mu_G mu_G_xx``
-    (mu_G = m**(-G); mu_G_xx >= 0 is the one-sided condition).  Only the
-    named fields and those they are made from are computed, each once; the
-    four gradients come from one stencil call.
+    ``names`` is a sequence of names (a bare string is a ``ValueError``,
+    not its letters).  A name is one of ``z u m m_x m_xx p c s r``
+    (s = u + m z and r = u - m z) or a diagnostic: ``u_x z_x s_x r_x
+    alpha beta y q y_tilde q_tilde k1 k2 a0 a2 a0_t a1_t a2_t mu_bar mu_G
+    mu_G_xx`` (mu_G = m**(-G); mu_G_xx >= 0 is the one-sided condition).
+    Only the named fields and those they are made from are computed, each
+    once; the four gradients come from one stencil call.
     """
+    names = sequence(names, "names")
     for name in names:
         if name.startswith("_") or name not in _FORMULAS:
             raise ValueError(f"unknown quantity {name!r}")

@@ -389,9 +389,9 @@ def _fields_csv_reference(traj):
 
 def test_fields_csv_matches_per_row_reference(tmp_path):
     gc = eos.make_constants(3.0, 1.0 / 3.0)
-    fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
+    fmt = _g16.Formatter()
     # the rows of one block: the changing columns are formatted per block
-    block = cli._VALUES_PER_BLOCK // len(cli._CHANGING_COLUMNS)
+    block = _g16.VALUES_PER_BLOCK // len(cli._CHANGING_COLUMNS)
     # the unit grid, one with x0 = -10 and a non-dyadic h, and one whose
     # rows are formatted in two blocks, the second one partial
     for x0, x1, n in ((0.0, 1.0, 16), (-10.0, 3.7, 24), (0.0, 1.0, block + block // 2 + 1)):
@@ -433,7 +433,7 @@ def test_curves_csv_matches_per_row_reference(tmp_path):
     # a curve longer than one block of rows (the last block partial), with
     # nan, infinities and signed zeros among its values and residuals
     rng = np.random.default_rng(3)
-    n = 2 * cli._VALUES_PER_BLOCK // 4 + 37
+    n = 2 * _g16.VALUES_PER_BLOCK // 4 + 37
     tl = np.linspace(0.0, 1.5, n)
     xl = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
     specials = np.resize([np.nan, np.inf, -np.inf, 0.0, -0.0], n)
@@ -442,7 +442,7 @@ def test_curves_csv_matches_per_row_reference(tmp_path):
     curve = charpath.CharacteristicCurve("forward", tl, xl, xl)
     blocks.append(("seed2_rem1", "forward", curve, values, res))
     path = tmp_path / "curves.csv"
-    cli._write_curves_csv(path, blocks, _g16.Formatter(cli._VALUES_PER_BLOCK))
+    cli._write_curves_csv(path, blocks, _g16.Formatter())
     # the writer it replaced: one tuple of numpy scalars per row, then one f-string per row
     rows = [(cid, direction, curve.t[i], curve.x[i], values[i], res[i])
             for cid, direction, curve, values, res in blocks for i in range(len(curve.t))]

@@ -12,7 +12,7 @@ from steepen.config import build_config, make_initial, parse_kv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 COMMA = _g16.tail(",")
-FMT = _g16.Formatter(cli._VALUES_PER_BLOCK)
+FMT = _g16.Formatter()
 
 
 def formatted(values) -> bytes:
@@ -101,9 +101,10 @@ def test_fast_path_decides_every_value_of_the_demo_runs(name, tmp_path):
         d = riccati.diagnostics(snap, cli.FIELDS_COLUMNS[2:])
         columns += list(d.values())
     values = np.concatenate(columns)
-    for lo in range(0, values.size, FMT.size):
-        undecided = FMT.decide(values[lo:lo + FMT.size])[2]
-        assert not undecided.any(), values[lo:lo + FMT.size][undecided][:5]
+    block = _g16.VALUES_PER_BLOCK
+    for lo in range(0, values.size, block):
+        undecided = FMT.decide(values[lo:lo + block])[2]
+        assert not undecided.any(), values[lo:lo + block][undecided][:5]
 
 
 #: the 18 gradient diagnostics of :func:`riccati.diagnostics`
@@ -122,7 +123,7 @@ def test_snapshot_pass_memory_stays_near_the_diagnostics(tmp_path):
     # made before the traced window, as the run makes it before evolve: its
     # layout tuples stay allocated or not by the history of CPython's tuple
     # free list, which would move the traced peak by about 31 kB
-    fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
+    fmt = _g16.Formatter()
 
     tracemalloc.start()
     riccati.diagnostics(snap, DIAGNOSTIC_NAMES)
@@ -131,15 +132,15 @@ def test_snapshot_pass_memory_stays_near_the_diagnostics(tmp_path):
     with open(tmp_path / "fields.csv", "wb") as fh:
         for _ in cli._snapshot_pass(fh, fmt, traj, ("y",), extrema):
             pass
-    # the formatter's tables and scratch are a mapping of their own, which
-    # tracemalloc does not see
+    # the formatter's tables and scratch were allocated before the traced
+    # window, so tracemalloc does not count them
     traced = tracemalloc.get_traced_memory()[1]
     peak = traced + fmt.nbytes
     tracemalloc.stop()
     # the 18 diagnostics are 18 arrays of n doubles (576 kB, 805 kB at their
     # peak).  The pass computes only the fields it writes and samples; on
     # top of them sit the x and m slots (256 kB), the formatter's tables
-    # (100 kB) and scratch (219 kB), and one snapshot's row buffer and a
+    # (100 kB) and scratch (216 kB), and one snapshot's row buffer and a
     # write's bytes, freed before the next.  Row templates and
     # whole-snapshot tables would add about 700 kB at this n.
     assert diagnostics > 18 * 4096 * 8
@@ -159,7 +160,7 @@ def test_snapshot_pass_formats_the_frozen_columns_once(tmp_path, monkeypatch):
     traj = solver.evolve(make_initial(cfg)[0], cfg.solver)
     snapshots = len(traj.snapshots)
     assert snapshots > 2 and np.ptp(traj.snapshots[0].m_arrays()[0]) > 0  # m varies
-    rows_per_block = cli._VALUES_PER_BLOCK // 8  # of the 8 changing columns
+    rows_per_block = _g16.VALUES_PER_BLOCK // 8  # of the 8 changing columns
     assert n % rows_per_block
     counts = []  # the values of each slots call
     real = _g16.Formatter.slots
@@ -169,7 +170,7 @@ def test_snapshot_pass_formats_the_frozen_columns_once(tmp_path, monkeypatch):
         return real(self, values, tails, out)
 
     monkeypatch.setattr(_g16.Formatter, "slots", counting)
-    fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
+    fmt = _g16.Formatter()
     extrema = np.empty((3, snapshots))
     with open(tmp_path / "fields.csv", "wb") as fh:
         for _ in cli._snapshot_pass(fh, fmt, traj, ("y",), extrema):
@@ -185,10 +186,10 @@ def test_one_block_stays_within_its_bytes_per_value():
     # cli._write_fields_rows does: the 8 changing columns formatted into
     # slots 3 to 10, z and u moved one slot left, the t, x and m slots
     # copied in, and the rows' text written 128 rows at a time
-    fmt = _g16.Formatter(cli._VALUES_PER_BLOCK)
+    fmt = _g16.Formatter()
     cols = len(cli._CHANGING_COLUMNS)
     rng = np.random.default_rng(11)
-    values = rng.standard_normal((cli._VALUES_PER_BLOCK // cols, cols))
+    values = rng.standard_normal((_g16.VALUES_PER_BLOCK // cols, cols))
     t, x, m = 1.0 / 3.0, rng.standard_normal(len(values)), rng.standard_normal(len(values))
     t_slot, x_slots, m_slots = (FMT.slots(np.atleast_1d(a), COMMA) for a in (t, x, m))
     rows = np.zeros((len(values), len(cli.FIELDS_COLUMNS), 4), _g16.WORD)
@@ -207,7 +208,7 @@ def test_one_block_stays_within_its_bytes_per_value():
     rows[:, 0] = t_slot[0]
     rows[:, 1] = x_slots
     rows[:, 4] = m_slots
-    cli._write_rows(Sink(), rows)
+    _g16.write(Sink(), rows)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     table = [[t, xi, z, u, mi, *rest] for xi, mi, (z, u, *rest) in zip(x, m, values.tolist())]
@@ -218,6 +219,6 @@ def test_one_block_stays_within_its_bytes_per_value():
     # of it: numpy's buffer for the gather into the row buffer (a word a
     # value) and the text of each write's 128 rows, which bytes.translate
     # allocates at its input's size before cutting it down
-    assert (fmt._pool.nbytes + fmt._flags.nbytes) / fmt.size <= 76
-    assert fmt.nbytes <= 110 * 1024 + 76 * fmt.size
+    assert (fmt._pool.nbytes + fmt._flags.nbytes) / _g16.VALUES_PER_BLOCK <= 76
+    assert fmt.nbytes <= 110 * 1024 + 76 * _g16.VALUES_PER_BLOCK
     assert peak / values.size <= 80, peak / values.size

@@ -122,6 +122,10 @@ def test_unknown_and_intermediate_names_are_refused():
     for names in (("y", "w"), ("_grad",), ("alpha", "_ent"), ("Y",)):
         with pytest.raises(ValueError, match="unknown quantity"):
             riccati.diagnostics(state, names)
+    # a bare string is not read as a sequence of one-letter names
+    for names in ("c", "alpha"):
+        with pytest.raises(ValueError, match="names must be a sequence, not the string"):
+            riccati.diagnostics(state, names)
 
 
 # --- alpha, beta --------------------------------------------------------------

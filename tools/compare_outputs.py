@@ -10,13 +10,18 @@ perfbench workload at seeds 0 and 7 (its config rendered by
 ``perfbench/workloads.render_config``).  Both sides read the working
 tree's configs, so only the sources differ.  Each command's exit code,
 stdout and stderr are compared too.  Prints every file that differs or
-exists on one side only and exits 1; exits 0 when none does.
+exists on one side only and exits 1; exits 0 when none does.  For a file
+that differs it also prints the largest absolute and relative difference
+over the numbers that differ, and the first line that differs in anything
+but its numbers, so that a difference in rounding shows as one.
 """
 
 from __future__ import annotations
 
 import filecmp
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
+# a number that stands alone: not the digits of a name such as seed0 or E1
+NUMBER = re.compile(r"(?<![\w.])([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\d.])|(?:nan|inf)\b))")
 
 sys.dont_write_bytecode = True  # import the workloads without writing into perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -71,6 +78,36 @@ def run_all(src: Path, configs: Path, out: Path) -> None:
         (out_dir / "exit").write_text(record.replace(str(out), "<out>"))
 
 
+def how_it_differs(a: Path, b: Path) -> str:
+    """The numbers that differ between text files ``a`` and ``b``, their
+    largest absolute and relative difference, and the first line that
+    differs in anything else."""
+    lines_a = a.read_text("latin-1").splitlines()
+    lines_b = b.read_text("latin-1").splitlines()
+    changed, abs_max, rel_max, other = 0, 0.0, 0.0, None
+    for i, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
+        if la == lb:
+            continue
+        parts_a, parts_b = NUMBER.split(la), NUMBER.split(lb)
+        if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+            other = other or f"line {i}: {la[:120]!r} against {lb[:120]!r}"
+            continue
+        for va, vb in zip(map(float, parts_a[1::2]), map(float, parts_b[1::2])):
+            if va == vb or (math.isnan(va) and math.isnan(vb)):
+                continue
+            changed += 1
+            diff = abs(va - vb)
+            if math.isfinite(diff):
+                rel = diff / max(abs(va), abs(vb))
+            else:  # a nan or an infinity on one side
+                diff = rel = math.inf
+            abs_max, rel_max = max(abs_max, diff), max(rel_max, rel)
+    if other is None and len(lines_a) != len(lines_b):
+        other = f"{len(lines_a)} lines against {len(lines_b)}"
+    found = f"{changed} numbers differ, by at most {abs_max:.3g} absolute and {rel_max:.3g} relative"
+    return found + (f"; other text differs, first at {other}" if other else "")
+
+
 def differing(a: Path, b: Path) -> list[str]:
     """Every file under ``a`` or ``b`` that is not byte-identical on the
     other side, as a path relative to both, with why."""
@@ -83,7 +120,7 @@ def differing(a: Path, b: Path) -> list[str]:
         elif rel not in files_a:
             found.append(f"{rel}: only in the working tree")
         elif not filecmp.cmp(a / rel, b / rel, shallow=False):
-            found.append(f"{rel}: differs")
+            found.append(f"{rel}: differs: {how_it_differs(a / rel, b / rel)}")
     return found
 
 
