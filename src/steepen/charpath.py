@@ -31,11 +31,10 @@ from steepen.solver import Trajectory
 
 SUBSTEPS = 4  # RK4 steps per snapshot interval when tracing
 _CHUNK = 64  # RK4 steps whose stage time windows are found together
-_SIGN = {"forward": 1.0, "backward": -1.0}  # dx/dt = sign * c
 
 # grid nodes j-2 ... j+3 of a point in cell j: 6 points, error O(h^6).  With 4
-# (O(h^4), the scheme's order) one_sided_profile's ode_y residual was 4.6 times
-# larger; with 8 it was the same
+# (O(h^4), the scheme's order) one_sided_profile's ode_y residual, when it was
+# differentiated along curves, was 4.6 times larger; with 8 it was the same
 _STENCIL = np.arange(-2.0, 4.0)
 
 # row j of _OTHERS[n]: the nodes i != j of an n-node window, the factors
@@ -57,8 +56,6 @@ class CharacteristicCurve:
         self.x = x  # wrapped into [x0, x1); a bundle has one column per seed
         self.x_path = x_path  # unwrapped, for continuity across the seam
         self.samples = {} if samples is None else samples
-        if np.any(np.diff(self.t) <= 0.0):
-            raise ValueError("curve node times must be strictly increasing")
 
     def column(self, i: int) -> CharacteristicCurve:
         """Seed ``i`` of a bundle as one curve: a 1-tuple of directions, one value a node."""
@@ -257,11 +254,11 @@ def trace(traj: Trajectory, seeds, directions) -> CharacteristicCurve:
     column per seed (:meth:`CharacteristicCurve.column`).
     """
     directions = riccati.sequence(directions, "directions")
-    if not set(directions) <= _SIGN.keys():
+    if not set(directions) <= riccati.SIGN.keys():
         raise ValueError("direction must be 'forward' or 'backward'")
     if np.shape(seeds) != (len(directions),):
         raise ValueError("a direction per seed needs one seed for each direction")
-    sign = np.array([_SIGN[d] for d in directions])
+    sign = np.array([riccati.SIGN[d] for d in directions])
 
     times = traj.times
     steps = np.linspace(times[:-1], times[1:], SUBSTEPS + 1, axis=1)[:, 1:]
@@ -279,7 +276,8 @@ def sample_along(curve: CharacteristicCurve, traj: Trajectory, names, rows=None)
     of all of them with one call, and returned as ``{name: values}``.
     Every seed of a bundle is sampled in the same pass.  ``rows`` is a row
     source for :class:`FieldSampler`: an iterator over every snapshot's
-    grid rows of these names, in snapshot order.
+    grid rows of these names, in snapshot order, which may hold rows of
+    its own such as a run's grid residuals.
     """
     t = curve.t.reshape(curve.t.shape + (1,) * (curve.x.ndim - 1))
     samples = FieldSampler(traj, names, rows).sample(t, curve.x)

@@ -3,8 +3,12 @@
 A run executes load (which validates) -> build -> evolve -> diagnostics
 -> certify -> export and writes fields.csv, curves.csv, certificate.txt,
 assumptions.txt, summary.txt (and SVG plots when enabled) into the
-configured output directory.  Runs are deterministic: identical configs
-produce byte-identical CSV outputs.
+configured output directory.  The diagnostics check the paper's Riccati
+equations on every snapshot's grid, from the solver's own rates
+(:func:`riccati.residual`); summary.txt reports their maxima on the
+resolved window, and curves.csv samples them along the traced curves.
+Runs are deterministic: identical configs produce byte-identical CSV
+outputs.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure (a vacuum or
 CFL-collapse stop, whatever the certificate, or a non-finite state
@@ -122,38 +126,51 @@ def _curve_pairs(cfg: RunConfig, traj: solver.Trajectory) -> list:
             for direction in cfg.diagnostics.directions]
 
 
-def _residual_names(cfg: RunConfig) -> tuple:
-    """The quantities the configured residuals sample on the curves."""
-    return tuple(dict.fromkeys(
-        name for kind in cfg.diagnostics.residuals for name in RESIDUAL_KINDS[kind].sampled
-    ))
+def _residual_pass(traj: solver.Trajectory, kinds: tuple, rows, peaks: np.ndarray):
+    """Check the equations ``kinds`` on each snapshot's grid, its fields of
+    :func:`riccati.residual_names` from ``rows``, and yield each kind's
+    measured field and ``R``, under its name.  Snapshot ``k`` of the window
+    (the first ``peaks.shape[-1]``) records kind ``j``'s ``max|R|``, its
+    ``x`` and the largest size of its terms in ``peaks[j, :, k]``."""
+    for k, (snap, fields_k) in enumerate(zip(traj.snapshots, rows)):
+        res = riccati.residual(snap, kinds, solver.rates(snap), fields_k)
+        out = {}
+        for j, kind in enumerate(kinds):
+            r, size = res.pop(kind)
+            if k < peaks.shape[-1]:
+                i = int(np.argmax(np.abs(r)))  # the first nan, if any
+                peaks[j, :, k] = abs(r[i]), snap.grid.x[i], np.max(size)
+            measured = RESIDUAL_KINDS[kind].measured
+            out[measured] = fields_k[measured]
+            out[kind] = r
+        fields_k.clear()  # the rows the sampler does not take go before the next snapshot's
+        yield out
 
 
-def _residuals(cfg: RunConfig, bundle, pairs, t_resolved: float):
-    """Evaluate the selected residuals on every column of the sampled bundle.
-
-    Returns the labelled curves, the curves.csv blocks ``(curve_id,
-    direction, curve, values, residual)`` and the residual maxima on the
-    resolved window [0, t_resolved] (``nan`` when a residual is).
-    """
+def _residuals(cfg: RunConfig, bundle, pairs, kinds: tuple, peaks: np.ndarray, times: np.ndarray):
+    """The labelled curves of the sampled bundle, the curves.csv blocks
+    ``(curve_id, direction, curve, values, residual)`` and summary.txt's
+    residual keys, sorted: each kind's ``max|R|`` over the window of
+    ``peaks``, that over the largest size of its terms, the ``(t, x)``
+    where it falls, and the window's last snapshot time."""
     blocks = []
-    residual_max: dict = {}
     curves = []
     for column, (si, direction) in enumerate(pairs):
         curve = bundle.column(column)
         curves.append((f"seed{si}_{direction}", curve))
-        window = curve.t <= t_resolved
         for name in cfg.diagnostics.residuals:
             kind = RESIDUAL_KINDS[name]
-            if kind.direction != direction:
-                continue
-            res = riccati.residual(curve, name)
-            if np.any(window):
-                residual_max[name] = float(
-                    np.maximum(residual_max.get(name, 0.0), np.max(np.abs(res[window])))
-                )
-            blocks.append((f"seed{si}_{name}", direction, curve, curve.samples[kind.measured], res))
-    return curves, blocks, residual_max
+            if kind.direction == direction:
+                blocks.append((f"seed{si}_{name}", direction, curve, curve.samples[kind.measured],
+                               curve.samples[name]))
+    summary = [("residual_window_t", float(times[peaks.shape[-1] - 1]))] if kinds else []
+    for kind, (peak, x, size) in zip(kinds, peaks):
+        k = int(np.argmax(peak))  # the first nan, if any
+        largest = np.max(size)
+        rel = peak[k] / largest if largest != 0.0 else 0.0  # R is 0 where its terms are
+        values = (peak[k], rel, times[k], x[k])
+        summary += [(f"residual_{key}.{kind}", float(v)) for key, v in zip(("max", "rel", "t", "x"), values)]
+    return curves, blocks, sorted(summary)
 
 
 def _write_curves_csv(path: Path, blocks, fmt: _g16.Formatter) -> None:
@@ -212,6 +229,7 @@ def _certificate_pairs(cfg: RunConfig, state0, ths, cert14, cert15):
             ("thm14.threshold", cert14.threshold),
             ("thm14.witness_x", cert14.witness_x),
             ("thm14.witness_value", cert14.witness_value),
+            ("thm14.t_star_bound", cert14.t_star_bound),
         ]
     if cert15 is not None:
         pairs += [
@@ -301,23 +319,27 @@ def _run(cfg: RunConfig):
 
     # every (seed, direction) pair is one column of a single traced bundle;
     # the one pass over the snapshots then writes fields.csv, records the
-    # extrema and feeds the bundle's samples, so each snapshot's diagnostics
-    # are computed once and dropped before the next
+    # extrema, checks the equations on the grid (after a step) and feeds the
+    # bundle's samples, so each snapshot's diagnostics are computed once
     pairs = _curve_pairs(cfg, traj)
-    names = _residual_names(cfg)
+    kinds = tuple(cfg.diagnostics.residuals) if len(traj.snapshots) > 1 else ()
     extrema = np.empty((3, len(traj.snapshots)))  # min y, min q, gradient peak
+    peaks = np.empty((len(kinds), 3, np.count_nonzero(traj.times <= t_resolved)))
     try:
         bundle = None
         if pairs:
             seeds = cfg.diagnostics.seeds
             bundle = charpath.trace(traj, [seeds[si] for si, _ in pairs], [d for _, d in pairs])
         with open(out / "fields.csv", "wb") as fh:
-            rows = _snapshot_pass(fh, fmt, traj, names, extrema)
+            rows = _snapshot_pass(fh, fmt, traj, riccati.residual_names(kinds), extrema)
+            if kinds:
+                rows = _residual_pass(traj, kinds, rows, peaks)
             if bundle is not None:
+                names = [name for kind in kinds for name in (RESIDUAL_KINDS[kind].measured, kind)]
                 charpath.sample_along(bundle, traj, names, rows)
             for _ in rows:  # the snapshots no curve node needs
                 pass
-        curves, blocks, residual_max = _residuals(cfg, bundle, pairs, t_resolved)
+        curves, blocks, residual_pairs = _residuals(cfg, bundle, pairs, kinds, peaks, traj.times)
     except ValueError as exc:
         print(f"stage diagnostics: {exc}", file=sys.stderr)
         return 3, []
@@ -345,7 +367,7 @@ def _run(cfg: RunConfig):
         ("int_u_drift", drift["int_u"]),
         ("int_tau_drift", drift["int_tau"]),
     ]
-    summary += [(f"residual_max.{k}", v) for k, v in sorted(residual_max.items())]
+    summary += residual_pairs
     _write_kv(out / "summary.txt", "run summary", summary)
 
     if cfg.output.emit_svg:

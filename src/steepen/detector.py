@@ -11,6 +11,7 @@ a-priori bounds, which are checked a posteriori over the computed run by
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +85,18 @@ def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float) 
     Checks min y < -N, min q < -N, min y~ < -N~, min q~ < -N~ in that
     order and returns the first violation as a certificate (kind 'none'
     when all four minima clear their thresholds).
+
+    A y or q certificate also bounds the blowup time, by comparison.  The
+    threshold is ``N = (1 + epsilon) R``, where ``R`` bounds
+    ``sqrt(a0/|a2|)`` over the bound box, and ``b =``
+    :func:`min_neg_a2` bounds ``|a2|`` from below.  Where ``y < -R``,
+    ``y' = |a2| (a0/|a2| - y^2) <= -b (y^2 - R^2) < 0``, so ``y`` keeps
+    falling and stays below the solution of ``Y' = -b (Y^2 - R^2)`` from
+    the witness value ``v0 < -N``.  That solution reaches ``-inf`` at
+    ``T* = ln((|v0| + R)/(|v0| - R)) / (2 b R)``, ``1/(b |v0|)`` when
+    ``R = 0``, the certificate's ``t_star_bound``.  ``q`` along backward
+    characteristics obeys the same equation.  The tilde forms carry an
+    ``a1`` term that this comparison does not bound: their bound is None.
     """
     gamma = state0.gc.gamma
     th = thresholds(bounds, gamma, epsilon)
@@ -97,11 +110,17 @@ def certify_thm14(state0: StateField, bounds: AssumptionBounds, epsilon: float) 
     ):
         i = int(np.argmin(arr))
         if arr[i] < -limit:
+            t_star = None
+            if kind in ("thm14_y", "thm14_q"):
+                v, R, b = -float(arr[i]), th.N / (1.0 + epsilon), min_neg_a2(bounds, state0.gc)
+                # log1p(2R/(v - R)) is ln((v + R)/(v - R)), accurate for small R
+                t_star = math.log1p(2.0 * R / (v - R)) / (2.0 * b * R) if R > 0.0 else 1.0 / (b * v)
             return Certificate(
                 kind=kind,
                 threshold=limit,
                 witness_x=float(x[i]),
                 witness_value=float(arr[i]),
+                t_star_bound=t_star,
                 conditional=True,
             )
     return Certificate(kind="none", conditional=True)

@@ -11,7 +11,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from steepen import eos
 from steepen.eos import GasConstants, VacuumError
@@ -189,13 +188,14 @@ def ghost_views(padded):
 
     Side 0 is ghost columns 0, 1 and nodes n - 2, n - 1; side 1 is ghost
     columns n + 2, n + 3 and nodes 0, 1.  The node side steps back by
-    n - 2 columns, which no slice can, hence the strided views.
+    n - 2 columns, which no slice can, hence the strided views, made
+    straight on the buffer of ``padded`` (C-contiguous).
     """
     n = padded.shape[-1] - 4
     *row_strides, step = padded.strides
     shape = (*padded.shape[:-1], 2, 2)
-    ghosts = as_strided(padded, shape, (*row_strides, (n + 2) * step, step))
-    nodes = as_strided(padded[..., n:], shape, (*row_strides, (2 - n) * step, step))
+    ghosts = np.ndarray(shape, padded.dtype, padded, 0, (*row_strides, (n + 2) * step, step))
+    nodes = np.ndarray(shape, padded.dtype, padded, n * step, (*row_strides, (2 - n) * step, step))
     return ghosts, nodes
 
 

@@ -18,10 +18,12 @@ the diagnostics are::
 with tilde variants lacking the m prefactor.  Smooth solutions satisfy
 alpha' = k1(k2(3 alpha + beta) + alpha beta - alpha^2) together with its
 backward mirror, and the decoupled forms y' = a0 + a2 y^2,
-q` = a0 + a2 q^2; ``residual`` measures both numerically along traced
-characteristics, from samples taken along them, by
-:func:`directional_derivative`.  Each of these equations is one record in
-:data:`RESIDUAL_KINDS`, the one definition of its right-hand side.
+q` = a0 + a2 q^2.  Each of these equations is one record in
+:data:`RESIDUAL_KINDS`, the one definition of its right-hand side.  A
+prime differentiates along a forward characteristic, f' = f_t + c f_x,
+and a backprime along a backward one, f` = f_t - c f_x, so each equation
+holds at every point, and :func:`residual` checks it at every grid node
+of a state: f_t along the solver's own rates, f_x by the stencil.
 
 :func:`diagnostics` is the one way to reach a grid field: the state's
 z, u and m arrays, p, c and the other diagnostics, by name, from one
@@ -166,73 +168,7 @@ def phase_classify(a0: float, a2: float, v: float) -> PhaseRegime:
     return PhaseRegime((-r, r), region, mono)
 
 
-# --- along-curve differentiation -------------------------------------------
-
-
-def _fd_weights(nodes: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """First-derivative weights at ``x0`` over arbitrary nodes (Fornberg).
-
-    Batched: ``nodes`` has shape ``(m, n)``, one window of ``n`` nodes per
-    row, and ``x0`` shape ``(m,)``; the result has the shape of ``nodes``.
-    """
-    nodes = nodes.T  # node axis first
-    n = len(nodes)
-    w0 = np.zeros(nodes.shape)
-    w1 = np.zeros(nodes.shape)
-    c1 = 1.0
-    c4 = nodes[0] - x0
-    w0[0] = 1.0
-    for i in range(1, n):
-        c2 = 1.0
-        c5 = c4
-        c4 = nodes[i] - x0
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            if j == i - 1:
-                w1[i] = c1 * (w0[i - 1] - c5 * w1[i - 1]) / c2
-                w0[i] = -c1 * c5 * w0[i - 1] / c2
-            w1[j] = (c4 * w1[j] - w0[j]) / c3
-            w0[j] = c4 * w0[j] / c3
-        c1 = c2
-    return w1.T
-
-
-def directional_derivative(curve, quantity: str) -> np.ndarray:
-    """d/dt of an along-curve sample series (5-point, 4th order).
-
-    ``curve`` is a :class:`steepen.charpath.CharacteristicCurve` with
-    ``quantity`` sampled on it.
-
-    On forward curves this realizes the forward directional derivative
-    (prime); on backward curves the backward one (backprime).
-    """
-    if quantity not in curve.samples:
-        raise ValueError(f"quantity {quantity!r} has not been sampled on this curve")
-    f = curve.samples[quantity]
-    t = curve.t
-    n = len(t)
-    if n < 5:
-        raise ValueError("need at least 5 curve nodes to differentiate")
-
-    # node i's window t[j0:j0 + 5], centred where the curve allows
-    j0 = np.clip(np.arange(n) - 2, 0, n - 5)
-    win = j0[:, None] + np.arange(5)
-    tw = t[win]
-    dts = np.diff(tw, axis=1)
-    h = dts[:, 0]
-    uniform = (j0 == np.arange(n) - 2) & np.all(np.abs(dts - h[:, None]) <= 1e-12 * h[:, None], axis=1)
-    w = np.empty((n, 5))
-    w[uniform] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    w[~uniform] = _fd_weights(tw[~uniform], t[~uniform])
-    # a stack of 1x5 @ 5x1 products runs np.dot's routine per node, so each sum
-    # equals that of a per-node np.dot bit for bit
-    out = np.matmul(w[:, None, :], f[win][:, :, None])[:, 0, 0]
-    out[uniform] /= h[uniform]
-    return out
-
-
-# --- residual verification along characteristics ---------------------------
+# --- the Riccati identities on the grid ------------------------------------
 
 class ResidualKind(NamedTuple):
     """One Riccati equation: it differentiates ``measured`` along curves of
@@ -259,23 +195,58 @@ RESIDUAL_KINDS = {
         s["a0_t"] - s["a1_t"] * s["q_tilde"] + s["a2_t"] * s["q_tilde"] ** 2)),
 }
 
+SIGN = {"forward": 1.0, "backward": -1.0}  # dx/dt = sign c, and d/dt along it is f_t + sign c f_x
+_STEP = 1e-3  # the tangent's step h moves z by at most this part of min z
 
-def residual(curve, which: str) -> np.ndarray:
-    """(measured directional derivative) - (equation right-hand side).
 
-    ``curve`` is one curve, a bundle's
-    :meth:`~steepen.charpath.CharacteristicCurve.column`, and carries the
-    samples of the ``sampled`` quantities of the equation's record (see
-    :func:`steepen.charpath.sample_along`).  Its one direction must match
-    the equation's derivative direction: forward curves for the primed
-    equations, backward for the back-primed.
+def residual_names(kinds) -> tuple:
+    """The grid fields :func:`residual` reads: ``c`` and each kind's ``sampled`` ones, each once."""
+    return tuple(dict.fromkeys(["c"] + [name for kind in kinds for name in RESIDUAL_KINDS[kind].sampled]))
+
+
+def _tangent(state: StateField, names, rates) -> dict:
+    """``{name: field_t}`` along ``rates = (z_t, u_t)``: the 4th-order central
+    difference of the fields ``names`` over ``(z + s z_t, u + s u_t)``,
+    ``s = ±h, ±2h``, ``h = _STEP min z / max|z_t|`` (``_STEP min z`` where
+    ``z_t`` is 0: the fields are affine in ``u``); a 2-point one leaves
+    1e-7 of the equation at gamma = 1.1.  These ``z`` and ``u`` go to the
+    formulas directly: :func:`diagnostics` sees only a run's snapshots."""
+    z_t, u_t = rates
+    speed = float(np.max(np.abs(z_t)))
+    h = _STEP * float(np.min(state.z)) / (speed if speed > 0.0 else 1.0)
+
+    def at(s):  # the fields at (z + s z_t, u + s u_t); the memo's other fields go with it
+        memo = {"z": state.z + s * z_t, "u": state.u + s * u_t}
+        return [_field(memo, state, state.gc.exponents, name) for name in names]
+
+    far = [a - b for a, b in zip(at(-2.0 * h), at(2.0 * h))]
+    near = [a - b for a, b in zip(at(h), at(-h))]
+    return {name: (f + 8.0 * g) / (12.0 * h) for name, f, g in zip(names, far, near)}
+
+
+def residual(state: StateField, kinds, rates, fields) -> dict:
+    """The Riccati equations ``kinds`` at each grid node: ``{kind: (R, size)}``.
+
+    For a kind's ``measured`` field ``f``, ``R = f_t + sign c f_x - rhs``
+    and ``size = |f_t| + |c f_x| + |rhs|``.  ``rates`` is the state's
+    ``(z_t, u_t)`` (:func:`steepen.solver.rates`) and ``fields`` its grid
+    fields of :func:`residual_names`.  ``f_t`` is the tangent along the
+    rates and ``f_x`` the stencil's, so ``R`` is the semi-discrete scheme's
+    residual, 4th order in the grid step and blind to the RK4 time error.
     """
-    if which not in RESIDUAL_KINDS:
-        raise ValueError(f"unknown residual kind {which!r}")
-    kind = RESIDUAL_KINDS[which]
-    if curve.directions != (kind.direction,) or curve.x.ndim != 1:
-        raise ValueError(f"{which} needs one {kind.direction} curve, a bundle's column, got {curve.directions}")
-    missing = [name for name in kind.sampled if name not in curve.samples]
-    if missing:
-        raise ValueError(f"{which} needs {', '.join(missing)} sampled on the curve")
-    return directional_derivative(curve, kind.measured) - kind.rhs(curve.samples)
+    for kind in kinds:  # a bare string's letters are no kinds either
+        if kind not in RESIDUAL_KINDS:
+            raise ValueError(f"unknown residual kind {kind!r}")
+    measured = [RESIDUAL_KINDS[kind].measured for kind in kinds]
+    tangent = _tangent(state, measured, rates)
+    padded = np.empty((len(measured), state.grid.n + 4))
+    padded[:, 2:-2] = [fields[name] for name in measured]
+    fill_ghosts(padded)
+    out = {}
+    for kind, f_x in zip(kinds, derivative(padded, state.grid)):
+        record = RESIDUAL_KINDS[kind]
+        f_t = tangent[record.measured]
+        transport = SIGN[record.direction] * (fields["c"] * f_x)
+        rhs = record.rhs(fields)
+        out[kind] = (f_t + transport - rhs, np.abs(f_t) + np.abs(transport) + np.abs(rhs))
+    return out

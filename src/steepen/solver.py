@@ -148,9 +148,11 @@ class _Workspace:
     and the stage) gets its ``stencil``, a :class:`~steepen.fields.Stencil`
     bound into those result rows.  A step then makes no array and no view
     at all: :func:`~steepen.fields.derivative` runs the stencil it is given.
+    With ``step=False`` it holds only what :func:`rates` takes: the first
+    of ``states``, with its stencil, and the slope ``k``.
     """
 
-    def __init__(self, state: StateField):
+    def __init__(self, state: StateField, step: bool = True):
         gc = state.gc
         m, m_x, _ = state.m_arrays()
         n = state.grid.n
@@ -168,8 +170,11 @@ class _Workspace:
         # 2(p/m)m_x = forcing * z**(e_c+1); None for a constant profile, whose
         # u_t is then that of the p-system
         self.forcing = 2.0 * gc.K_p * m * m_x if np.any(m_x) else None
-        self.states = (_Rows(n), _Rows(n))
-        self.stage, self.k, self.acc, self.diff = (_Rows(n) for _ in range(4))
+        if step:
+            self.states = (_Rows(n), _Rows(n))
+            self.stage, self.k, self.acc, self.diff = (_Rows(n) for _ in range(4))
+        else:
+            self.states, self.k = (_Rows(n),), _Rows(n)
         first = self.states[0]
         first.z[...] = state.z
         first.u[...] = state.u
@@ -177,7 +182,7 @@ class _Workspace:
         # derivative's result rows (nodes in columns 2 .. n + 1) and its 8 f
         self.dx, self.f8 = np.empty((2, 2, n + 4))
         self.z_x, self.u_x = self.dx[:, 2:-2]
-        for w in (*self.states, self.stage):
+        for w in (*self.states, self.stage) if step else self.states:
             w.stencil = Stencil(w.a, self.grid, out=self.dx, scratch=self.f8)
         self.zc, self.tau = np.empty((2, n))
         self.finite = np.empty(2 * (n + 4), dtype=bool)
@@ -355,6 +360,15 @@ def evolve(state0: StateField, cfg: SolverConfig) -> Trajectory:
         ),
         steps_taken=steps,
     )
+
+
+def rates(state: StateField):
+    """``(z_t, u_t)``, the semi-discrete time derivative a step takes at
+    ``state``.  Its workspace is dropped on return, so a caller that holds
+    memory near its peak does not hold one more."""
+    ws = _Workspace(state, step=False)
+    ws.rhs(ws.states[0], ws.k)
+    return ws.k.z.copy(), ws.k.u.copy()
 
 
 def conserved_drift(traj: Trajectory, t_max: float) -> dict:

@@ -15,10 +15,19 @@ def ghost_padded(values):
     return np.pad(values, [(0, 0)] * (values.ndim - 1) + [(2, 2)], mode="wrap")
 
 
+def grid_residuals(states, kinds):
+    """``riccati.residual`` of ``kinds`` on each of ``states`` in turn, from
+    the solver's own rates, as a run takes them."""
+    names = riccati.residual_names(kinds)
+    for state in states:
+        yield riccati.residual(state, kinds, solver.rates(state), riccati.diagnostics(state, names))
+
+
 def sampled_residual(traj, curve, kind):
-    """``riccati.residual`` of ``kind`` on ``curve``, its quantities sampled from ``traj`` first."""
-    charpath.sample_along(curve, traj, riccati.RESIDUAL_KINDS[kind].sampled)
-    return riccati.residual(curve, kind)
+    """The grid residual ``R`` of ``kind`` on every snapshot of ``traj``,
+    sampled along ``curve``, as a run samples curves.csv's ``residual``."""
+    rows = ({kind: res[kind][0]} for res in grid_residuals(traj.snapshots, (kind,)))
+    return charpath.sample_along(curve, traj, (kind,), rows)[kind]
 
 
 def gradient_peaks(traj):

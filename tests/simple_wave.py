@@ -40,9 +40,9 @@ def t_star(gc: eos.GasConstants) -> float:
     return 1.0 / float(np.max(-_speed(gc, xi)[1]))
 
 
-def z_exact(gc: eos.GasConstants, x, t: float) -> np.ndarray:
-    """``z(x, t) = z0(xi)``, with ``xi + c(z0(xi)) t = x`` solved by Newton
-    per point (``t < t*``, where that map is increasing)."""
+def _foot(gc: eos.GasConstants, x, t: float) -> np.ndarray:
+    """The foot ``xi`` of the line through ``(x, t)``: ``xi + c(z0(xi)) t = x``
+    solved by Newton per point (``t < t*``, where that map is increasing)."""
     xi = x - _speed(gc, x)[0] * t
     for _ in range(50):
         c, dc = _speed(gc, xi)
@@ -50,4 +50,21 @@ def z_exact(gc: eos.GasConstants, x, t: float) -> np.ndarray:
         xi = xi - step
         if np.max(np.abs(step)) < 1e-15:
             break
-    return 1.0 + AMP * np.sin(2.0 * np.pi * xi)
+    return xi
+
+
+def z_exact(gc: eos.GasConstants, x, t: float) -> np.ndarray:
+    """``z(x, t) = z0(xi)``."""
+    return 1.0 + AMP * np.sin(2.0 * np.pi * _foot(gc, x, t))
+
+
+def y_exact(gc: eos.GasConstants, x, t: float) -> np.ndarray:
+    """The paper's ``y`` at ``(x, t)``: ``y0 / (1 - a2 y0 t)`` along the line
+    from ``xi``, where ``a0 = 0`` and ``a2 = -K_a2 z0**(E1 - 1)`` stay
+    constant, and ``y0 = z0**E1 (u + m z)_x = z0**E1 2 z0'`` (``m = 1``)."""
+    xi = _foot(gc, x, t)
+    z0 = 1.0 + AMP * np.sin(2.0 * np.pi * xi)
+    e1 = gc.exponents.E1
+    y0 = z0**e1 * 2.0 * (2.0 * np.pi * AMP * np.cos(2.0 * np.pi * xi))
+    a2 = -gc.K_a2 * z0 ** (e1 - 1.0)
+    return y0 / (1.0 - a2 * y0 * t)

@@ -12,6 +12,9 @@ import pytest
 
 import steepen
 from steepen import _g16, charpath, cli, eos, fields, riccati, solver
+from steepen.config import build_config, make_initial, parse_kv
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 RUN_CFG = """\
@@ -335,23 +338,27 @@ def test_drift_window_is_the_resolved_window(tmp_path, monkeypatch, t_end, kind,
 
 
 def test_a_nan_residual_reads_nan_in_the_summary(cfg_path, tmp_path, monkeypatch):
-    # the first of the two ode_q curves is NaN, the second finite: the
-    # maximum over them is NaN, not the finite one
+    # ode_q's residual is NaN at one node of the second snapshot and finite
+    # elsewhere: its maximum over the window is NaN, not the finite one,
+    # and it is placed where the NaN is
     real = riccati.residual
     calls = []
 
-    def nan_first_ode_q(*args):
-        res = real(*args)
-        kind = args[-1]
-        calls.append(kind)
-        return np.full_like(res, np.nan) if calls.count("ode_q") == 1 and kind == "ode_q" else res
+    def nan_on_second_snapshot(state, kinds, rates, fields):
+        res = real(state, kinds, rates, fields)
+        calls.append(state.t)
+        if len(calls) == 2:
+            res["ode_q"][0][5] = np.nan
+        return res
 
-    monkeypatch.setattr(riccati, "residual", nan_first_ode_q)
+    monkeypatch.setattr(riccati, "residual", nan_on_second_snapshot)
     assert cli.main(["run", str(cfg_path)]) == 0
-    assert calls.count("ode_q") == 2
     text = (tmp_path / "out" / "summary.txt").read_text()
     summary = dict(line.split(" = ") for line in text.splitlines() if " = " in line)
     assert summary["residual_max.ode_q"] == "nan"
+    assert summary["residual_rel.ode_q"] == "nan"
+    assert float(summary["residual_t.ode_q"]) == calls[1]
+    assert float(summary["residual_x.ode_q"]) == 5.0 / 64.0
     assert np.isfinite(float(summary["residual_max.ode_y"]))
 
 
@@ -619,6 +626,50 @@ def test_certificate_report_contents(cfg_path, tmp_path):
     assert report["thm14.kind"] == "thm14_y"
     assert float(report["N"]) == 0.0  # M3 = M4 = 0
     assert report["bounds.Z_U"] == "3"
+
+
+def test_certificate_reports_thm14_blowup_bound(cfg_path, tmp_path):
+    # keys are only added: summary.txt's t_star_bound stays thm15's
+    assert cli.main(["run", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    report = dict(line.split(" = ") for line in (out / "certificate.txt").read_text().splitlines() if " = " in line)
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines() if " = " in line)
+    # gamma = 3 and M3 = M4 = 0: T*_14 = 1/|min y0|
+    assert float(report["thm14.t_star_bound"]) == pytest.approx(1.0 / abs(float(summary["min_y0"])), rel=1e-12)
+    assert summary["t_star_bound"] == report["thm15.t_star_bound"] == report["t_star_bound"]
+    assert list(report).index("thm14.t_star_bound") == list(report).index("thm14.witness_value") + 1
+
+
+def test_summary_reports_the_grid_residual_with_its_size_and_place(cfg_path, tmp_path):
+    assert cli.main(["run", str(cfg_path)]) == 0
+    lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    keys = [line.split(" = ")[0] for line in lines if " = " in line]
+    residual_keys = [key for key in keys if key.startswith("residual")]
+    assert residual_keys == keys[-len(residual_keys):] == sorted(residual_keys)
+    assert set(residual_keys) == {f"residual_{what}.{kind}" for what in ("max", "rel", "t", "x")
+                                  for kind in ("ode_y", "ode_q")} | {"residual_window_t"}
+    summary = dict(line.split(" = ") for line in lines if " = " in line)
+    assert float(summary["residual_window_t"]) == float(summary["t_stop"])  # reached t_end: all of it
+    for kind in ("ode_y", "ode_q"):
+        assert 0.0 < float(summary[f"residual_rel.{kind}"]) < 1e-3
+        assert float(summary[f"residual_max.{kind}"]) < 1e-2
+        assert 0.0 <= float(summary[f"residual_t.{kind}"]) <= float(summary["residual_window_t"])
+        assert 0.0 <= float(summary[f"residual_x.{kind}"]) < 1.0
+
+
+def test_stationary_config_reads_a_finite_residual(tmp_path):
+    # u = 0, so z_t = 0 everywhere: the tangent's step must not divide by it
+    kv = parse_kv((CONFIGS / "stationary.cfg").read_text())
+    kv.update({"output.directory": str(tmp_path), "output.emit_svg": "false"})
+    cfg = build_config(kv, CONFIGS)
+    state = make_initial(cfg)[0]
+    assert not np.any(solver.rates(state)[0])
+    code, pairs = cli._run(cfg)
+    summary = dict(pairs)
+    assert code == 0
+    for kind in ("ode_y", "ode_q"):  # measured 9.36e-9 and, relative, 2.15e-6
+        assert 0.0 < summary[f"residual_max.{kind}"] <= 1e-7
+        assert summary[f"residual_rel.{kind}"] <= 1e-5
 
 
 def test_certify_and_run_write_the_same_certificate(cfg_path, tmp_path):

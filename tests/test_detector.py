@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from steepen.expressions import parse_expression
 
 from conftest import gradient_peaks, make_gas
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 LAX_CFG = """\
 gas.gamma = 3
@@ -145,6 +148,63 @@ def test_certificates_gained_never_lost_as_epsilon_shrinks(gas3):
             seen = True
         assert not (seen and kind == "none")
     assert kinds[-1] == "thm14_y"
+
+
+def test_thm14_blowup_bound_on_lax_blowup_is_the_exact_time():
+    # R = 0 under the config's constant-entropy bounds, and b = K_a2 = 1 at
+    # gamma = 3, so T* = 1/(b |v0|), the exact blowup time 1/|min y0|
+    cfg = config.load_config(CONFIGS / "lax_blowup.cfg")
+    state = config.make_initial(cfg)[0]
+    cert = detector.certify_thm14(state, cfg.certify.bounds, cfg.certify.epsilon)
+    assert cert.kind == "thm14_y"
+    exact = 1.0 / abs(float(np.min(riccati.diagnostics(state, ("y",))["y"])))
+    assert cert.t_star_bound == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("u0, z0, kind", [
+    ("-0.6*sin(2*pi*x)", "1", "thm14_y"),
+    ("-0.3*sin(2*pi*x)", "1 + 0.3*sin(2*pi*x)", "thm14_q"),  # a backward wave: y is near 0
+])
+def test_thm14_blowup_bound_with_a_positive_threshold(u0, z0, kind):
+    # T* = ln((|v0| + R)/(|v0| - R)) / (2 b R), with R = N/(1 + epsilon)
+    gc = make_gas(1.4, 1.0)
+    grid = fields.Grid(0.0, 1.0, 256)
+    state, _ = fields.build_initial(u0, grid, gc, m0="1 + 0.05*cos(2*pi*x)", z0=z0)
+    bounds = _bounds(Z_L=0.5, Z_U=1.5, M1=0.9, M2=1.1, M3=0.5, M4=2.0)
+    cert = detector.certify_thm14(state, bounds, 0.1)
+    assert cert.kind == kind
+    R = detector.thresholds(bounds, 1.4, 0.1).N / 1.1
+    b = detector.min_neg_a2(bounds, gc)
+    v = abs(cert.witness_value)
+    assert 0.0 < R < v
+    assert cert.t_star_bound == pytest.approx(np.log((v + R) / (v - R)) / (2.0 * b * R), rel=1e-12)
+    assert cert.t_star_bound > 1.0 / (b * v)  # a positive a0 can only delay the blowup
+
+
+def test_thm14_tilde_certificates_carry_no_blowup_bound():
+    # min y = -1.18 clears N = 1.80, and min y~ = -1.34 does not clear
+    # N~ = 1.07: the comparison does not bound y~'s a1 term
+    grid = fields.Grid(0.0, 1.0, 128)
+    state, _ = fields.build_initial("-0.2*sin(2*pi*x)", grid, make_gas(1.4, 1.0), m0="1 + 0.2*cos(2*pi*x)", z0=1.0)
+    cert = detector.certify_thm14(state, _bounds(Z_L=0.5, Z_U=1.5, M3=0.0, M4=1.0), 0.0)
+    assert cert.kind == "thm14_ytilde"
+    assert cert.t_star_bound is None
+
+
+def test_thm14_comparison_premise_holds_on_a_run_within_its_bounds(varying_traj):
+    # the comparison needs a0 <= |a2| R^2 wherever the run stays in the
+    # bound box; bounds drawn around the run's own extremes
+    snaps = varying_traj.snapshots
+    z = np.array([s.z for s in snaps])
+    m, m_x, m_xx = snaps[0].m_arrays()
+    bounds = fields.AssumptionBounds(
+        Z_L=0.9 * z.min(), Z_U=1.1 * z.max(), M1=0.9 * m.min(), M2=1.1 * m.max(),
+        M3=1.1 * np.abs(m_x).max(), M4=1.1 * np.abs(m_xx).max())
+    assert all(check.passed for check in fields.validate_assumptions(snaps, bounds))
+    R = detector.thresholds(bounds, snaps[0].gc.gamma, 0.0).N
+    for snap in snaps:
+        d = riccati.diagnostics(snap, ("a0", "a2"))
+        assert np.all(np.sqrt(np.maximum(d["a0"], 0.0) / -d["a2"]) <= R)
 
 
 # --- one-sided-profile certificates -------------------------------------------------

@@ -14,10 +14,11 @@ each side, alternating which side goes first, with
 benchmark runs it.  ``--fixed-layout`` runs each child under
 ``setarch -R`` (no address-space randomisation).
 
-Prints, per workload and metric (``peak_rss_mb`` and the uncalibrated
-``run_s`` and ``setup_s``), each side's median, first and third
-quartiles, min and max, and in how many pairs the working tree read
-lower.  A gain holds when the tree reads lower in at least nine tenths of
+Prints, per workload, one line per pair with each metric
+(``peak_rss_mb`` and the uncalibrated ``run_s`` and ``setup_s``) on
+REV's side and then the tree's; then, per metric, each side's median,
+first and third quartiles, min and max, and in how many pairs the
+working tree read lower.  A gain holds when the tree reads lower in at least nine tenths of
 the pairs and the medians differ by more than REV's interquartile range
 (q3 - q1).  Exits 1 if a child failed.
 """
@@ -92,6 +93,9 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 def report(name: str, runs: dict[str, list[dict]], rev: str) -> None:
     pairs = [(a, b) for a, b in zip(runs["rev"], runs["new"]) if "failed" not in a and "failed" not in b]
     print(f"{name}: {len(pairs)} pairs")
+    for k, (a, b) in enumerate(zip(runs["rev"], runs["new"]), 1):
+        if "failed" not in a and "failed" not in b:
+            print(f"  pair {k:<3}" + "".join(f"  {metric} {a[metric]:.6g} {b[metric]:.6g}" for metric in METRICS))
     for metric in METRICS:
         for side, label in (("rev", rev), ("new", "tree")):
             values = [r[metric] for r in runs[side] if "failed" not in r]
