@@ -131,6 +131,24 @@ def _on_grid(f, grid: Grid) -> np.ndarray:
     return np.broadcast_to(np.asarray(f(grid.x), dtype=float), grid.x.shape)
 
 
+#: the largest :func:`roughness` of initial data that builds: a sine needs
+#: 12 nodes per period, and a jump of more than 1e-3 of the field's range fails
+ROUGHNESS_TOL = 1e-2
+
+
+def roughness(values) -> float:
+    """How far periodic grid values are from resolved:
+    ``max|Δ⁶v| / range(v)``, with ``Δ⁶`` the sixth undivided difference
+    across the wrap, and 0 for a constant.  A sine with N nodes per period
+    reads ``(2 sin(π/N))^6 / 2``, 9.6e-3 at N = 12; a jump J reads
+    ``10 J / range(v)``."""
+    v = np.asarray(values, dtype=float)
+    spread = float(np.ptp(v))
+    if spread == 0.0:
+        return 0.0
+    return float(np.max(np.abs(np.diff(np.concatenate((v[-3:], v, v[:3])), 6)))) / spread
+
+
 def build_initial(
     u0,
     grid: Grid,
@@ -146,7 +164,8 @@ def build_initial(
     number or a callable of x; ``m0`` must also give its derivatives by
     ``m0.derivative(nu)``, as a parsed expression and a scipy spline do (a
     string or number is parsed or made a constant first).  Returns
-    ``(state, m0)`` at t = 0, ``m0`` as a profile.
+    ``(state, m0)`` at t = 0, ``m0`` as a profile; ``u``, ``z`` or ``m``
+    whose :func:`roughness` exceeds ``ROUGHNESS_TOL`` is a ``ValueError``.
     """
     if (z0 is None) == (tau0 is None):
         raise ValueError("exactly one of z0 or tau0 is required")
@@ -167,7 +186,12 @@ def build_initial(
     if not (np.all(np.isfinite(m_x)) and np.all(np.isfinite(m_xx))):
         raise ValueError("entropy profile derivatives m_x, m_xx must be finite on the grid")
 
-    return StateField(grid=grid, t=0.0, z=z, u=u, gc=gc, entropy=entropy), m0
+    state = StateField(grid=grid, t=0.0, z=z, u=u, gc=gc, entropy=entropy)
+    for name, values in (("u", state.u), ("z", state.z), ("m", m)):
+        if (rough := roughness(values)) > ROUGHNESS_TOL:
+            raise ValueError(f"initial {name} is not resolved on the periodic grid: its roughness "
+                             f"(sixth difference across the wrap) {rough:.3g} exceeds {ROUGHNESS_TOL:g}")
+    return state, m0
 
 
 # --- finite differences --------------------------------------------------

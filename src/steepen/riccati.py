@@ -23,7 +23,7 @@ q` = a0 + a2 q^2.  Each of these equations is one record in
 prime differentiates along a forward characteristic, f' = f_t + c f_x,
 and a backprime along a backward one, f` = f_t - c f_x, so each equation
 holds at every point, and :func:`residual` checks it at every grid node
-of a state: f_t along the solver's own rates, f_x by the stencil.
+of a state: f_t exactly along the solver's own rates, f_x by the stencil.
 
 :func:`diagnostics` is the one way to reach a grid field: the state's
 z, u and m arrays, p, c and the other diagnostics, by name, from one
@@ -196,7 +196,9 @@ RESIDUAL_KINDS = {
 }
 
 SIGN = {"forward": 1.0, "backward": -1.0}  # dx/dt = sign c, and d/dt along it is f_t + sign c f_x
-_STEP = 1e-3  # the tangent's step h moves z by at most this part of min z
+#: measured field -> its factors by name, (P, L): f = P L, P = mu_bar z**E1, z**E1 or 1, L linear in (z, u)
+_FACTORS = {"alpha": ((), "alpha"), "beta": ((), "beta"), "y": (("mu_bar", "_zE1"), "_gy"),
+            "q": (("mu_bar", "_zE1"), "_gq"), "y_tilde": (("_zE1",), "_gy"), "q_tilde": (("_zE1",), "_gq")}
 
 
 def residual_names(kinds) -> tuple:
@@ -204,24 +206,22 @@ def residual_names(kinds) -> tuple:
     return tuple(dict.fromkeys(["c"] + [name for kind in kinds for name in RESIDUAL_KINDS[kind].sampled]))
 
 
-def _tangent(state: StateField, names, rates) -> dict:
-    """``{name: field_t}`` along ``rates = (z_t, u_t)``: the 4th-order central
-    difference of the fields ``names`` over ``(z + s z_t, u + s u_t)``,
-    ``s = ±h, ±2h``, ``h = _STEP min z / max|z_t|`` (``_STEP min z`` where
-    ``z_t`` is 0: the fields are affine in ``u``); a 2-point one leaves
-    1e-7 of the equation at gamma = 1.1.  These ``z`` and ``u`` go to the
+def _tangent(state: StateField, names, rates, fields) -> dict:
+    """``{name: field_t}`` of the measured ``names``, which ``fields`` holds,
+    along ``rates = (z_t, u_t)``, exact by the product rule: m is frozen and
+    ``L`` linear, so ``f = P L`` gives ``f_t = E1 (z_t / z) f + P L(z_t, u_t)``.
+    Every ``L`` comes from one stencil call on the rates, which go to the
     formulas directly: :func:`diagnostics` sees only a run's snapshots."""
-    z_t, u_t = rates
-    speed = float(np.max(np.abs(z_t)))
-    h = _STEP * float(np.min(state.z)) / (speed if speed > 0.0 else 1.0)
-
-    def at(s):  # the fields at (z + s z_t, u + s u_t); the memo's other fields go with it
-        memo = {"z": state.z + s * z_t, "u": state.u + s * u_t}
-        return [_field(memo, state, state.gc.exponents, name) for name in names]
-
-    far = [a - b for a, b in zip(at(-2.0 * h), at(2.0 * h))]
-    near = [a - b for a, b in zip(at(h), at(-h))]
-    return {name: (f + 8.0 * g) / (12.0 * h) for name, f, g in zip(names, far, near)}
+    ex = state.gc.exponents
+    rate = ex.E1 * (rates[0] / state.z)  # z**E1's tangent over z**E1
+    on_rates, base, out = {"z": rates[0], "u": rates[1]}, {}, {}
+    for name in names:
+        prefactor, linear = _FACTORS[name]
+        out[name] = _field(on_rates, state, ex, linear)
+        if prefactor:  # P L + rate f, added in place: one temporary fewer
+            out[name] = functools.reduce(np.multiply, [_field(base, state, ex, f) for f in prefactor]) * out[name]
+            out[name] += rate * fields[name]
+    return out
 
 
 def residual(state: StateField, kinds, rates, fields) -> dict:
@@ -230,23 +230,22 @@ def residual(state: StateField, kinds, rates, fields) -> dict:
     For a kind's ``measured`` field ``f``, ``R = f_t + sign c f_x - rhs``
     and ``size = |f_t| + |c f_x| + |rhs|``.  ``rates`` is the state's
     ``(z_t, u_t)`` (:func:`steepen.solver.rates`) and ``fields`` its grid
-    fields of :func:`residual_names`.  ``f_t`` is the tangent along the
-    rates and ``f_x`` the stencil's, so ``R`` is the semi-discrete scheme's
-    residual, 4th order in the grid step and blind to the RK4 time error.
+    fields of :func:`residual_names`.  ``f_t`` is exact along the rates and
+    ``f_x`` the stencil's, so ``R`` is the semi-discrete scheme's residual,
+    4th order in the grid step and blind to the RK4 time error.
     """
     for kind in kinds:  # a bare string's letters are no kinds either
         if kind not in RESIDUAL_KINDS:
             raise ValueError(f"unknown residual kind {kind!r}")
     measured = [RESIDUAL_KINDS[kind].measured for kind in kinds]
-    tangent = _tangent(state, measured, rates)
+    tangent = _tangent(state, measured, rates, fields)
     padded = np.empty((len(measured), state.grid.n + 4))
     padded[:, 2:-2] = [fields[name] for name in measured]
     fill_ghosts(padded)
     out = {}
     for kind, f_x in zip(kinds, derivative(padded, state.grid)):
         record = RESIDUAL_KINDS[kind]
-        f_t = tangent[record.measured]
+        f_t, rhs = tangent[record.measured], record.rhs(fields)
         transport = SIGN[record.direction] * (fields["c"] * f_x)
-        rhs = record.rhs(fields)
         out[kind] = (f_t + transport - rhs, np.abs(f_t) + np.abs(transport) + np.abs(rhs))
     return out

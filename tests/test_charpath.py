@@ -6,7 +6,7 @@ import pytest
 from steepen import charpath, eos, fields, riccati, solver
 from steepen.expressions import parse_expression
 
-from conftest import VARYING_M0, make_gas, sampled_residual
+from conftest import VARYING_M0, fd_tangent, make_gas, sampled_residual
 
 
 def test_trace_constant_state_straight_line(constant_traj):
@@ -286,7 +286,7 @@ def test_z_prime_identity_and_m_prime_chain_rule(varying_traj):
     for snap in varying_traj.snapshots:
         rates = solver.rates(snap)
         d = riccati.diagnostics(snap, ("z", "z_x", "c", "beta", "m_x"))
-        f_t = riccati._tangent(snap, ("z", "m"), rates)
+        f_t = fd_tangent(snap, ("z", "m"), rates)
         assert not np.any(f_t["m"])
         rhs = -gc.K_c * d["z"] ** ((g + 1.0) / (g - 1.0)) * (d["beta"] + (g - 1.0) / g * d["m_x"] * d["z"])
         worst = max(worst, float(np.max(np.abs(f_t["z"] + d["c"] * d["z_x"] - rhs)) / np.max(np.abs(rhs))))
@@ -340,7 +340,7 @@ def test_operator_identity_recovers_partial_derivatives():
         z_x = -0.2 * np.pi * np.sin(2.0 * np.pi * x)
         m, m_x, _ = state.m_arrays()
         p, c = eos.thermo(state.z, m, gc)
-        f_t = riccati._tangent(state, ("z", "u"), solver.rates(state))
+        f_t = fd_tangent(state, ("z", "u"), solver.rates(state))
         errs.append((np.max(np.abs(f_t["z"] + c / m * u_x)),
                      np.max(np.abs(f_t["u"] + m * c * z_x + 2.0 * p / m * m_x))))
     # measured: 3.3e-6, 2.1e-7, 1.3e-8 (z_t) and 9.9e-7, 6.2e-8, 3.9e-9

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -98,6 +99,54 @@ def test_entropy_profile_with_infinite_derivatives_stops_at_build(tmp_path, caps
     assert err.count("stage build:") == 1 and "derivatives m_x, m_xx must be finite" in err
     assert "vacuum" not in err
     assert not (tmp_path / "out" / "certificate.txt").exists()
+
+
+#: one_sided_profile.cfg with a bump that is cut by the wrap x1 -> x0:
+#: u jumps by 0.52 and 0.28 there (roughness 3.8 and 9.4)
+UNRESOLVED_PROBES = {
+    "cut_bump": {"initial.u0": "-1.4*exp(-((x - 28)/2)^2)"},
+    "cut_bump_steep_entropy": {"initial.u0": "-0.3*exp(-((x - 29.5)/2)^2)",
+                               "initial.m0": "(1 + 0.5*(1 + cos(2*pi*x/40)))^(-4)"},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "certify"])
+@pytest.mark.parametrize("probe", list(UNRESOLVED_PROBES))
+def test_data_not_resolved_across_the_wrap_stop_at_build(tmp_path, capsys, probe, command):
+    # before the check, the first probe stopped at t = 0 as gradient_blowup
+    # with exit 0 and a thm15 certificate
+    kv = parse_kv((CONFIGS / "one_sided_profile.cfg").read_text())
+    kv.update(UNRESOLVED_PROBES[probe])
+    kv["output.directory"] = str(tmp_path / "out")
+    path = tmp_path / "probe.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in kv.items()))
+    assert cli.main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stage build: initial u is not resolved on the periodic grid")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def _workload_configs(monkeypatch):
+    """``{name: config text}`` of every perfbench workload at seeds 0 and 7."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing is written into perfbench/
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", CONFIGS.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return {f"{w.name}/seed{seed}": module.render_config((CONFIGS / w.config).read_text(), w, seed, "out")
+            for w in module.WORKLOADS.values() for seed in (0, 7)}
+
+
+def test_demos_and_workloads_are_resolved_across_the_wrap(monkeypatch):
+    # each builds; measured at most 6.7e-9 (one_sided_profile's u), far
+    # inside the build's tolerance of 1e-2
+    texts = {path.name: path.read_text() for path in sorted(CONFIGS.glob("*.cfg"))}
+    texts.update(_workload_configs(monkeypatch))
+    assert len(texts) >= 10
+    for name, text in texts.items():
+        state = make_initial(build_config(parse_kv(text), CONFIGS))[0]
+        worst = max(fields.roughness(v) for v in (state.u, state.z, state.m_arrays()[0]))
+        assert worst <= 1e-6, (name, worst)
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "certify"])
@@ -400,12 +449,12 @@ def test_fields_csv_matches_per_row_reference(tmp_path):
     # the rows of one block: the changing columns are formatted per block
     block = _g16.VALUES_PER_BLOCK // len(cli._CHANGING_COLUMNS)
     # the unit grid, one with x0 = -10 and a non-dyadic h, and one whose
-    # rows are formatted in two blocks, the second one partial
+    # rows are formatted in two blocks, the second one partial; the data
+    # have one period on each grid, as the build requires
     for x0, x1, n in ((0.0, 1.0, 16), (-10.0, 3.7, 24), (0.0, 1.0, block + block // 2 + 1)):
         grid = fields.Grid(x0, x1, n)
-        state, _ = fields.build_initial(
-            "-0.2*sin(2*pi*x)", grid, gc, m0="1 + 0.1*cos(2*pi*x)", z0=1.0
-        )
+        phase = f"2*pi*(x - {x0!r})/{x1 - x0!r}"
+        state, _ = fields.build_initial(f"-0.2*sin({phase})", grid, gc, m0=f"1 + 0.1*cos({phase})", z0=1.0)
         traj = solver.evolve(state, solver.SolverConfig(t_end=0.05, snapshot_stride=2))
         # signed zeros, a subnormal and magnitudes near both ends of the range
         u = np.resize([-0.0, 0.0, 5e-324, -1e-300, 1e290, -2.5e289, 1.0 / 3.0, -123456789.01234567], n)

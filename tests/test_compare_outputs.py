@@ -32,3 +32,19 @@ def test_numbers_and_other_text_are_told_apart(tmp_path, monkeypatch):
         " first at line 1: 't,x,seed0' against 't,x,seed1'")
     b.write_text("t,x,seed0\n0.5,-1e-07,nan,3\nE1 = 2\nkind = thm14_y\nextra\n")
     assert tool.how_it_differs(a, b).endswith("first at 4 lines against 5")
+
+
+def test_differences_are_named_by_column_and_by_key(tmp_path, monkeypatch):
+    tool = _tool(monkeypatch)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("curve_id,t,x,value,residual\nseed0,0.5,0.25,2,1e-09\nseed0,0.75,0.5,3,-4e-09\n")
+    b.write_text("curve_id,t,x,value,residual\nseed0,0.5,0.25,2,2e-09\nseed0,0.75,0.5,3.5,-4e-09\n")
+    assert tool.how_it_differs(a, b) == (
+        "2 numbers differ, by at most 0.5 absolute and 0.5 relative, in columns"
+        " residual (1e-09 absolute, 0.5 relative), value (0.5 absolute, 0.143 relative)")
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("# run summary\nsteps = 10\nresidual_max.ode_y = 0.25\nresidual_t.ode_y = 1\n")
+    b.write_text("# run summary\nsteps = 10\nresidual_max.ode_y = 0.25\nresidual_t.ode_y = 1.5\n")
+    assert tool.how_it_differs(a, b) == (
+        "1 numbers differ, by at most 0.5 absolute and 0.333 relative,"
+        " in key residual_t.ode_y (0.5 absolute, 0.333 relative)")

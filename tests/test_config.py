@@ -90,11 +90,12 @@ def test_referenced_file_must_exist(tmp_path):
     with pytest.raises(ConfigError, match="does not exist"):
         load_config(_write(tmp_path, cfg_text))
     (tmp_path / "profile.csv").write_text(
-        "# profile\n" + "".join(f"{x:.6f},{1.0 + 0.1 * np.sin(x):.8f}\n" for x in np.linspace(-0.5, 1.5, 50))
+        "# profile\n" + "".join(f"{x:.6f},{1.0 + 0.1 * np.sin(2.0 * np.pi * x):.8f}\n"
+                                 for x in np.linspace(-0.5, 1.5, 50))
     )
     cfg = load_config(_write(tmp_path, cfg_text))
     state, profile = make_initial(cfg)
-    assert np.allclose(profile(0.5), 1.0 + 0.1 * np.sin(0.5), atol=1e-5)
+    assert np.allclose(profile(0.3), 1.0 + 0.1 * np.sin(0.6 * np.pi), atol=1e-5)
 
 
 def test_file_u0_with_negative_samples_is_splined_and_runs(tmp_path):

@@ -57,17 +57,40 @@ def _profile_file(path, xs, vals):
 
 
 def test_sampled_profile_spline(tmp_path):
+    # a period of 5: periodic on the grid, as the build requires
+    k = 0.4 * np.pi
     xs = np.linspace(0.0, 6.0, 200)
-    vals = 1.0 + 0.3 * np.tanh(xs - 3.0)
+    vals = 1.0 + 0.3 * np.sin(k * xs)
     samples = fields.read_samples(_profile_file(tmp_path / "prof.csv", xs, vals), positive=True)
     grid = fields.Grid(0.5, 5.5, 40)
     state, m = fields.build_initial(0.0, grid, make_gas(), m0=CubicSpline(*samples), z0=1.0)
     m_grid, m_x_grid, _ = state.m_arrays()
     probe = np.linspace(0.5, 5.5, 37)
-    assert np.allclose(m(probe), 1.0 + 0.3 * np.tanh(probe - 3.0), atol=1e-7)
-    assert np.allclose(m.derivative(1)(probe), 0.3 / np.cosh(probe - 3.0) ** 2, atol=1e-4)
-    assert np.allclose(m_grid, 1.0 + 0.3 * np.tanh(grid.x - 3.0), atol=1e-7)
-    assert np.allclose(m_x_grid, 0.3 / np.cosh(grid.x - 3.0) ** 2, atol=1e-4)
+    assert np.allclose(m(probe), 1.0 + 0.3 * np.sin(k * probe), atol=1e-7)
+    assert np.allclose(m.derivative(1)(probe), 0.3 * k * np.cos(k * probe), atol=1e-4)
+    assert np.allclose(m_grid, 1.0 + 0.3 * np.sin(k * grid.x), atol=1e-7)
+    assert np.allclose(m_x_grid, 0.3 * k * np.cos(k * grid.x), atol=1e-4)
+
+
+def test_roughness_reads_resolution_and_jumps():
+    assert fields.roughness(np.full(8, 2.5)) == 0.0
+    for nodes in (12, 16, 64):  # a sine of one period: (2 sin(pi/N))^6 / 2
+        wave = np.sin(2.0 * np.pi * np.arange(nodes) / nodes + 0.3)
+        expect = (2.0 * np.sin(np.pi / nodes)) ** 6 / 2.0
+        assert fields.roughness(3.0 + wave) == pytest.approx(expect, rel=0.05)
+    ramp = np.linspace(0.0, 1.0, 64, endpoint=False)  # smooth inside, one jump across the wrap
+    # against its slope the ramp drops by 1 across the wrap, over a range of 63/64
+    assert fields.roughness(ramp) == pytest.approx(10.0 * 64.0 / 63.0)
+
+
+@pytest.mark.parametrize("name, expr", [("u", "0.1*x"), ("z", "1 + 0.5*x"), ("m", "1 + 0.2*sin(pi*x)")])
+def test_build_refuses_data_cut_by_the_wrap(name, expr):
+    grid = fields.Grid(0.0, 1.0, 128)
+    data = {"u": "0.1*sin(2*pi*x)", "z": 1.0, "m": 1.0, name: expr}
+    with pytest.raises(ValueError, match=f"initial {name} is not resolved on the periodic grid"):
+        fields.build_initial(data["u"], grid, make_gas(), m0=data["m"], z0=data["z"])
+    # the same data resolved on a period of their own build
+    fields.build_initial("0.1*sin(2*pi*x)", grid, make_gas(), m0="1 + 0.2*sin(2*pi*x)", z0="1 + 0.5*cos(2*pi*x)")
 
 
 def test_sampled_profile_file_errors(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from steepen import charpath, eos, fields, riccati, solver
 from steepen.config import build_config, make_initial, parse_kv
 
-from conftest import ghost_padded, grid_residuals, make_gas, sampled_residual
+from conftest import fd_tangent, ghost_padded, grid_residuals, make_gas, sampled_residual
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -190,9 +190,9 @@ def test_forward_simple_wave_has_no_beta(gas3):
 def _grid_primes(state, rates, names):
     """``{name: (f', f`)}``: each grid field's derivatives along forward
     and backward characteristics, ``f_t +- c f_x``, with ``f_t`` the
-    tangent along the state's ``rates`` and ``f_x`` the stencil's."""
+    difference tangent along the state's ``rates`` and ``f_x`` the stencil's."""
     d = riccati.diagnostics(state, names + ("c",))
-    f_t = riccati._tangent(state, names, rates)
+    f_t = fd_tangent(state, names, rates)
     f_x = fields.derivative(ghost_padded(np.stack([d[name] for name in names])), state.grid)
     return {name: (f_t[name] + d["c"] * fx, f_t[name] - d["c"] * fx) for name, fx in zip(names, f_x)}
 
@@ -401,10 +401,76 @@ def test_residual_equals_reference_equation_bit_for_bit(varying_traj, kind):
         rates = solver.rates(snap)
         d = riccati.diagnostics(snap, names)
         r, size = riccati.residual(snap, (kind,), rates, d)[kind]
-        f_t = riccati._tangent(snap, (measured,), rates)[measured]
+        f_t = riccati._tangent(snap, (measured,), rates, d)[measured]
         transport = sign * (d["c"] * fields.derivative(ghost_padded(d[measured]), snap.grid))
         assert np.array_equal(r, f_t + transport - rhs(d)), (kind, snap.t)
         assert np.array_equal(size, np.abs(f_t) + np.abs(transport) + np.abs(rhs(d))), (kind, snap.t)
+
+
+MEASURED = tuple(dict.fromkeys(record.measured for record in riccati.RESIDUAL_KINDS.values()))
+
+
+def _exact_against_difference(state):
+    """The largest gap between the exact tangent of every measured field
+    and the difference oracle's, relative to the oracle's ``max|f_t|``."""
+    rates = solver.rates(state)
+    exact = riccati._tangent(state, MEASURED, rates, riccati.diagnostics(state, MEASURED))
+    oracle = fd_tangent(state, MEASURED, rates)
+    return max(float(np.max(np.abs(exact[name] - oracle[name])) / np.max(np.abs(oracle[name])))
+               for name in MEASURED)
+
+
+def test_exact_tangent_matches_the_difference_on_a_run(varying_traj):
+    # measured 4.2e-11 over the snapshots
+    worst = max(_exact_against_difference(snap) for snap in varying_traj.snapshots)
+    assert worst <= 1e-9, worst
+
+
+@pytest.mark.parametrize("gamma, K", [(1.1, 1.0), (1.4, 100.0), (3.0, 1.0 / 3.0), (4.5, 1.0)])
+def test_exact_tangent_matches_the_difference_at_t0(gamma, K):
+    # one smooth state per gas; gamma = 1.1 has E1 = 10.5, where a 2-point difference
+    # floors.  Measured 1.6e-10, 8.5e-11, 5.0e-11 and 4.3e-11
+    state = _state("0.2*sin(2*pi*x + 0.7)", "1 + 0.2*cos(2*pi*x)", "1 + 0.15*sin(2*pi*x)", gamma, K)
+    assert _exact_against_difference(state) <= 1e-9
+
+
+def test_each_measured_field_is_its_prefactor_times_its_linear_factor(varying_traj):
+    snap = varying_traj.snapshots[-1]
+    ex = snap.gc.exponents
+    assert set(riccati._FACTORS) == set(MEASURED)
+    for name, (prefactor, linear) in riccati._FACTORS.items():
+        memo = {}
+        product = riccati._field(memo, snap, ex, linear)
+        if prefactor:  # the tangent's E1 (z_t / z) f term is z**E1's, and m is frozen
+            assert prefactor[-1] == "_zE1" and set(prefactor[:-1]) <= {"mu_bar"}
+            p = riccati._field(memo, snap, ex, prefactor[0])
+            for factor in prefactor[1:]:
+                p = p * riccati._field(memo, snap, ex, factor)
+            product = p * product
+        assert np.array_equal(product, riccati._field({}, snap, ex, name)), name
+    # alpha and beta are linear: their tangents are themselves on the rates
+    rates = solver.rates(snap)
+    tangent = riccati._tangent(snap, ("alpha", "beta"), rates, riccati.diagnostics(snap, ("alpha", "beta")))
+    on_rates = {"z": rates[0], "u": rates[1]}
+    for name in ("alpha", "beta"):
+        assert np.array_equal(tangent[name], riccati._field(on_rates, snap, ex, name))
+
+
+@pytest.mark.parametrize("kinds", [("ode_y",), ("rem1", "ode_q"), tuple(riccati.RESIDUAL_KINDS)],
+                         ids=["one", "two", "all"])
+def test_residual_makes_two_derivative_calls(varying_traj, monkeypatch, kinds):
+    # one stencil call on the rates' linear factors and one for every f_x
+    snap = varying_traj.snapshots[-1]
+    rates, d = solver.rates(snap), riccati.diagnostics(snap, riccati.residual_names(kinds))
+    calls = []
+
+    def counted(values, grid):
+        calls.append(np.shape(values))
+        return fields.derivative(values, grid)
+
+    monkeypatch.setattr(riccati, "derivative", counted)
+    riccati.residual(snap, kinds, rates, d)
+    assert len(calls) == 2, calls
 
 
 class _OnlyNames(Mapping):
@@ -538,8 +604,9 @@ def test_every_identity_holds_at_t0_to_fourth_order(gamma, a, b, c, phi):
     # the time derivative at t = 0 is the scheme's own, so no run is needed;
     # each kind's residual relative to the size of its terms falls 16-fold
     # per doubling of n.  Measured over 484 draws (the box's corners at six
-    # phases, and random ones): ratios 15.3 to 16.4.  A 2-point tangent at
-    # h = 1e-4 min z / max|z_t| floored near 1e-7 at gamma = 1.1
+    # phases, and random ones): ratios 15.6 to 16.0 with the exact tangent,
+    # 15.3 to 16.4 with the 4-point difference.  A 2-point difference
+    # tangent at h = 1e-4 min z / max|z_t| floored near 1e-7 at gamma = 1.1
     kinds = tuple(riccati.RESIDUAL_KINDS)
     rel = []
     for n in (128, 256, 512):

@@ -12,8 +12,10 @@ tree's configs, so only the sources differ.  Each command's exit code,
 stdout and stderr are compared too.  Prints every file that differs or
 exists on one side only and exits 1; exits 0 when none does.  For a file
 that differs it also prints the largest absolute and relative difference
-over the numbers that differ, and the first line that differs in anything
-but its numbers, so that a difference in rounding shows as one.
+over the numbers that differ, the same per CSV column and per key of a
+``key = value`` file, so that a change that moves one column shows the
+others identical, and the first line that differs in anything but its
+numbers, so that a difference in rounding shows as one.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
 # a number that stands alone: not the digits of a name such as seed0 or E1
 NUMBER = re.compile(r"(?<![\w.])([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\d.])|(?:nan|inf)\b))")
+# a ``key = value`` line, such as summary.txt's
+KEY = re.compile(r"\s*([\w.]+)\s*=")
 
 sys.dont_write_bytecode = True  # import the workloads without writing into perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -81,10 +85,13 @@ def run_all(src: Path, configs: Path, out: Path) -> None:
 def how_it_differs(a: Path, b: Path) -> str:
     """The numbers that differ between text files ``a`` and ``b``, their
     largest absolute and relative difference, and the first line that
-    differs in anything else."""
+    differs in anything else.  The differences are also given per CSV
+    column, by the header's name, and per key of a ``key = value`` line."""
     lines_a = a.read_text("latin-1").splitlines()
     lines_b = b.read_text("latin-1").splitlines()
-    changed, abs_max, rel_max, other = 0, 0.0, 0.0, None
+    header = lines_a[0].split(",") if a.suffix == ".csv" and lines_a else None
+    changed, other = 0, None
+    largest = {}  # column or key (None for neither) -> [absolute, relative]
     for i, (la, lb) in enumerate(zip(lines_a, lines_b), 1):
         if la == lb:
             continue
@@ -92,7 +99,8 @@ def how_it_differs(a: Path, b: Path) -> str:
         if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
             other = other or f"line {i}: {la[:120]!r} against {lb[:120]!r}"
             continue
-        for va, vb in zip(map(float, parts_a[1::2]), map(float, parts_b[1::2])):
+        key = KEY.match(la)
+        for k, (va, vb) in enumerate(zip(map(float, parts_a[1::2]), map(float, parts_b[1::2]))):
             if va == vb or (math.isnan(va) and math.isnan(vb)):
                 continue
             changed += 1
@@ -101,10 +109,22 @@ def how_it_differs(a: Path, b: Path) -> str:
                 rel = diff / max(abs(va), abs(vb))
             else:  # a nan or an infinity on one side
                 diff = rel = math.inf
-            abs_max, rel_max = max(abs_max, diff), max(rel_max, rel)
+            if header is not None:  # the column of the k-th number: the commas before it
+                column = "".join(parts_a[:2 * k + 1]).count(",")
+                label = header[column] if column < len(header) else f"column {column + 1}"
+            else:
+                label = key and key.group(1)
+            for where in {None, label}:  # None holds the file's largest
+                top = largest.setdefault(where, [0.0, 0.0])
+                top[0], top[1] = max(top[0], diff), max(top[1], rel)
     if other is None and len(lines_a) != len(lines_b):
         other = f"{len(lines_a)} lines against {len(lines_b)}"
+    abs_max, rel_max = largest.pop(None, (0.0, 0.0))
     found = f"{changed} numbers differ, by at most {abs_max:.3g} absolute and {rel_max:.3g} relative"
+    if largest:
+        kind = "column" if header is not None else "key"
+        found += f", in {kind}{'s' if len(largest) > 1 else ''} " + ", ".join(
+            f"{label} ({top[0]:.3g} absolute, {top[1]:.3g} relative)" for label, top in largest.items())
     return found + (f"; other text differs, first at {other}" if other else "")
 
 

@@ -1,22 +1,24 @@
-"""Compare peak resident memory and raw times of the working tree's
+"""Compare peak resident memory and times of the working tree's
 ``steepen`` with a git revision's, over interleaved benchmark children.
 
-    python tools/rss_pairs.py REV [--pairs N] [--fixed-layout]
+    python tools/rss_pairs.py REV [--pairs N] [--seed S] [--fixed-layout]
 
 Extracts ``src/`` at REV as ``compare_outputs`` does and copies it, and
 the working tree's ``src/``, into two sibling temporary directories whose
 paths have the same length, each with the working tree's ``configs/`` and
 ``perfbench/child.py``: a path's length moves where the heap starts, and
 with it ``peak_rss_mb`` by up to 0.25 MB.  Then, N times (default 10), it
-runs ``perfbench/child.py`` on each perfbench workload at seed 0 once on
-each side, alternating which side goes first, with
+runs ``perfbench/child.py`` on each perfbench workload at seed S (default
+0) once on each side, alternating which side goes first, with
 ``PYTHONDONTWRITEBYTECODE=1`` and one thread per math library, as the
 benchmark runs it.  ``--fixed-layout`` runs each child under
 ``setarch -R`` (no address-space randomisation).
 
-Prints, per workload, one line per pair with each metric
-(``peak_rss_mb`` and the uncalibrated ``run_s`` and ``setup_s``) on
-REV's side and then the tree's; then, per metric, each side's median,
+Prints, per workload, one line per pair with each metric on REV's side
+and then the tree's: ``peak_rss_mb``, the raw ``run_s`` and ``setup_s``,
+and ``run_s_cal`` and ``setup_s_cal``, the same times calibrated by
+perfbench's rule (``× CALIBRATION_REF_S / calib_s``), which the
+benchmark's gate reads; then, per metric, each side's median,
 first and third quartiles, min and max, and in how many pairs the
 working tree read lower.  A gain holds when the tree reads lower in at least nine tenths of
 the pairs and the medians differ by more than REV's interquartile range
@@ -40,14 +42,14 @@ sys.dont_write_bytecode = True  # import the tools and perfbench modules without
 from compare_outputs import ROOT, extract_src  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
-from run import CHILD_TIMEOUT, THREAD_VARS  # noqa: E402
+from run import CALIBRATED, CALIBRATION_REF_S, CHILD_TIMEOUT, THREAD_VARS  # noqa: E402
 from workloads import WORKLOADS, render_config  # noqa: E402
 
-METRICS = ("peak_rss_mb", "run_s", "setup_s")
+METRICS = ("peak_rss_mb", "run_s", "setup_s", *(f"{name}_cal" for name in CALIBRATED))
 SIDES = ("rev", "new")  # directory names: the same length, so the same path lengths
 
 
-def prepare(side: Path, src: Path) -> dict[str, Path]:
+def prepare(side: Path, src: Path, seed: int) -> dict[str, Path]:
     """Lay out one side under ``side``: its sources, the configs and the
     child, and each workload's config; return the configs by workload."""
     # no bytecode on either side: both compile their sources, as the benchmark's checkout does
@@ -60,7 +62,7 @@ def prepare(side: Path, src: Path) -> dict[str, Path]:
     for workload in WORKLOADS.values():
         cfg = side / "configs" / f"run_{workload.name}.cfg"
         text = (ROOT / "configs" / workload.config).read_text()
-        cfg.write_text(render_config(text, workload, 0, str(side / "out" / workload.name)))
+        cfg.write_text(render_config(text, workload, seed, str(side / "out" / workload.name)))
         configs[workload.name] = cfg
     return configs
 
@@ -90,7 +92,16 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def calibrated(result: dict) -> dict:
+    """``result`` with each time perfbench calibrates beside its raw one, as
+    ``<name>_cal``, by perfbench's rule: ``× CALIBRATION_REF_S / calib_s``."""
+    if "failed" in result:
+        return result
+    return {**result, **{f"{name}_cal": result[name] * CALIBRATION_REF_S / result["calib_s"] for name in CALIBRATED}}
+
+
 def report(name: str, runs: dict[str, list[dict]], rev: str) -> None:
+    runs = {side: [calibrated(r) for r in results] for side, results in runs.items()}
     pairs = [(a, b) for a, b in zip(runs["rev"], runs["new"]) if "failed" not in a and "failed" not in b]
     print(f"{name}: {len(pairs)} pairs")
     for k, (a, b) in enumerate(zip(runs["rev"], runs["new"]), 1):
@@ -112,6 +123,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--fixed-layout", action="store_true")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -127,7 +139,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="rss_pairs_") as tmp:
         tmp = Path(tmp)
         sources = {"rev": extract_src(args.rev, tmp / "archive"), "new": ROOT / "src"}
-        configs = {side: prepare(tmp / side, sources[side]) for side in SIDES}
+        configs = {side: prepare(tmp / side, sources[side], args.seed) for side in SIDES}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for name in WORKLOADS:
@@ -135,7 +147,7 @@ def main(argv=None) -> int:
                     runs[name][side].append(run_child(tmp / side, configs[side][name], prefix))
                     shutil.rmtree(tmp / side / "out" / name, ignore_errors=True)
     layout = "fixed (setarch -R)" if args.fixed_layout else "randomised"
-    print(f"rss_pairs: {args.rev} against the working tree, {args.pairs} pairs, layout {layout}")
+    print(f"rss_pairs: {args.rev} against the working tree, {args.pairs} pairs, seed {args.seed}, layout {layout}")
     failed = 0
     for name, by_side in runs.items():
         report(name, by_side, args.rev)
